@@ -21,7 +21,7 @@ CHAOSDIR := /tmp/crat-chaos-smoke
 # tracks the width of the masked durations).
 NORM = sed -E -e '/^done in /d' -e 's/[0-9]+(\.[0-9]+)?(µs|ms|m?s)\b/DUR/g' -e 's/ +/ /g' -e 's/ +$$//'
 
-.PHONY: all build vet test race race-harness bench-smoke perf-smoke bench-json checkpoint-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff golden-regen ci
+.PHONY: all build vet test race bench-smoke perf-smoke bench-json checkpoint-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff golden-regen ci
 
 all: build
 
@@ -34,13 +34,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# -count=1 so cached passes never mask a regression in the concurrency
+# tests (the pool.Memo poisoning tests, the parallel experiment engine).
 race:
-	$(GO) test -race ./...
-
-# The concurrency tests that guard the parallel experiment engine: run
-# explicitly with -count=1 so cached passes never mask a regression.
-race-harness:
-	$(GO) test -race -count=1 ./internal/harness/...
+	$(GO) test -race -count=1 ./...
 
 # One iteration of the simulator throughput benchmark: catches crashes or
 # gross slowdowns in the hot path without paying for a full bench run.
@@ -232,4 +229,4 @@ golden-diff:
 golden-regen:
 	$(GO) run ./cmd/experiments -run all > experiments_output.txt
 
-ci: vet build race race-harness checkpoint-smoke bench-smoke perf-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff
+ci: vet build race checkpoint-smoke bench-smoke perf-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff

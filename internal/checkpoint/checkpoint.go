@@ -9,9 +9,7 @@
 //   - journal.log — the record-oriented v2 journal: one append-only,
 //     CRC32C-checksummed record per Put (see journal.go for the format
 //     and its salvage/quarantine rules). A Put appends one record and
-//     issues one fsync — O(record) per write, where the v1 monolithic
-//     journal.json rewrote and double-fsynced everything it had ever
-//     stored.
+//     issues one fsync — O(record) per write.
 //   - journal.quarantine — corrupt chunks skipped by the decoder, kept
 //     for forensics instead of silently discarded.
 //
@@ -21,11 +19,11 @@
 // the cache loads. Health() reports what happened so degraded durability
 // is observable, never silent.
 //
-// A v1 journal.json written by an earlier release is read transparently
-// on resume and migrated to the v2 format on the first write.
+// Only the current format version is resumable; any other manifest
+// version is ErrStale, exactly like a configuration mismatch.
 //
-// Repairs (quarantine extraction, compaction past the garbage threshold,
-// v1 migration) are detected at Open but applied on the first write:
+// Repairs (quarantine extraction, compaction past the garbage threshold)
+// are detected at Open but applied on the first write:
 // resume opens may be concurrent read-only observers of a live writer's
 // directory, and must not rewrite journal.log out from under its append
 // handle. A writer's first Put (or Flush) performs the pending repair
@@ -50,22 +48,15 @@ import (
 	"crat/internal/faultinject"
 )
 
-// Version is the on-disk format version written to new manifests.
-// Manifests back to minManifestVersion are still accepted on resume (the
-// journal is migrated forward on the first write).
+// Version is the on-disk format version written to new manifests; a
+// resume accepts no other.
 const Version = 2
-
-// minManifestVersion is the oldest manifest a resume still understands:
-// version 1 stores carry a monolithic journal.json that loadJournal
-// reads transparently.
-const minManifestVersion = 1
 
 // Filenames inside a store directory, exported so process supervisors
 // (the chaos matrix) can corrupt them on purpose.
 const (
 	ManifestFilename   = "manifest.json"
 	JournalFilename    = "journal.log"
-	JournalV1Filename  = "journal.json"
 	QuarantineFilename = "journal.quarantine"
 )
 
@@ -88,7 +79,7 @@ type manifest struct {
 // compatible reports whether this manifest belongs to a store opened
 // under key.
 func (m manifest) compatible(key string) bool {
-	return m.Version >= minManifestVersion && m.Version <= Version && m.Key == key
+	return m.Version == Version && m.Key == key
 }
 
 // Health is the store's durability report: what Open found, what repairs
@@ -102,7 +93,6 @@ type Health struct {
 	QuarantinedBytes int  `json:"quarantined_bytes"` // total bytes in those chunks
 	Compactions      int  `json:"compactions"`       // journal rewrites since Open
 	AppendErrors     int  `json:"append_errors"`     // Puts whose durable append failed
-	MigratedV1       bool `json:"migrated_v1"`       // loaded from a v1 journal.json
 	PendingRepair    bool `json:"pending_repair"`    // a repair is queued for the first write
 }
 
@@ -112,16 +102,14 @@ type Store struct {
 	mu      sync.Mutex
 	dir     string
 	key     string // config hash this store was opened under
-	label   string
 	fs      faultinject.FS
 	entries map[string]json.RawMessage
 	loaded  int // entries restored from disk at Open (resume)
 
 	f          faultinject.File // open append handle (nil until first append)
 	dupes      int              // superseded records in the on-disk journal
-	needRepair bool             // compaction/quarantine/migration queued
+	needRepair bool             // compaction/quarantine queued
 	quarantine [][]byte         // corrupt chunks awaiting the quarantine file
-	oldFormat  bool             // manifest and/or journal are v1; upgrade on repair
 	health     Health
 }
 
@@ -157,7 +145,7 @@ func OpenFS(dir, key, label string, resume bool, fsys faultinject.FS) (*Store, e
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, key: key, label: label, fs: fsys, entries: make(map[string]json.RawMessage)}
+	s := &Store{dir: dir, key: key, fs: fsys, entries: make(map[string]json.RawMessage)}
 
 	manifestPath := filepath.Join(dir, ManifestFilename)
 	if resume {
@@ -176,7 +164,6 @@ func OpenFS(dir, key, label string, resume bool, fsys faultinject.FS) (*Store, e
 				return nil, fmt.Errorf("%w: %s: manifest (version=%d key=%.12s…) does not match current configuration (version=%d key=%.12s…)",
 					ErrStale, manifestPath, m.Version, m.Key, Version, key)
 			}
-			s.oldFormat = m.Version < Version
 			if err := s.loadJournal(); err != nil {
 				return nil, err
 			}
@@ -189,15 +176,15 @@ func OpenFS(dir, key, label string, resume bool, fsys faultinject.FS) (*Store, e
 	}
 	// Fresh store: the caller asserts ownership of the directory, so sweep
 	// temp files a killed writer left behind, drop any previous journal
-	// (either format) and quarantine, then persist the manifest. Resume
-	// opens never sweep — a concurrent resume (even a stale one) must not
-	// delete a live writer's in-flight temp file out from under its rename.
+	// and quarantine, then persist the manifest. Resume opens never sweep —
+	// a concurrent resume (even a stale one) must not delete a live
+	// writer's in-flight temp file out from under its rename.
 	if names, err := fsys.Glob(filepath.Join(dir, "*.tmp")); err == nil {
 		for _, n := range names {
 			fsys.Remove(n)
 		}
 	}
-	for _, name := range []string{JournalFilename, JournalV1Filename, QuarantineFilename} {
+	for _, name := range []string{JournalFilename, QuarantineFilename} {
 		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
@@ -212,47 +199,25 @@ func OpenFS(dir, key, label string, resume bool, fsys faultinject.FS) (*Store, e
 	return s, nil
 }
 
-// loadJournal restores entries from disk on resume: the v2 journal.log
-// when present, else a v1 journal.json. Corruption is salvaged in
-// memory and queued for repair — it is never an error; only real I/O
-// failures are.
+// loadJournal restores entries from journal.log on resume (a missing
+// journal is an empty store). Corruption is salvaged in memory and
+// queued for repair — it is never an error; only real I/O failures are.
 func (s *Store) loadJournal() error {
 	data, err := s.fs.ReadFile(filepath.Join(s.dir, JournalFilename))
-	switch {
-	case err == nil:
-		entries, stats, quarantine := decodeJournal(data)
-		s.entries = entries
-		s.dupes = stats.Duplicates
-		s.quarantine = quarantine
-		s.health.SalvagedTail = stats.SalvagedTail
-		s.health.Quarantined = stats.Quarantined
-		s.health.QuarantinedBytes = stats.QuarantinedBytes
-		if stats.SalvagedTail > 0 || stats.Quarantined > 0 || s.overGarbageThreshold() || s.oldFormat {
-			s.needRepair = true
-		}
-		return nil
-	case !errors.Is(err, os.ErrNotExist):
-		return err
-	}
-	// v1 monolithic journal: read-side migration. A corrupt v1 journal has
-	// no record structure to salvage, so the whole file is quarantined and
-	// the cache starts cold — loudly (Health), but the store opens.
-	v1Path := filepath.Join(s.dir, JournalV1Filename)
-	data, err = s.fs.ReadFile(v1Path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if jerr := json.Unmarshal(data, &s.entries); jerr != nil {
-		s.entries = make(map[string]json.RawMessage)
-		s.quarantine = append(s.quarantine, data)
-		s.health.Quarantined++
-		s.health.QuarantinedBytes += len(data)
-	}
-	s.health.MigratedV1 = true
-	s.needRepair = true
+	entries, stats, quarantine := decodeJournal(data)
+	s.entries = entries
+	s.dupes = stats.Duplicates
+	s.quarantine = quarantine
+	s.health.SalvagedTail = stats.SalvagedTail
+	s.health.Quarantined = stats.Quarantined
+	s.health.QuarantinedBytes = stats.QuarantinedBytes
+	s.needRepair = stats.SalvagedTail > 0 || stats.Quarantined > 0 || s.overGarbageThreshold()
 	return nil
 }
 
@@ -362,9 +327,8 @@ func (s *Store) openAppendLocked() error {
 
 // repairLocked applies the repairs detected at Open, under the ownership
 // check the caller already performed: quarantined chunks are appended to
-// the quarantine file, the journal is rewritten compact (atomic temp +
-// fsync + rename), and a v1-format store is upgraded (manifest rewritten,
-// journal.json removed). Runs at most once per pending-repair state.
+// the quarantine file and the journal is rewritten compact (atomic temp +
+// fsync + rename). Runs at most once per pending-repair state.
 func (s *Store) repairLocked() error {
 	// Forensics first: corrupt bytes are preserved before the journal
 	// rewrite makes them unreachable.
@@ -385,19 +349,6 @@ func (s *Store) repairLocked() error {
 	if err := s.writeAtomic(JournalFilename, buf); err != nil {
 		return fmt.Errorf("checkpoint: compacting journal %s (config %.12s…): %w",
 			filepath.Join(s.dir, JournalFilename), s.key, err)
-	}
-	if s.oldFormat {
-		mbuf, err := json.MarshalIndent(manifest{Version: Version, Key: s.key, Label: s.label}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := s.writeAtomic(ManifestFilename, mbuf); err != nil {
-			return fmt.Errorf("checkpoint: upgrading manifest in %s: %w", s.dir, err)
-		}
-		if err := s.fs.Remove(filepath.Join(s.dir, JournalV1Filename)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		s.oldFormat = false
 	}
 	s.quarantine = nil
 	s.dupes = 0

@@ -64,6 +64,14 @@ func TestStaleKeyRejected(t *testing.T) {
 	if _, err := Open(dir, "cfg-b", "fermi", true); err != nil {
 		t.Errorf("resume after fresh re-key: %v", err)
 	}
+	// A manifest from format version 1 is stale even under the right key.
+	if err := os.WriteFile(filepath.Join(dir, ManifestFilename),
+		[]byte(`{"version": 1, "key": "cfg-b"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, "cfg-b", "fermi", true); !errors.Is(err, ErrStale) {
+		t.Errorf("resume against manifest version 1: err = %v, want ErrStale", err)
+	}
 }
 
 func TestFreshOpenDiscardsJournal(t *testing.T) {

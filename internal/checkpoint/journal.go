@@ -1,10 +1,7 @@
 package checkpoint
 
-// Journal v2: the record-oriented on-disk format. The v1 store kept one
-// monolithic journal.json and rewrote + double-fsynced all of it on
-// every Put — O(n²) write amplification, and a single flipped byte made
-// the whole cache unreadable. v2 is an append-only journal.log of
-// self-describing records:
+// Journal v2: the record-oriented on-disk format, an append-only
+// journal.log of self-describing records:
 //
 //	magic "CRJ2" | payload length (uint32 LE) | CRC32C (uint32 LE) | payload
 //

@@ -254,99 +254,6 @@ func TestCompactionThreshold(t *testing.T) {
 	}
 }
 
-// TestV1Migration: a store written by the v1 code (monolithic
-// journal.json, manifest version 1) resumes transparently and is
-// rewritten in v2 format on the first write.
-func TestV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	man, _ := json.Marshal(map[string]any{"version": 1, "key": "key", "label": "test"})
-	if err := os.WriteFile(filepath.Join(dir, ManifestFilename), man, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	v1 := map[string]json.RawMessage{"a": json.RawMessage(`{"x":1}`), "b": json.RawMessage(`{"x":2}`)}
-	blob, _ := json.MarshalIndent(v1, "", "  ")
-	if err := os.WriteFile(filepath.Join(dir, JournalV1Filename), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(dir, "key", "test", true)
-	if err != nil {
-		t.Fatalf("v1 store must resume transparently: %v", err)
-	}
-	if st.Count() != 2 || st.Loaded() != 2 {
-		t.Fatalf("loaded %d/%d entries from v1 journal, want 2/2", st.Count(), st.Loaded())
-	}
-	h := st.Health()
-	if !h.MigratedV1 || !h.PendingRepair {
-		t.Errorf("health = %+v, want MigratedV1=true PendingRepair=true", h)
-	}
-
-	// First write migrates: v2 journal appears, v1 journal and manifest
-	// are upgraded.
-	if err := st.Put("c", map[string]int{"x": 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(journalPath(dir)); err != nil {
-		t.Errorf("journal.log missing after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, JournalV1Filename)); !os.IsNotExist(err) {
-		t.Error("journal.json survived migration; it must be removed")
-	}
-	mbuf, _ := os.ReadFile(filepath.Join(dir, ManifestFilename))
-	var m struct {
-		Version int `json:"version"`
-	}
-	json.Unmarshal(mbuf, &m)
-	if m.Version != Version {
-		t.Errorf("manifest version after migration = %d, want %d", m.Version, Version)
-	}
-	st.Close()
-
-	st2, err := Open(dir, "key", "test", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Count() != 3 {
-		t.Errorf("post-migration resume count = %d, want 3", st2.Count())
-	}
-	if h := st2.Health(); h.MigratedV1 || h.PendingRepair {
-		t.Errorf("post-migration resume health = %+v, want clean v2", h)
-	}
-}
-
-// TestCorruptV1Quarantined: a corrupt v1 journal cannot be partially
-// salvaged (no record structure), so the whole file is quarantined and
-// the store opens cold — loudly, not fatally.
-func TestCorruptV1Quarantined(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	man, _ := json.Marshal(map[string]any{"version": 1, "key": "key"})
-	os.WriteFile(filepath.Join(dir, ManifestFilename), man, 0o644)
-	os.WriteFile(filepath.Join(dir, JournalV1Filename), []byte(`{"a": {"x":`), 0o644)
-
-	st, err := Open(dir, "key", "", true)
-	if err != nil {
-		t.Fatalf("corrupt v1 journal must not fail the open: %v", err)
-	}
-	if st.Count() != 0 {
-		t.Errorf("count = %d, want 0 (cold cache)", st.Count())
-	}
-	if h := st.Health(); h.Quarantined != 1 || !h.PendingRepair {
-		t.Errorf("health = %+v, want Quarantined=1 PendingRepair=true", h)
-	}
-	if err := st.Put("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineFilename)); err != nil {
-		t.Errorf("quarantine file missing after repair: %v", err)
-	}
-}
-
 // TestPutSurvivesFsyncFailure: an injected fsync failure surfaces the
 // error (and counts in Health) but the in-memory entry keeps serving.
 func TestPutSurvivesFsyncFailure(t *testing.T) {

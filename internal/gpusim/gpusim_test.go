@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"strings"
 	"testing"
 
 	"crat/internal/ptx"
@@ -716,5 +717,40 @@ func TestExtraSharedThrottlesTLP(t *testing.T) {
 	}
 	if st.ConcurrentBlocks != 2 {
 		t.Errorf("ConcurrentBlocks = %d, want 2", st.ConcurrentBlocks)
+	}
+}
+
+// TestInPlaceGrowthReanalyzed guards infoFor's staleness key: a kernel
+// grown in place after it was simulated is a new kernel version, so the
+// next simulation runs (and validates) the grown instruction stream, not
+// the cached analysis of the shorter one.
+func TestInPlaceGrowthReanalyzed(t *testing.T) {
+	b := ptx.NewBuilder("grow")
+	r := b.Reg(ptx.U32)
+	b.Mov(ptx.U32, r, ptx.Imm(1))
+	k := b.Kernel()
+	run := func() (Stats, error) {
+		sim, err := NewSimulator(FermiConfig(), NewMemory(), Launch{Kernel: k, Grid: 1, Block: 64})
+		if err != nil {
+			return Stats{}, err
+		}
+		return sim.Run()
+	}
+	before, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Add(ptx.U32, r, ptx.R(r), ptx.Imm(1))
+	after, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.WarpInsts == before.WarpInsts {
+		t.Errorf("WarpInsts = %d both before and after appending an instruction: the stale analysis was served",
+			after.WarpInsts)
+	}
+	b.Emit(ptx.Inst{Op: ptx.OpBra, Target: "NOWHERE", Guard: ptx.NoReg})
+	if _, err := run(); err == nil || !strings.Contains(err.Error(), "NOWHERE") {
+		t.Errorf("appended bra to an undefined label: err = %v, want the Validate error", err)
 	}
 }

@@ -1,11 +1,11 @@
 package gpusim
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"crat/internal/passes"
+	"crat/internal/pool"
 	"crat/internal/ptx"
 )
 
@@ -16,11 +16,9 @@ import (
 // the dominant setup cost of design-space sweeps, where the same kernel is
 // simulated at many TLPs.
 type kernelInfo struct {
-	err    error       // validation or analysis failure
-	nInsts int         // len(k.Insts) at analysis time (staleness guard)
-	uses   [][]ptx.Reg // per-pc registers read (guard, sources, memory bases)
-	defs   []ptx.Reg   // per-pc register written (ptx.NoReg = none)
-	prog   *execProgram
+	uses [][]ptx.Reg // per-pc registers read (guard, sources, memory bases)
+	defs []ptx.Reg   // per-pc register written (ptx.NoReg = none)
+	prog *execProgram
 }
 
 // execProgram is the simulator's lowered form of the shared micro-op stream:
@@ -126,28 +124,20 @@ func buildExecProgram(ms *passes.MicroStream) *execProgram {
 	return prog
 }
 
-// kernelInfoCache memoizes kernelInfo by kernel identity. Entries are built
-// under a per-entry sync.Once so concurrent simulations of one kernel share
-// a single analysis. The cache is evicted wholesale once it grows past
-// kernelCacheMax entries: long sweeps allocate thousands of short-lived
-// kernels, and rebuilding a handful of live ones is cheaper than retaining
-// them all.
-type kernelInfoCache struct {
-	mu sync.Mutex
-	m  map[*ptx.Kernel]*kernelInfoEntry
+// kernelKey identifies one kernel version: its identity plus its
+// instruction count, so a kernel grown in place (builder reuse) is a new
+// key instead of a stale hit.
+type kernelKey struct {
+	k *ptx.Kernel
+	n int
 }
 
-// kernelInfoEntry holds one kernel's analysis. info is an atomic pointer
-// because the staleness check in infoFor reads it while another goroutine
-// may still be inside the entry's once.Do publishing it.
-type kernelInfoEntry struct {
-	once sync.Once
-	info atomic.Pointer[kernelInfo]
-}
-
-const kernelCacheMax = 1024
-
-var kernelCache = kernelInfoCache{m: make(map[*ptx.Kernel]*kernelInfoEntry)}
+// kernelInfos memoizes kernelInfo per kernel version, so concurrent
+// simulations of one kernel share a single analysis. 1024 bounds it: past
+// that the map is dropped wholesale (long sweeps allocate thousands of
+// short-lived kernels, and rebuilding a handful of live ones is cheaper
+// than retaining them all).
+var kernelInfos = pool.NewMemo[kernelKey, *kernelInfo](1024)
 
 // infoFor returns the cached analysis for k, computing it on first use. The
 // kernel must not be mutated after its first simulation; callers that edit
@@ -155,48 +145,22 @@ var kernelCache = kernelInfoCache{m: make(map[*ptx.Kernel]*kernelInfoEntry)}
 // Clone yields a new pointer. A kernel whose instruction count changed since
 // analysis is re-analyzed rather than served stale.
 func infoFor(k *ptx.Kernel) (*kernelInfo, error) {
-	kernelCache.mu.Lock()
-	e, ok := kernelCache.m[k]
-	if ok {
-		// Guard against in-place growth (builder reuse): re-analyze.
-		if done := e.info.Load(); done != nil && done.nInsts != len(k.Insts) {
-			ok = false
-		}
-	}
-	if !ok {
-		if len(kernelCache.m) >= kernelCacheMax {
-			kernelCache.m = make(map[*ptx.Kernel]*kernelInfoEntry)
-		}
-		e = &kernelInfoEntry{}
-		kernelCache.m[k] = e
-	}
-	kernelCache.mu.Unlock()
-
-	e.once.Do(func() { e.info.Store(buildKernelInfo(k)) })
-	info := e.info.Load()
-	if info.err != nil {
-		return nil, info.err
-	}
-	return info, nil
+	info, _, err := kernelInfos.Do(context.Background(), kernelKey{k, len(k.Insts)},
+		func() (*kernelInfo, error) { return buildKernelInfo(k) })
+	return info, err
 }
 
 // buildKernelInfo runs the once-per-kernel analyses: validation here,
 // everything else (use/def, the micro-op stream) from the shared analysis
 // registry (internal/passes) the emulator also uses, then the lowering of
 // the micro-op stream into the SoA engine's exec program.
-func buildKernelInfo(k *ptx.Kernel) *kernelInfo {
-	info := &kernelInfo{nInsts: len(k.Insts)}
+func buildKernelInfo(k *ptx.Kernel) (*kernelInfo, error) {
 	if err := k.Validate(); err != nil {
-		info.err = fmt.Errorf("gpusim: %w", err)
-		return info
+		return nil, fmt.Errorf("gpusim: %w", err)
 	}
 	an, err := passes.Shared(k)
 	if err != nil {
-		info.err = err
-		return info
+		return nil, err
 	}
-	info.uses = an.Uses
-	info.defs = an.Defs
-	info.prog = buildExecProgram(an.Micro)
-	return info
+	return &kernelInfo{uses: an.Uses, defs: an.Defs, prog: buildExecProgram(an.Micro)}, nil
 }

@@ -58,8 +58,7 @@ func (s *Session) BackendCtx(ctx context.Context, p workloads.Profile, name stri
 	}
 	key := p.Abbr + "/backend/" + name
 	ckey := "backend/" + p.Abbr + "/" + name
-	c := getCall(s, s.backendRes, key)
-	r, err := c.do(ctx, func() (modeResult, error) {
+	r, _, err := s.backendRes.Do(ctx, key, func() (modeResult, error) {
 		a, _, err := s.AnalysisCtx(ctx, p)
 		if err != nil {
 			return modeResult{}, err
@@ -98,8 +97,7 @@ func (s *Session) UnionWinner(p workloads.Profile) (string, error) {
 
 // UnionWinnerCtx is UnionWinner under an explicit context.
 func (s *Session) UnionWinnerCtx(ctx context.Context, p workloads.Profile) (string, error) {
-	c := getCall(s, s.unionWin, p.Abbr)
-	return c.do(ctx, func() (string, error) {
+	w, _, err := s.unionWin.Do(ctx, p.Abbr, func() (string, error) {
 		a, _, err := s.AnalysisCtx(ctx, p)
 		if err != nil {
 			return "", err
@@ -112,6 +110,7 @@ func (s *Session) UnionWinnerCtx(ctx context.Context, p workloads.Profile) (stri
 		}
 		return d.Backend, nil
 	})
+	return w, err
 }
 
 // BackendHeadToHead is the ROADMAP item-3 figure: every enabled backend

@@ -3,114 +3,12 @@ package harness
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"crat/internal/core"
 	"crat/internal/gpusim"
+	"crat/internal/pool"
 )
-
-// TestCallMemoizesPlainError: deterministic failures must be cached — the
-// experiments cannot heal by retrying, so every later caller sees the same
-// error without recomputing.
-func TestCallMemoizesPlainError(t *testing.T) {
-	var c call[int]
-	var runs atomic.Int32
-	boom := errors.New("boom")
-	fn := func() (int, error) { runs.Add(1); return 0, boom }
-	if _, err := c.do(context.Background(), fn); !errors.Is(err, boom) {
-		t.Fatalf("first do: %v", err)
-	}
-	if _, err := c.do(context.Background(), fn); !errors.Is(err, boom) {
-		t.Fatalf("second do: %v", err)
-	}
-	if n := runs.Load(); n != 1 {
-		t.Errorf("fn ran %d times, want 1 (plain errors memoize)", n)
-	}
-}
-
-// TestCallRetriesAfterCancellation: a computation that died because its
-// context was canceled must NOT poison the cell — the next caller with a
-// live context recomputes and memoizes the real value.
-func TestCallRetriesAfterCancellation(t *testing.T) {
-	var c call[int]
-	var runs atomic.Int32
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := c.do(canceled, func() (int, error) {
-		runs.Add(1)
-		return 0, canceled.Err()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled leader: %v", err)
-	}
-	v, err := c.do(context.Background(), func() (int, error) {
-		runs.Add(1)
-		return 42, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("retry after cancellation: %v, %v; want 42", v, err)
-	}
-	if n := runs.Load(); n != 2 {
-		t.Errorf("fn ran %d times, want 2 (cancellation then retry)", n)
-	}
-}
-
-// TestCallWaitersSurviveCanceledLeader: waiters blocked on a leader whose
-// context dies must elect a new leader rather than inheriting the
-// cancellation error. Run with -race: this is the poisoning regression.
-func TestCallWaitersSurviveCanceledLeader(t *testing.T) {
-	var c call[int]
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderIn := make(chan struct{}) // leader signals it is inside fn
-	leaderGo := make(chan struct{}) // test releases the leader
-	var leaderErr error
-	var wgLeader sync.WaitGroup
-	wgLeader.Add(1)
-	go func() {
-		defer wgLeader.Done()
-		_, leaderErr = c.do(leaderCtx, func() (int, error) {
-			close(leaderIn)
-			<-leaderGo
-			return 0, leaderCtx.Err()
-		})
-	}()
-	<-leaderIn
-
-	// Pile waiters onto the in-flight cell, then kill the leader.
-	const waiters = 8
-	vals := make([]int, waiters)
-	errs := make([]error, waiters)
-	var reruns atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], errs[i] = c.do(context.Background(), func() (int, error) {
-				reruns.Add(1)
-				return 7, nil
-			})
-		}(i)
-	}
-	cancelLeader()
-	close(leaderGo)
-	wgLeader.Wait()
-	wg.Wait()
-
-	if !errors.Is(leaderErr, context.Canceled) {
-		t.Errorf("leader error = %v, want context.Canceled", leaderErr)
-	}
-	for i := 0; i < waiters; i++ {
-		if errs[i] != nil || vals[i] != 7 {
-			t.Errorf("waiter %d: %v, %v; want 7", i, vals[i], errs[i])
-		}
-	}
-	if n := reruns.Load(); n != 1 {
-		t.Errorf("waiters recomputed %d times, want exactly 1 new leader", n)
-	}
-}
 
 // TestSessionAnalysisRetriesAfterCancellation drives the same property
 // through the real Session API: an Analysis aborted by a dead context is
@@ -124,7 +22,7 @@ func TestSessionAnalysisRetriesAfterCancellation(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.AnalysisCtx(canceled, p); !isCancellation(err) {
+	if _, _, err := s.AnalysisCtx(canceled, p); !pool.IsCancellation(err) {
 		t.Fatalf("canceled analysis: err = %v, want cancellation", err)
 	}
 	a, _, err := s.AnalysisCtx(context.Background(), p)
@@ -152,14 +50,13 @@ func TestSessionModeMemoizesSimFault(t *testing.T) {
 	}
 	bad := tinyProfile()
 	bad.Abbr = "BROKEN"
-	s.apps[bad.Abbr] = &call[core.App]{}
-	s.apps[bad.Abbr].do(context.Background(), func() (core.App, error) { return brokenApp(), nil })
+	s.apps.Do(context.Background(), bad.Abbr, func() (core.App, error) { return brokenApp(), nil })
 
 	_, _, err1 := s.Mode(bad, core.ModeMaxTLP)
 	if err1 == nil {
 		t.Fatal("broken app simulated cleanly")
 	}
-	if isCancellation(err1) {
+	if pool.IsCancellation(err1) {
 		t.Fatalf("exec fault misclassified as cancellation: %v", err1)
 	}
 	_, _, err2 := s.Mode(bad, core.ModeMaxTLP)
@@ -183,7 +80,7 @@ func TestSessionTimeoutSurfacesStructuredFault(t *testing.T) {
 	p := tinyProfile()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate: the profiling sweep must not start
-	if _, _, err := s.ModeCtx(ctx, p, core.ModeCRAT); !isCancellation(err) {
+	if _, _, err := s.ModeCtx(ctx, p, core.ModeCRAT); !pool.IsCancellation(err) {
 		t.Fatalf("mode under dead context: %v", err)
 	}
 	if _, _, err := s.ModeCtx(context.Background(), p, core.ModeCRAT); err != nil {

@@ -156,8 +156,7 @@ func TestForAppsMatchesSerial(t *testing.T) {
 
 	build := func(s *Session, parallel bool) *Table {
 		// Poison the broken app's cache so its analysis fails at simulation.
-		s.apps[bad.Abbr] = &call[core.App]{}
-		s.apps[bad.Abbr].do(context.Background(), func() (core.App, error) { return brokenApp(), nil })
+		s.apps.Do(context.Background(), bad.Abbr, func() (core.App, error) { return brokenApp(), nil })
 		tab := &Table{ID: "figconc", Title: "conc", Columns: []string{"app", "OptTLP", "MaxTLP"}}
 		job := func(p workloads.Profile) (func(), error) {
 			a, _, err := s.Analysis(p)

@@ -117,8 +117,7 @@ func TestFigureDegradesGracefully(t *testing.T) {
 	bad := workloads.Profile{Name: "broken", Kernel: "broken", Abbr: "BROKEN", Suite: "test",
 		Block: 64, Grid: 4, Pressure: 4, Chain: 2, StreamIters: 2}
 	// Poison the cache: Analysis will simulate this kernel.
-	s.apps[bad.Abbr] = &call[core.App]{}
-	s.apps[bad.Abbr].do(context.Background(), func() (core.App, error) { return brokenApp(), nil })
+	s.apps.Do(context.Background(), bad.Abbr, func() (core.App, error) { return brokenApp(), nil })
 
 	tab := &Table{ID: "figtest", Title: "degradation test",
 		Columns: []string{"app", "OptTLP", "MaxTLP"}}

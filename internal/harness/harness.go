@@ -6,7 +6,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -88,9 +87,9 @@ func Geomean(vs []float64) float64 {
 // Session caches per-app analyses, profiling runs, and mode evaluations so
 // the figures that share inputs (13-16, energy) do not re-simulate.
 //
-// A Session is safe for concurrent use: every cache is a singleflight map,
-// so when several goroutines request the same key the first computes it and
-// the rest block on that computation rather than duplicating it. Results are
+// A Session is safe for concurrent use: every cache is a pool.Memo, so when
+// several goroutines request the same key the first computes it and the
+// rest block on that computation rather than duplicating it. Results are
 // therefore identical to serial use regardless of the worker count.
 type Session struct {
 	Arch  gpusim.Config
@@ -101,15 +100,15 @@ type Session struct {
 	workers  int             // 0 = pool.DefaultWorkers()
 	verify   bool            // run the semantic oracle on every compiled mode
 	ckpt     *checkpoint.Store
-	apps     map[string]*call[core.App]
-	analyses map[string]*call[analysisResult]
-	modeRes  map[string]*call[modeResult]
-	speedups map[string]*call[float64]
+	apps     *pool.Memo[string, core.App]
+	analyses *pool.Memo[string, analysisResult]
+	modeRes  *pool.Memo[string, modeResult]
+	speedups *pool.Memo[string, float64]
 	// backendRes caches per-(app, backend) evaluations; unionWin the
 	// compile-only union-selection winner per app. backendNames is the
 	// enabled backend set (empty = all registered).
-	backendRes   map[string]*call[modeResult]
-	unionWin     map[string]*call[string]
+	backendRes   *pool.Memo[string, modeResult]
+	unionWin     *pool.Memo[string, string]
 	backendNames []string
 	// computes counts cache-miss computations by key; the concurrency tests
 	// assert every key was simulated exactly once, and the chaos tests that
@@ -124,85 +123,6 @@ type Session struct {
 	// Faults collects every per-app and per-experiment failure captured by
 	// the graceful-degradation harness (see FaultSummary). Guarded by mu.
 	Faults []FaultRecord
-}
-
-// call is a singleflight cell: the first caller (the leader) computes the
-// value, concurrent callers for the same key block on that computation, and
-// later callers return the memoized result. Errors memoize too — the
-// experiments are deterministic, so retrying cannot help — with one
-// exception: a computation that failed because a context was canceled or
-// timed out is NOT memoized. Its waiters re-check the cell and the first
-// with a live context becomes the new leader, so a canceled in-flight
-// computation never poisons the cache for later (resumed) callers.
-type call[T any] struct {
-	mu   sync.Mutex
-	done chan struct{} // non-nil while a computation is in flight
-	has  bool          // a memoized result exists
-	val  T
-	err  error
-}
-
-// isCancellation reports whether err (anywhere in its chain, including
-// structured gpusim FaultCanceled/FaultTimeout faults) stems from context
-// cancellation or an expired deadline.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func (c *call[T]) do(ctx context.Context, fn func() (T, error)) (T, error) {
-	for {
-		c.mu.Lock()
-		if c.has {
-			v, e := c.val, c.err
-			c.mu.Unlock()
-			return v, e
-		}
-		if c.done == nil {
-			// Leader: compute outside the cell lock so different keys
-			// proceed in parallel.
-			ch := make(chan struct{})
-			c.done = ch
-			c.mu.Unlock()
-			v, e := fn()
-			c.mu.Lock()
-			c.done = nil
-			if !isCancellation(e) {
-				c.has, c.val, c.err = true, v, e
-			}
-			c.mu.Unlock()
-			close(ch)
-			return v, e
-		}
-		ch := c.done
-		c.mu.Unlock()
-		var zero T
-		select {
-		case <-ch:
-			// The leader finished. If our own context died meanwhile, give
-			// up; otherwise loop — either the result is memoized now, or the
-			// leader was canceled and we retry as the new leader.
-			if err := ctx.Err(); err != nil {
-				return zero, err
-			}
-		case <-ctx.Done():
-			// Abandon the wait without disturbing the in-flight computation.
-			return zero, ctx.Err()
-		}
-	}
-}
-
-// getCall returns the cell for key, creating it under the session lock. The
-// compute itself runs outside the lock (inside the cell's Once), so slow
-// simulations of different keys proceed in parallel.
-func getCall[T any](s *Session, m map[string]*call[T], key string) *call[T] {
-	s.mu.Lock()
-	c, ok := m[key]
-	if !ok {
-		c = &call[T]{}
-		m[key] = c
-	}
-	s.mu.Unlock()
-	return c
 }
 
 type analysisResult struct {
@@ -225,12 +145,12 @@ func NewSession(arch gpusim.Config) (*Session, error) {
 	return &Session{
 		Arch:       arch,
 		Costs:      costs,
-		apps:       make(map[string]*call[core.App]),
-		analyses:   make(map[string]*call[analysisResult]),
-		modeRes:    make(map[string]*call[modeResult]),
-		speedups:   make(map[string]*call[float64]),
-		backendRes: make(map[string]*call[modeResult]),
-		unionWin:   make(map[string]*call[string]),
+		apps:       pool.NewMemo[string, core.App](0),
+		analyses:   pool.NewMemo[string, analysisResult](0),
+		modeRes:    pool.NewMemo[string, modeResult](0),
+		speedups:   pool.NewMemo[string, float64](0),
+		backendRes: pool.NewMemo[string, modeResult](0),
+		unionWin:   pool.NewMemo[string, string](0),
 		computes:   make(map[string]int),
 		ckptHits:   make(map[string]int),
 	}, nil
@@ -427,8 +347,7 @@ type modeEntry struct {
 // App returns the materialized app for a profile, cached. Building an app
 // is deterministic codegen (no simulation), so it takes no context.
 func (s *Session) App(p workloads.Profile) core.App {
-	c := getCall(s, s.apps, p.Abbr)
-	a, _ := c.do(context.Background(), func() (core.App, error) { return p.App(), nil })
+	a, _, _ := s.apps.Do(context.Background(), p.Abbr, func() (core.App, error) { return p.App(), nil })
 	return a
 }
 
@@ -443,8 +362,7 @@ func (s *Session) Analysis(p workloads.Profile) (*core.Analysis, []gpusim.Stats,
 // profiling sweep runs (observing ctx) and the result is persisted.
 func (s *Session) AnalysisCtx(ctx context.Context, p workloads.Profile) (*core.Analysis, []gpusim.Stats, error) {
 	key := "analysis/" + p.Abbr
-	c := getCall(s, s.analyses, p.Abbr)
-	r, err := c.do(ctx, func() (analysisResult, error) {
+	r, _, err := s.analyses.Do(ctx, p.Abbr, func() (analysisResult, error) {
 		app := s.App(p)
 		a, err := core.Analyze(app, s.Arch)
 		if err != nil {
@@ -486,8 +404,7 @@ func (s *Session) Mode(p workloads.Profile, mode core.Mode) (gpusim.Stats, *core
 func (s *Session) ModeCtx(ctx context.Context, p workloads.Profile, mode core.Mode) (gpusim.Stats, *core.Decision, error) {
 	key := p.Abbr + "/" + mode.String()
 	ckey := "mode/" + key
-	c := getCall(s, s.modeRes, key)
-	r, err := c.do(ctx, func() (modeResult, error) {
+	r, _, err := s.modeRes.Do(ctx, key, func() (modeResult, error) {
 		a, _, err := s.AnalysisCtx(ctx, p)
 		if err != nil {
 			return modeResult{}, err
@@ -526,8 +443,7 @@ func (s *Session) Speedup(p workloads.Profile, mode core.Mode) (float64, error) 
 func (s *Session) SpeedupCtx(ctx context.Context, p workloads.Profile, mode core.Mode) (float64, error) {
 	key := p.Abbr + "/" + mode.String()
 	ckey := "speedup/" + key
-	c := getCall(s, s.speedups, key)
-	return c.do(ctx, func() (float64, error) {
+	v, _, err := s.speedups.Do(ctx, key, func() (float64, error) {
 		var v float64
 		if s.ckptGet(ckey, &v) {
 			return v, nil
@@ -545,4 +461,5 @@ func (s *Session) SpeedupCtx(ctx context.Context, p workloads.Profile, mode core
 		s.ckptPut(ckey, v)
 		return v, nil
 	})
+	return v, err
 }

@@ -1,9 +1,9 @@
 package passes
 
 import (
-	"sync"
-	"sync/atomic"
+	"context"
 
+	"crat/internal/pool"
 	"crat/internal/ptx"
 )
 
@@ -21,29 +21,18 @@ type KernelAnalyses struct {
 	Micro *MicroStream
 }
 
-// sharedEntry holds one kernel's analyses. res is an atomic pointer because
-// the staleness check in Shared reads it while another goroutine may still
-// be inside the entry's once.Do publishing it.
-type sharedEntry struct {
-	once sync.Once
-	res  atomic.Pointer[sharedResult]
+// sharedKey identifies one kernel version: its identity plus its
+// instruction count, so a kernel grown in place (builder reuse) is a new
+// key instead of a stale hit.
+type sharedKey struct {
+	k *ptx.Kernel
+	n int
 }
 
-type sharedResult struct {
-	an     *KernelAnalyses
-	err    error
-	nInsts int // len(k.Insts) at analysis time (staleness guard)
-}
-
-// sharedCacheMax bounds the registry; past it the map is evicted wholesale
-// (long sweeps allocate thousands of short-lived kernels, and rebuilding a
-// handful of live ones is cheaper than retaining them all).
-const sharedCacheMax = 1024
-
-var (
-	sharedMu    sync.Mutex
-	sharedCache = map[*ptx.Kernel]*sharedEntry{}
-)
+// shared is the registry. 1024 bounds it: past that the map is dropped
+// wholesale (long sweeps allocate thousands of short-lived kernels, and
+// rebuilding a handful of live ones is cheaper than retaining them all).
+var shared = pool.NewMemo[sharedKey, *KernelAnalyses](1024)
 
 // Shared returns the memoized KernelAnalyses for k, computing them on
 // first use. The kernel must not be mutated after its first lookup; callers
@@ -53,50 +42,27 @@ var (
 // kernel — executors keep their own Validate calls (and error wrapping) in
 // front of it; a malformed CFG surfaces as cfg.Build's error, unwrapped.
 func Shared(k *ptx.Kernel) (*KernelAnalyses, error) {
-	sharedMu.Lock()
-	e, ok := sharedCache[k]
-	if ok {
-		// Guard against in-place growth (builder reuse): re-analyze.
-		if done := e.res.Load(); done != nil && done.nInsts != len(k.Insts) {
-			ok = false
-		}
-	}
-	if !ok {
-		if len(sharedCache) >= sharedCacheMax {
-			sharedCache = map[*ptx.Kernel]*sharedEntry{}
-		}
-		e = &sharedEntry{}
-		sharedCache[k] = e
-	}
-	sharedMu.Unlock()
-
-	e.once.Do(func() { e.res.Store(buildShared(k)) })
-	res := e.res.Load()
-	if res.err != nil {
-		return nil, res.err
-	}
-	return res.an, nil
+	an, _, err := shared.Do(context.Background(), sharedKey{k, len(k.Insts)},
+		func() (*KernelAnalyses, error) { return buildShared(k) })
+	return an, err
 }
 
-func buildShared(k *ptx.Kernel) *sharedResult {
+func buildShared(k *ptx.Kernel) (*KernelAnalyses, error) {
 	am := NewAnalysisManager(k)
 	rc, err := am.Reconvergence()
 	if err != nil {
-		return &sharedResult{err: err, nInsts: len(k.Insts)}
+		return nil, err
 	}
 	ud := am.UseDef()
 	micro, err := am.MicroOps()
 	if err != nil {
-		return &sharedResult{err: err, nInsts: len(k.Insts)}
+		return nil, err
 	}
-	return &sharedResult{
-		an: &KernelAnalyses{
-			Targets: rc.Targets,
-			Reconv:  rc.Reconv,
-			Uses:    ud.Uses,
-			Defs:    ud.Defs,
-			Micro:   micro,
-		},
-		nInsts: len(k.Insts),
-	}
+	return &KernelAnalyses{
+		Targets: rc.Targets,
+		Reconv:  rc.Reconv,
+		Uses:    ud.Uses,
+		Defs:    ud.Defs,
+		Micro:   micro,
+	}, nil
 }

@@ -1,8 +1,11 @@
-// Package pool provides a minimal bounded worker pool for fanning out
-// index-addressed work. It is the single concurrency primitive shared by the
-// experiment harness and the core optimizer: callers write results into
-// pre-sized slices at their job index, so output order never depends on
-// scheduling.
+// Package pool holds the two concurrency primitives the rest of the tree
+// shares. Run is a minimal bounded worker pool for fanning out
+// index-addressed work (the experiment harness, the core optimizer):
+// callers write results into pre-sized slices at their job index, so output
+// order never depends on scheduling. Memo is a keyed singleflight memo (the
+// harness Session caches, cratd's memory tier, the per-kernel analysis
+// registries in passes and gpusim): each key is computed once, concurrent
+// callers share the computation, and cancellation never poisons a key.
 package pool
 
 import (

@@ -222,7 +222,7 @@ func RunLoad(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport
 		switch {
 		case o.err != nil && o.canceled:
 			rep.Canceled++
-		case o.err != nil && isDeadlineErr(o.err):
+		case o.err != nil && pool.IsCancellation(o.err):
 			rep.Timeouts++
 		case o.err != nil:
 			rep.Failed++
@@ -305,10 +305,6 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 		idx = len(sorted)
 	}
 	return sorted[idx-1]
-}
-
-func isDeadlineErr(err error) bool {
-	return isCancellation(err)
 }
 
 // Summary renders the report as the human-readable cratload output.

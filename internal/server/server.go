@@ -163,7 +163,7 @@ type Server struct {
 
 	queue    chan struct{} // admission tokens: waiting + compiling
 	workers  chan struct{} // compile slots
-	mem      *cells
+	mem      *pool.Memo[string, *cacheEntry]
 	store    *checkpoint.Store // nil without CacheDir (or when degraded)
 	degraded string            // why the persistent tier is off ("" = healthy)
 	draining atomic.Bool
@@ -197,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		queue:       make(chan struct{}, cfg.QueueCapacity),
 		workers:     make(chan struct{}, cfg.Workers),
-		mem:         newCells(),
+		mem:         pool.NewMemo[string, *cacheEntry](0),
 		costs:       make(map[string]gpusim.Costs),
 		backendWins: make(map[string]int64),
 		start:       time.Now(),
@@ -227,9 +227,9 @@ func New(cfg Config) (*Server, error) {
 		default:
 			s.store = st
 			h := st.Health()
-			if h.SalvagedTail > 0 || h.Quarantined > 0 || h.MigratedV1 {
-				s.logf("WARN event=cache_salvaged dir=%s loaded=%d salvaged_tail=%d quarantined=%d quarantined_bytes=%d migrated_v1=%t — journal corruption contained, see %s",
-					cfg.CacheDir, h.Loaded, h.SalvagedTail, h.Quarantined, h.QuarantinedBytes, h.MigratedV1, checkpoint.QuarantineFilename)
+			if h.SalvagedTail > 0 || h.Quarantined > 0 {
+				s.logf("WARN event=cache_salvaged dir=%s loaded=%d salvaged_tail=%d quarantined=%d quarantined_bytes=%d — journal corruption contained, see %s",
+					cfg.CacheDir, h.Loaded, h.SalvagedTail, h.Quarantined, h.QuarantinedBytes, checkpoint.QuarantineFilename)
 			}
 			s.logf("cache %s: %d entries warm", cfg.CacheDir, st.Loaded())
 		}
@@ -372,7 +372,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		PersistentHits:   s.stats.PersistentHits.Load(),
 		Computes:         s.stats.Computes.Load(),
 		CachePutErrors:   s.stats.CachePutErrors.Load(),
-		MemoryEntries:    s.mem.len(),
+		MemoryEntries:    s.mem.Len(),
 		BackendWins:      s.backendWinsSnapshot(),
 		CacheDegraded:    s.degraded,
 	}
@@ -467,7 +467,7 @@ func (s *Server) classifyError(r *http.Request, err error) int {
 	case r.Context().Err() != nil:
 		s.stats.ClientCanceled.Add(1)
 		return statusClientClosed
-	case isCancellation(err):
+	case pool.IsCancellation(err):
 		s.stats.DeadlineExceeded.Add(1)
 		return http.StatusGatewayTimeout
 	default:
@@ -481,12 +481,12 @@ func (s *Server) classifyError(r *http.Request, err error) int {
 }
 
 // compileCached serves a job through the cache tiers: the singleflight
-// memory cell, then the persistent journal, then an actual compile under a
+// memory tier, then the persistent journal, then an actual compile under a
 // worker slot. tier reports where the result came from ("" = compiled
 // fresh by this call).
 func (s *Server) compileCached(ctx context.Context, job *compileJob) (*cacheEntry, string, error) {
 	persistent := false
-	entry, memoized, err := s.mem.get(job.key).do(ctx, func() (*cacheEntry, error) {
+	entry, memoized, err := s.mem.Do(ctx, job.key, func() (*cacheEntry, error) {
 		if s.store != nil {
 			var cached cacheEntry
 			if ok, gerr := s.store.Get(job.key, &cached); gerr == nil && ok {

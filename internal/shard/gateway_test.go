@@ -217,6 +217,9 @@ func TestGatewayChaosE2E(t *testing.T) {
 	// Cancel machinery through the gateway (the service-smoke cancel
 	// injection): aborted clients are counted, never turned into errors.
 	cancelOpts := loadOpts
+	// Never-seen kernels: a cold compile always outlives the 1ms cancel,
+	// whereas a warm hit through the gateway can beat it.
+	cancelOpts.Seed = loadOpts.Seed + 1
 	cancelOpts.Requests = 12
 	cancelOpts.CancelFrac = 0.25
 	cancelOpts.CancelAfter = time.Millisecond
