@@ -1,10 +1,11 @@
 # Developer entry points. `make ci` is the full local gate: vet, build,
-# race-enabled tests (including the concurrent-session harness tests), a
-# 1-iteration benchmark smoke, and a short fuzz smoke over the PTX parsers.
+# race-enabled tests (including the concurrent-session harness tests and
+# the quick cratbench rot guard in ./bench), a short fuzz smoke over the PTX
+# parsers, and the end-to-end smokes. `make bench` runs the benchmark
+# (bench/README.md); its timings are advisory, so it stays out of `ci`.
 
 GO ?= go
 FUZZTIME ?= 10s
-BENCHDATE := $(shell date +%F)
 
 SMOKEDIR := /tmp/crat-checkpoint-smoke
 ORACLEDIR := /tmp/crat-oracle-smoke
@@ -21,7 +22,7 @@ CHAOSDIR := /tmp/crat-chaos-smoke
 # tracks the width of the masked durations).
 NORM = sed -E -e '/^done in /d' -e 's/[0-9]+(\.[0-9]+)?(µs|ms|m?s)\b/DUR/g' -e 's/ +/ /g' -e 's/ +$$//'
 
-.PHONY: all build vet test race bench-smoke perf-smoke bench-json checkpoint-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff golden-regen ci
+.PHONY: all build vet test race bench checkpoint-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff golden-regen ci
 
 all: build
 
@@ -39,29 +40,11 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# One iteration of the simulator throughput benchmark: catches crashes or
-# gross slowdowns in the hot path without paying for a full bench run.
-bench-smoke:
-	$(GO) test -run='^$$' -bench=SimulatorThroughput -benchtime=1x .
-
-# Throughput regression gate: a short benchmark run must clear a
-# conservative floor (~2x the pre-SoA 1.23M warp-insts/s seed; the SoA
-# engine records >4x, so the margin absorbs machine noise without letting a
-# hot-loop regression slip through silently).
-PERF_FLOOR ?= 2500000
-perf-smoke:
-	$(GO) test -run='^$$' -bench=SimulatorThroughput -benchtime=1x . | awk ' \
-		/warp-insts\/s/ { for (i = 1; i < NF; i++) if ($$(i+1) == "warp-insts/s") v = $$i + 0 } \
-		END { \
-			if (v == "") { print "perf-smoke: no warp-insts/s metric in benchmark output"; exit 1 } \
-			if (v < $(PERF_FLOOR)) { printf "perf-smoke: %d warp-insts/s below the %d floor\n", v, $(PERF_FLOOR); exit 1 } \
-			printf "perf-smoke: %d warp-insts/s clears the %d floor\n", v, $(PERF_FLOOR) \
-		}'
-
-# Full benchmark suite -> BENCH_<date>.json with the headline metrics
-# (geomean speedups, warp-insts/s). Seeds the perf trajectory across PRs.
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x . | $(GO) run ./cmd/benchjson -o BENCH_$(BENCHDATE).json
+# The benchmark: every workload BENCHMARK.json declares, one process each,
+# stopping at the first that exits non-zero. See bench/README.md for the
+# metrics and how a run is judged.
+bench:
+	set -e; for w in paper_suite svc_cold svc_warm gw_mixed; do $(GO) run ./bench -workload $$w; done
 
 # Checkpoint round-trip smoke: run two experiments clean, re-run them with
 # -checkpoint and kill the process mid-flight (SIGINT, as a user would), then
@@ -229,4 +212,4 @@ golden-diff:
 golden-regen:
 	$(GO) run ./cmd/experiments -run all > experiments_output.txt
 
-ci: vet build race checkpoint-smoke bench-smoke perf-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff
+ci: vet build race checkpoint-smoke fuzz-smoke oracle-smoke pass-smoke backend-smoke service-smoke shard-smoke chaos-smoke golden-diff

@@ -146,7 +146,7 @@ func main() {
 		result = alloc.Kernel
 		if !*noShared && len(alloc.Spills) > 0 && tlp > 0 {
 			res, err := spillopt.OptimizeWith(pm, alloc, allocOpts, spillopt.Options{
-				SpareShmBytes: core.SpareShm(arch, kernel.SharedBytes(), tlp),
+				SpareShmBytes: backend.SpareShm(arch, kernel.SharedBytes(), tlp),
 				BlockSize:     *block,
 			})
 			check(err)

@@ -9,7 +9,7 @@
 //
 //	cratload -addr http://127.0.0.1:8177 [-n 64] [-c 8] [-kernels 8]
 //	         [-seed 1] [-block 64] [-timeout 30s] [-cancel-frac 0]
-//	         [-retries 0] [-verify] [-decisions-out FILE] [-bench] [-version]
+//	         [-retries 0] [-verify] [-decisions-out FILE] [-version]
 //
 // Multi-replica mode spawns and supervises its own fleet — N cratd
 // replicas plus a cratgw fronting them — and aims the load at the
@@ -40,10 +40,8 @@
 // cache, which `make service-smoke` uses to prove restarts re-simulate
 // nothing; `make shard-smoke` layers the fleet chaos run on top.
 //
-// With -bench the result is also printed as a `go test -bench` style
-// line (svc-* metrics, including svc-hedges/svc-failovers), so
-// `cratload ... -bench | benchjson` folds service performance into the
-// same BENCH_<date>.json as simulator throughput.
+// cratload checks behaviour, not performance: the service workloads of
+// the benchmark (`make bench`, bench/README.md) measure cratd and cratgw.
 package main
 
 import (
@@ -77,7 +75,6 @@ func main() {
 	retries := flag.Int("retries", 0, "retry shed (429) requests up to N times, honoring Retry-After")
 	verify := flag.Bool("verify", false, "request oracle verification on every compile")
 	decisionsOut := flag.String("decisions-out", "", "write one canonical Decision digest line per corpus entry to this file")
-	bench := flag.Bool("bench", false, "also print a go-test-bench style line with svc-* metrics for benchjson")
 	version := flag.Bool("version", false, "print build information and exit")
 
 	// Fleet mode.
@@ -218,17 +215,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *bench {
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		var hedges, failovers int64
-		if gw != nil {
-			hedges, failovers = gw["hedges"], gw["failovers"]
-		}
-		fmt.Printf("BenchmarkServiceLoad 1 %d ns/op %.2f svc-req/s %.3f svc-p50-ms %.3f svc-p95-ms %.3f svc-p99-ms %d svc-shed %d svc-cache-hits %d svc-degraded %d svc-hedges %d svc-failovers\n",
-			rep.Elapsed.Nanoseconds(), rep.RPS, ms(rep.P50), ms(rep.P95), ms(rep.P99),
-			rep.Shed, rep.Cached, rep.Degraded, hedges, failovers)
-	}
-
 	switch {
 	case rep.Inconsistent > 0:
 		fmt.Fprintf(os.Stderr, "cratload: FAIL: %d corpus entries returned inconsistent Decisions\n", rep.Inconsistent)

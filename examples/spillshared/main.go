@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"crat/internal/backend"
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/ptx"
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("local-only spilling: %d local spill insts, %d addressing insts\n", o.Locals(), o.AddrInsts)
 
 	// Algorithm 1: split by type, estimate gains, solve the knapsack.
-	spare := core.SpareShm(arch, a.ShmSize, tlp)
+	spare := backend.SpareShm(arch, a.ShmSize, tlp)
 	res, err := spillopt.Optimize(alloc, allocOpts, spillopt.Options{
 		SpareShmBytes: spare,
 		BlockSize:     app.Block,

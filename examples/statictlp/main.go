@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,7 +49,7 @@ func main() {
 
 		// Static: one TLP=1 run feeds the GTO-mimicking model.
 		start = time.Now()
-		in, err := core.MeasureStaticInputs(app, arch, a)
+		in, err := core.MeasureStaticInputs(context.Background(), app, arch, a)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,5 @@ package buildinfo
 
 // RaceEnabled reports whether this binary was compiled with the race
 // detector. Race builds run the simulator an order of magnitude slower, so
-// benchmark tooling records (and by default refuses) race-enabled runs —
-// the BENCH_2026-08-05b.json throughput anomaly was exactly such a run
-// landing in the trajectory untagged.
+// the benchmark (bench/) refuses to run in one.
 const RaceEnabled = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"crat/internal/gpusim"
@@ -184,22 +185,6 @@ func TestStaircase(t *testing.T) {
 	}
 }
 
-func TestSpareShm(t *testing.T) {
-	arch := gpusim.FermiConfig()
-	if got := SpareShm(arch, 0, 2); got != 24*1024 {
-		t.Errorf("SpareShm(0,2) = %d, want 24K", got)
-	}
-	if got := SpareShm(arch, 1024, 2); got != 24*1024-1024 {
-		t.Errorf("SpareShm(1K,2) = %d", got)
-	}
-	if got := SpareShm(arch, 0, 1); got != 48*1024 {
-		t.Errorf("SpareShm(0,1) = %d, want 48K (per-block cap)", got)
-	}
-	if got := SpareShm(arch, 60*1024, 1); got != 0 {
-		t.Errorf("SpareShm(60K,1) = %d, want 0", got)
-	}
-}
-
 func TestTLPGain(t *testing.T) {
 	prev := 1.0
 	for tlp := 1; tlp <= 8; tlp++ {
@@ -349,7 +334,7 @@ func TestOracleMatchesOrBeatsTPSC(t *testing.T) {
 	}
 	// TPSC's choice, simulated, should be within 2x of the oracle (it is a
 	// model, not an oracle — but it must not be absurd).
-	st, err := Simulate(app, arch, &appKernel{k: tpsc.Chosen.Kernel(), regs: tpsc.Chosen.UsedRegs()}, tpsc.Chosen.TLP)
+	st, err := SimulateKernel(app, arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +399,7 @@ func TestMeasureStaticInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := MeasureStaticInputs(app, arch, a)
+	in, err := MeasureStaticInputs(context.Background(), app, arch, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 	case opts.OptTLP > 0:
 		a.OptTLP = opts.OptTLP
 	case opts.StaticOptTLP:
-		in, err := MeasureStaticInputs(app, arch, a)
+		in, err := MeasureStaticInputs(ctx, app, arch, a)
 		if err != nil {
 			return nil, err
 		}
@@ -321,13 +321,6 @@ func (o Options) backendNames() []string {
 	return []string{"crat-local"}
 }
 
-// SpareShm computes the spare shared memory per block at a given TLP: the
-// slack the spilling optimization may consume without changing the TLP
-// (paper §5.3: "only utilizes the spare shared memory for spilling").
-func SpareShm(arch gpusim.Config, shmUsed int64, tlp int) int64 {
-	return backend.SpareShm(arch, shmUsed, tlp)
-}
-
 // modePlan is the compile-only product of planModeCtx: the decision plus
 // the exact launch parameters RunMode would hand to the simulator.
 type modePlan struct {
@@ -366,7 +359,7 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 			case opts.OptTLP > 0:
 				a.OptTLP = opts.OptTLP
 			case opts.StaticOptTLP:
-				in, err := MeasureStaticInputs(app, arch, a)
+				in, err := MeasureStaticInputs(ctx, app, arch, a)
 				if err != nil {
 					return nil, err
 				}
@@ -436,7 +429,7 @@ func RunModeCtx(ctx context.Context, app App, mode Mode, opts Options) (gpusim.S
 	if err != nil {
 		return gpusim.Stats{}, nil, err
 	}
-	st, err := SimulateCtx(ctx, app, opts.Arch, &appKernel{k: pl.kernel, regs: pl.regs}, pl.tlp)
+	st, err := SimulateKernelCtx(ctx, app, opts.Arch, pl.kernel, pl.regs, pl.tlp)
 	return st, pl.d, err
 }
 

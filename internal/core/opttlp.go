@@ -11,47 +11,32 @@ import (
 	"crat/internal/regalloc"
 )
 
-// Simulate runs the app's kernel variant on the simulator: memory is
-// prepared by app.Setup, regsPerThread feeds the occupancy calculation and
-// tlpLimit throttles resident blocks (0 = hardware maximum).
-func Simulate(app App, arch gpusim.Config, kernel *appKernel, tlpLimit int) (gpusim.Stats, error) {
-	return SimulateCtx(context.Background(), app, arch, kernel, tlpLimit)
+// SimulateKernel is SimulateKernelCtx without cancellation.
+func SimulateKernel(app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error) {
+	return SimulateKernelCtx(context.Background(), app, arch, k, regsPerThread, tlpLimit)
 }
 
-// SimulateCtx is Simulate under a context: cancellation or an expired
-// deadline aborts the cycle loop with a structured gpusim fault.
-func SimulateCtx(ctx context.Context, app App, arch gpusim.Config, kernel *appKernel, tlpLimit int) (gpusim.Stats, error) {
+// SimulateKernelCtx runs an explicit kernel variant of the app (e.g. one
+// allocated at a particular register budget) on the simulator: memory is
+// prepared by app.Setup, regsPerThread feeds the occupancy calculation and
+// tlpLimit throttles resident blocks (0 = hardware maximum). Cancellation or
+// an expired deadline on ctx aborts the cycle loop with a structured gpusim
+// fault.
+func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error) {
 	mem := gpusim.NewMemory()
 	params := app.Setup(mem)
 	sim, err := gpusim.NewSimulator(arch, mem, gpusim.Launch{
-		Kernel:        kernel.k,
+		Kernel:        k,
 		Grid:          app.Grid,
 		Block:         app.Block,
 		Params:        params,
 		TLPLimit:      tlpLimit,
-		RegsPerThread: kernel.regs,
+		RegsPerThread: regsPerThread,
 	})
 	if err != nil {
 		return gpusim.Stats{}, fmt.Errorf("core: %s: %w", app.Name, err)
 	}
 	return sim.RunCtx(ctx)
-}
-
-// appKernel pairs an executable kernel with its per-thread register usage.
-type appKernel struct {
-	k    *ptx.Kernel
-	regs int
-}
-
-// SimulateKernel runs an explicit kernel variant of the app (e.g. one
-// allocated at a particular register budget) at the given TLP limit.
-func SimulateKernel(app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error) {
-	return Simulate(app, arch, &appKernel{k: k, regs: regsPerThread}, tlpLimit)
-}
-
-// SimulateKernelCtx is SimulateKernel under a context.
-func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error) {
-	return SimulateCtx(ctx, app, arch, &appKernel{k: k, regs: regsPerThread}, tlpLimit)
 }
 
 // ProfileOptTLP determines the optimal TLP by exhaustive profiling
@@ -60,23 +45,18 @@ func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.
 // count and simulated at every TLP in [1, MaxTLP]; the TLP with the fewest
 // cycles wins.
 func ProfileOptTLP(app App, arch gpusim.Config, a *Analysis) (int, []gpusim.Stats, error) {
-	return ProfileOptTLPN(app, arch, a, 1)
+	return ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
 }
 
-// ProfileOptTLPN is ProfileOptTLP fanning the per-TLP simulations across up
-// to `workers` goroutines (0 = one per CPU). Each TLP point is an independent
-// simulation over its own Memory, so the fan-out is embarrassingly parallel;
-// results are reduced in ascending TLP order afterwards, which makes the
-// winner — and on failure, the reported error (lowest failing TLP) —
-// identical to the serial sweep.
-func ProfileOptTLPN(app App, arch gpusim.Config, a *Analysis, workers int) (int, []gpusim.Stats, error) {
-	return ProfileOptTLPNCtx(context.Background(), app, arch, a, workers)
-}
-
-// ProfileOptTLPNCtx is ProfileOptTLPN under a context: a canceled or
+// ProfileOptTLPNCtx is ProfileOptTLP under a context, fanning the per-TLP
+// simulations across up to `workers` goroutines (0 = one per CPU). Each TLP
+// point is an independent simulation over its own Memory, so the fan-out is
+// embarrassingly parallel; results are reduced in ascending TLP order
+// afterwards, which makes the winner — and on failure, the reported error
+// (lowest failing TLP) — identical to the serial sweep. A canceled or
 // timed-out sweep returns the first structured simulator fault (lowest TLP
-// first, matching the serial error order), or the bare context error when
-// cancellation landed between simulations.
+// first), or the bare context error when cancellation landed between
+// simulations.
 func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Analysis, workers int) (int, []gpusim.Stats, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 	if err != nil {
@@ -85,7 +65,7 @@ func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Anal
 	all := make([]gpusim.Stats, a.MaxTLP)
 	errs := make([]error, a.MaxTLP)
 	poolErr := pool.RunCtx(ctx, workers, a.MaxTLP, func(i int) {
-		all[i], errs[i] = SimulateCtx(ctx, app, arch, &appKernel{k: alloc.Kernel, regs: alloc.UsedRegs}, i+1)
+		all[i], errs[i] = SimulateKernelCtx(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, i+1)
 	})
 	for _, e := range errs {
 		if e != nil {
@@ -113,14 +93,14 @@ type StaticModelInput struct {
 	BlockFootprint float64 // bytes of L1 footprint per block (cold misses)
 }
 
-// MeasureStaticInputs runs the app once at TLP=1 and derives the model
-// inputs. This is the only dynamic information CRAT-static consumes.
-func MeasureStaticInputs(app App, arch gpusim.Config, a *Analysis) (StaticModelInput, error) {
+// MeasureStaticInputs runs the app once at TLP=1 under ctx and derives the
+// model inputs. This is the only dynamic information CRAT-static consumes.
+func MeasureStaticInputs(ctx context.Context, app App, arch gpusim.Config, a *Analysis) (StaticModelInput, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 	if err != nil {
 		return StaticModelInput{}, err
 	}
-	st, err := Simulate(app, arch, &appKernel{k: alloc.Kernel, regs: alloc.UsedRegs}, 1)
+	st, err := SimulateKernelCtx(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, 1)
 	if err != nil {
 		return StaticModelInput{}, err
 	}

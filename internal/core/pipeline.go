@@ -198,7 +198,7 @@ func (p *oracleSelectPass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 	errs := make([]error, len(d.Candidates))
 	poolErr := pool.RunCtx(p.ctx, p.opts.profileWorkers(), len(d.Candidates), func(i int) {
 		c := &d.Candidates[i]
-		stats[i], errs[i] = SimulateCtx(p.ctx, p.app, p.arch, &appKernel{k: c.Kernel(), regs: c.UsedRegs()}, c.TLP)
+		stats[i], errs[i] = SimulateKernelCtx(p.ctx, p.app, p.arch, c.Kernel(), c.UsedRegs(), c.TLP)
 	})
 	for _, e := range errs {
 		if e != nil {

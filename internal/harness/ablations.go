@@ -47,7 +47,7 @@ func (s *Session) AblationScheduler() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lrr, err := core.SimulateKernel(app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
+		lrr, err := core.SimulateKernelCtx(s.Context(), app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func (s *Session) AblationSpillCost() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stU, _, err := core.RunMode(s.App(p), core.ModeCRAT, core.Options{
+		stU, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
 			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs,
 			UnweightedSpillCost: true, UnweightedGain: true,
 		})
@@ -112,7 +112,7 @@ func (s *Session) AblationSubstackSplit() (*Table, error) {
 		}
 		row := []string{p.Abbr}
 		for _, split := range []spillopt.Split{spillopt.SplitByType, spillopt.SplitWhole, spillopt.SplitPerVariable} {
-			st, _, err := core.RunMode(s.App(p), core.ModeCRAT, core.Options{
+			st, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
 				Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, Split: split,
 			})
 			if err != nil {
@@ -139,13 +139,13 @@ func (s *Session) AblationPruning() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pruned, err := core.Optimize(s.App(p), core.Options{
+		pruned, err := core.OptimizeCtx(s.Context(), s.App(p), core.Options{
 			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
 		})
 		if err != nil {
 			return nil, err
 		}
-		full, err := core.Optimize(s.App(p), core.Options{
+		full, err := core.OptimizeCtx(s.Context(), s.App(p), core.Options{
 			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
 			DisablePruning: true,
 		})
@@ -176,17 +176,17 @@ func (s *Session) AblationTPSC() (*Table, error) {
 			return nil, err
 		}
 		opts := core.Options{Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true, Workers: s.Workers()}
-		tpsc, err := core.Optimize(s.App(p), opts)
+		tpsc, err := core.OptimizeCtx(s.Context(), s.App(p), opts)
 		if err != nil {
 			return nil, err
 		}
-		stT, err := core.SimulateKernel(s.App(p), s.Arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
+		stT, err := core.SimulateKernelCtx(s.Context(), s.App(p), s.Arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
 		if err != nil {
 			return nil, err
 		}
 		oOpts := opts
 		oOpts.Oracle = true
-		oracle, err := core.Optimize(s.App(p), oOpts)
+		oracle, err := core.OptimizeCtx(s.Context(), s.App(p), oOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func (s *Session) AblationBypass() (*Table, error) {
 				in.Bypass = true
 			}
 		}
-		st, err := core.SimulateKernel(s.App(p), s.Arch, k, d.Chosen.UsedRegs(), d.Chosen.TLP)
+		st, err := core.SimulateKernelCtx(s.Context(), s.App(p), s.Arch, k, d.Chosen.UsedRegs(), d.Chosen.TLP)
 		if err != nil {
 			return nil, err
 		}

@@ -3,11 +3,13 @@ package harness
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/pool"
+	"crat/internal/workloads"
 )
 
 // TestSessionAnalysisRetriesAfterCancellation drives the same property
@@ -85,5 +87,70 @@ func TestSessionTimeoutSurfacesStructuredFault(t *testing.T) {
 	}
 	if _, _, err := s.ModeCtx(context.Background(), p, core.ModeCRAT); err != nil {
 		t.Errorf("mode after canceled attempt: %v", err)
+	}
+}
+
+// TestRunnersObserveSessionContext: the simulations a figure runner starts
+// itself, past the session caches, run under the session context. The
+// runner's first app is a tiny kernel whose Setup cancels that context once
+// the analysis and mode caches are seeded, so the runner's first own
+// simulation must end in a cancellation fault instead of running to
+// completion.
+func TestRunnersObserveSessionContext(t *testing.T) {
+	first := workloads.Sensitive()[0].Abbr
+	for _, tc := range []struct {
+		id   string
+		abbr string // the runner's first app
+		run  func(*Session) (*Table, error)
+	}{
+		{"fig8", "FDTD", (*Session).Figure8},
+		{"fig20", first, (*Session).Figure20},
+		{"overhead", first, (*Session).Overhead},
+		{"abl-sched", "CFD", (*Session).AblationScheduler},
+		{"abl-spillcost", "CFD", (*Session).AblationSpillCost},
+		{"abl-split", "CFD", (*Session).AblationSubstackSplit},
+		{"abl-tpsc", "CFD", (*Session).AblationTPSC},
+		{"abl-bypass", "CFD", (*Session).AblationBypass},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			s, err := NewSession(gpusim.FermiConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetWorkers(1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var armed atomic.Bool
+			app := tinyProfile().App()
+			setup := app.Setup
+			app.Setup = func(mem *gpusim.Memory) []uint64 {
+				if armed.Load() {
+					cancel()
+				}
+				return setup(mem)
+			}
+			p, _ := workloads.ByAbbr(tc.abbr)
+			s.apps.Do(context.Background(), p.Abbr, func() (core.App, error) { return app, nil })
+			// Seed the analysis and every mode the runners read.
+			if _, err := s.Speedup(p, core.ModeCRAT); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Mode(p, core.ModeCRATLocal); err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true)
+			s.SetContext(ctx)
+
+			_, err = tc.run(s)
+			for _, rec := range s.Faults {
+				if err == nil && rec.Experiment == tc.id && rec.App == p.Abbr {
+					err = rec.Err
+				}
+			}
+			var fault *gpusim.Fault
+			if !errors.As(err, &fault) || fault.Kind != gpusim.FaultCanceled {
+				t.Errorf("%s on %s: got %v, want a canceled simulator fault", tc.id, p.Abbr, err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"crat/internal/backend"
 	"crat/internal/cfg"
 	"crat/internal/core"
 	"crat/internal/gpusim"
@@ -161,13 +162,13 @@ func (s *Session) Figure2() (*Table, error) {
 }
 
 // simulatePoint allocates the app's kernel at the register budget and
-// simulates it at the TLP.
+// simulates it at the TLP under the session context.
 func (s *Session) simulatePoint(app core.App, reg, tlp int) (gpusim.Stats, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: reg})
 	if err != nil {
 		return gpusim.Stats{}, err
 	}
-	return core.SimulateKernel(app, s.Arch, alloc.Kernel, alloc.UsedRegs, tlp)
+	return core.SimulateKernelCtx(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, tlp)
 }
 
 // Figure3 details the selected design points for CFD: performance, cache
@@ -288,7 +289,7 @@ func (s *Session) Figure6() (*Table, error) {
 			errs[i] = err
 			return
 		}
-		st, err := core.SimulateKernel(app, s.Arch, alloc.Kernel, alloc.UsedRegs, pts[i].tlp)
+		st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, pts[i].tlp)
 		if err != nil {
 			errs[i] = err
 			return
@@ -396,7 +397,7 @@ func (s *Session) Figure8() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	spare := core.SpareShm(s.Arch, a.ShmSize, tlp) / 2 // partial capacity
+	spare := backend.SpareShm(s.Arch, a.ShmSize, tlp) / 2 // partial capacity
 	for _, cfg := range []struct {
 		name string
 		opts spillopt.Options
@@ -408,7 +409,7 @@ func (s *Session) Figure8() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := core.SimulateKernel(app, s.Arch, res.Alloc.Kernel, res.Alloc.UsedRegs, tlp)
+		st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, res.Alloc.Kernel, res.Alloc.UsedRegs, tlp)
 		if err != nil {
 			return nil, err
 		}

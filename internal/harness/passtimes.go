@@ -10,8 +10,7 @@ import (
 // PassTimingTable renders the process-wide per-pass aggregates the pass
 // manager records on every pipeline execution: how often each pass ran,
 // its cumulative wall time, and the net instruction-count change it
-// produced (experiments -pass-times; BenchmarkPassTimings feeds the same
-// numbers into BENCH_*.json through cmd/benchjson).
+// produced (experiments -pass-times).
 func PassTimingTable() *Table {
 	t := &Table{
 		ID:      "pass-times",

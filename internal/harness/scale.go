@@ -64,17 +64,17 @@ func (s *Session) Figure18() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, _, err := core.ProfileOptTLPN(app, s.Arch, ai, s.Workers())
+			opt, _, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, ai, s.Workers())
 			if err != nil {
 				return nil, err
 			}
-			baseSt, _, err := core.RunMode(app, core.ModeOptTLP, core.Options{Arch: s.Arch, OptTLP: opt, Costs: s.Costs})
+			baseSt, _, err := core.RunModeCtx(s.Context(), app, core.ModeOptTLP, core.Options{Arch: s.Arch, OptTLP: opt, Costs: s.Costs})
 			if err != nil {
 				return nil, err
 			}
 			// Apply the default-input decision (same kernel; inputs share
 			// the kernel, only the launch differs).
-			st, err := core.SimulateKernel(app, s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), d.Chosen.TLP)
+			st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), d.Chosen.TLP)
 			if err != nil {
 				return nil, err
 			}
@@ -140,12 +140,12 @@ func (s *Session) Figure20() (*Table, error) {
 			return nil, err
 		}
 		app := s.App(p)
-		in, err := core.MeasureStaticInputs(app, s.Arch, a)
+		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a)
 		if err != nil {
 			return nil, err
 		}
 		optStatic := core.EstimateOptTLP(a, s.Arch, in)
-		stStatic, _, err := core.RunMode(app, core.ModeCRAT, core.Options{Arch: s.Arch, OptTLP: optStatic, Costs: s.Costs})
+		stStatic, _, err := core.RunModeCtx(s.Context(), app, core.ModeCRAT, core.Options{Arch: s.Arch, OptTLP: optStatic, Costs: s.Costs})
 		if err != nil {
 			return nil, err
 		}
@@ -181,13 +181,13 @@ func (s *Session) Overhead() (*Table, error) {
 			return nil, err
 		}
 		startP := time.Now()
-		_, runs, err := core.ProfileOptTLPN(app, s.Arch, a, s.Workers())
+		_, runs, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, a, s.Workers())
 		if err != nil {
 			return nil, err
 		}
 		profWall := time.Since(startP)
 		startS := time.Now()
-		in, err := core.MeasureStaticInputs(app, s.Arch, a)
+		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a)
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func buildVariants(t testing.TB, app core.App, arch gpusim.Config, a *core.Analy
 		t.Fatalf("%s: allocate at %d regs: %v", app.Name, budget, err)
 	}
 	spill, err = spillopt.Optimize(alloc, allocOpts, spillopt.Options{
-		SpareShmBytes: core.SpareShm(arch, a.ShmSize, a.OptTLP),
+		SpareShmBytes: backend.SpareShm(arch, a.ShmSize, a.OptTLP),
 		BlockSize:     a.BlockSize,
 	})
 	if err != nil {

@@ -155,11 +155,3 @@ func Timings() []Timing {
 	sort.Slice(out, func(i, j int) bool { return out[i].Pass < out[j].Pass })
 	return out
 }
-
-// ResetTimings clears the process-wide aggregates (benchmarks isolate
-// measurement windows with it).
-func ResetTimings() {
-	timingsMu.Lock()
-	timings = map[string]*Timing{}
-	timingsMu.Unlock()
-}
