@@ -162,7 +162,7 @@ func main() {
 			opt = a.MaxTLP
 		}
 		d, err := core.Optimize(app, core.Options{
-			Arch: arch, OptTLP: opt, SpillShared: !*noShared, Coalesce: *coalesceFlag,
+			Arch: arch, Analysis: a, OptTLP: opt, SpillShared: !*noShared, Coalesce: *coalesceFlag,
 			Backends:       backends,
 			VerifyEachPass: *verifyPasses, DumpAfter: dump,
 		})

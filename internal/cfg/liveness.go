@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"math/bits"
+
 	"crat/internal/ptx"
 )
 
@@ -54,9 +56,7 @@ func (s RegSet) Clone() RegSet {
 func (s RegSet) Count() int {
 	n := 0
 	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -64,14 +64,8 @@ func (s RegSet) Count() int {
 // ForEach calls f for every register in the set, in increasing order.
 func (s RegSet) ForEach(f func(ptx.Reg)) {
 	for wi, w := range s {
-		for w != 0 {
-			b := w & -w
-			bit := 0
-			for x := b; x > 1; x >>= 1 {
-				bit++
-			}
-			f(ptx.Reg(wi*64 + bit))
-			w &^= b
+		for ; w != 0; w &= w - 1 {
+			f(ptx.Reg(wi*64 + bits.TrailingZeros64(w)))
 		}
 	}
 }

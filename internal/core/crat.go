@@ -99,6 +99,11 @@ type Options struct {
 	// DumpAfter, when set, receives the working kernel after every pass
 	// (cratc -dump-after filters by pass name inside the hook).
 	DumpAfter func(pass string, k *ptx.Kernel)
+	// Analysis is the app's resource analysis, already computed by Analyze
+	// for the same App and Arch (nil = analyze here). The pipeline works on
+	// a copy with OptTLP cleared, exactly what Analyze would return, so one
+	// analysis can serve many compiles.
+	Analysis *Analysis
 	// Costs overrides the microbenchmarked per-access latencies
 	// (zero value = measure on Arch).
 	Costs gpusim.Costs
@@ -115,6 +120,18 @@ func (o Options) profileWorkers() int {
 		return 1
 	}
 	return o.Workers
+}
+
+// analyze returns a private copy of the supplied analysis, or analyzes
+// the app when none was supplied. The pipeline writes OptTLP into its
+// analysis, so it never works on the caller's.
+func (o Options) analyze(app App) (*Analysis, error) {
+	if o.Analysis == nil {
+		return Analyze(app, o.Arch)
+	}
+	a := *o.Analysis
+	a.OptTLP = 0
+	return &a, nil
 }
 
 // Candidate is one surviving design point with its compiled kernel.
@@ -198,7 +215,7 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 		return nil, err
 	}
 	arch := opts.Arch
-	a, err := Analyze(app, arch)
+	a, err := opts.analyze(app)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +360,7 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 	arch := opts.Arch
 	switch mode {
 	case ModeMaxTLP, ModeOptTLP:
-		a, err := Analyze(app, arch)
+		a, err := opts.analyze(app)
 		if err != nil {
 			return nil, err
 		}

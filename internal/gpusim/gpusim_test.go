@@ -611,6 +611,17 @@ func TestMeasureCosts(t *testing.T) {
 	if c.Shared < float64(cfg.SharedLat)/2 || c.Shared > float64(cfg.SharedLat)*2 {
 		t.Errorf("shared cost %.1f far from configured %d", c.Shared, cfg.SharedLat)
 	}
+	// The memo is keyed by the whole Config, not its Name: a slower
+	// shared memory under the same name is measured afresh.
+	slow := FermiConfig()
+	slow.SharedLat *= 2
+	cs, err := MeasureCosts(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Shared <= c.Shared || cs.Local != c.Local {
+		t.Errorf("SharedLat doubled under the same name: costs %+v, want Shared above %+v and Local equal", cs, c)
+	}
 }
 
 func TestEnergyModel(t *testing.T) {

@@ -1,11 +1,9 @@
 package gpusim
 
 import (
-	"context"
 	"fmt"
 
 	"crat/internal/passes"
-	"crat/internal/pool"
 	"crat/internal/ptx"
 )
 
@@ -124,20 +122,10 @@ func buildExecProgram(ms *passes.MicroStream) *execProgram {
 	return prog
 }
 
-// kernelKey identifies one kernel version: its identity plus its
-// instruction count, so a kernel grown in place (builder reuse) is a new
-// key instead of a stale hit.
-type kernelKey struct {
-	k *ptx.Kernel
-	n int
-}
-
 // kernelInfos memoizes kernelInfo per kernel version, so concurrent
-// simulations of one kernel share a single analysis. 1024 bounds it: past
-// that the map is dropped wholesale (long sweeps allocate thousands of
-// short-lived kernels, and rebuilding a handful of live ones is cheaper
-// than retaining them all).
-var kernelInfos = pool.NewMemo[kernelKey, *kernelInfo](1024)
+// simulations of one kernel share a single analysis. An entry dies with its
+// kernel.
+var kernelInfos = passes.NewKernelMemo[*kernelInfo]()
 
 // infoFor returns the cached analysis for k, computing it on first use. The
 // kernel must not be mutated after its first simulation; callers that edit
@@ -145,9 +133,7 @@ var kernelInfos = pool.NewMemo[kernelKey, *kernelInfo](1024)
 // Clone yields a new pointer. A kernel whose instruction count changed since
 // analysis is re-analyzed rather than served stale.
 func infoFor(k *ptx.Kernel) (*kernelInfo, error) {
-	info, _, err := kernelInfos.Do(context.Background(), kernelKey{k, len(k.Insts)},
-		func() (*kernelInfo, error) { return buildKernelInfo(k) })
-	return info, err
+	return kernelInfos.Do(k, buildKernelInfo)
 }
 
 // buildKernelInfo runs the once-per-kernel analyses: validation here,

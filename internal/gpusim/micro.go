@@ -1,8 +1,10 @@
 package gpusim
 
 import (
+	"context"
 	"fmt"
 
+	"crat/internal/pool"
 	"crat/internal/ptx"
 )
 
@@ -81,10 +83,21 @@ func runChain(cfg Config, space ptx.Space, iters int) (int64, error) {
 	return st.Cycles, nil
 }
 
+// measuredCosts memoizes MeasureCosts per configuration: the
+// microbenchmarks are deterministic, so a process measures each
+// configuration once.
+var measuredCosts = pool.NewMemo[Config, Costs]()
+
 // MeasureCosts runs the latency microbenchmarks on the given configuration
 // and returns the per-access local and shared costs. The control loop's
-// cycles are subtracted so only the access latency remains.
+// cycles are subtracted so only the access latency remains. The result is
+// memoized per Config.
 func MeasureCosts(cfg Config) (Costs, error) {
+	c, _, err := measuredCosts.Do(context.Background(), cfg, func() (Costs, error) { return measureCosts(cfg) })
+	return c, err
+}
+
+func measureCosts(cfg Config) (Costs, error) {
 	const iters = 256
 	baseline, err := runChain(cfg, ptx.SpaceNone, iters)
 	if err != nil {

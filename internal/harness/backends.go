@@ -63,7 +63,7 @@ func (s *Session) BackendCtx(ctx context.Context, p workloads.Profile, name stri
 		if err != nil {
 			return modeResult{}, err
 		}
-		opts := core.Options{Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
+		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
 			VerifyEquivalence: s.verifyOn(), Backends: []string{name}}
 		var e modeEntry
 		if s.ckptGet(ckey, &e) {
@@ -103,7 +103,7 @@ func (s *Session) UnionWinnerCtx(ctx context.Context, p workloads.Profile) (stri
 			return "", err
 		}
 		d, err := core.CompileModeCtx(ctx, s.App(p), core.ModeCRAT, core.Options{
-			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
+			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
 			Backends: s.BackendNames()})
 		if err != nil {
 			return "", err

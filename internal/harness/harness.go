@@ -145,12 +145,12 @@ func NewSession(arch gpusim.Config) (*Session, error) {
 	return &Session{
 		Arch:       arch,
 		Costs:      costs,
-		apps:       pool.NewMemo[string, core.App](0),
-		analyses:   pool.NewMemo[string, analysisResult](0),
-		modeRes:    pool.NewMemo[string, modeResult](0),
-		speedups:   pool.NewMemo[string, float64](0),
-		backendRes: pool.NewMemo[string, modeResult](0),
-		unionWin:   pool.NewMemo[string, string](0),
+		apps:       pool.NewMemo[string, core.App](),
+		analyses:   pool.NewMemo[string, analysisResult](),
+		modeRes:    pool.NewMemo[string, modeResult](),
+		speedups:   pool.NewMemo[string, float64](),
+		backendRes: pool.NewMemo[string, modeResult](),
+		unionWin:   pool.NewMemo[string, string](),
 		computes:   make(map[string]int),
 		ckptHits:   make(map[string]int),
 	}, nil
@@ -409,7 +409,7 @@ func (s *Session) ModeCtx(ctx context.Context, p workloads.Profile, mode core.Mo
 		if err != nil {
 			return modeResult{}, err
 		}
-		opts := core.Options{Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
+		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
 			VerifyEquivalence: s.verifyOn()}
 		var e modeEntry
 		if s.ckptGet(ckey, &e) {

@@ -2,6 +2,8 @@ package passes
 
 import (
 	"context"
+	"runtime"
+	"weak"
 
 	"crat/internal/pool"
 	"crat/internal/ptx"
@@ -21,18 +23,43 @@ type KernelAnalyses struct {
 	Micro *MicroStream
 }
 
-// sharedKey identifies one kernel version: its identity plus its
-// instruction count, so a kernel grown in place (builder reuse) is a new
-// key instead of a stale hit.
-type sharedKey struct {
-	k *ptx.Kernel
+// KernelMemo memoizes one value per kernel version — a kernel's identity
+// plus its instruction count, so a kernel grown in place (builder reuse)
+// is a new key instead of a stale hit. The key holds the kernel weakly and
+// the leader registers a cleanup on the kernel, so an entry lives exactly
+// as long as its kernel: long sweeps allocate thousands of short-lived
+// candidate kernels, and none of them is pinned by its analyses. A value
+// must therefore not point back at its kernel, or the entry never dies.
+type KernelMemo[V any] struct {
+	m *pool.Memo[kernelKey, V]
+}
+
+type kernelKey struct {
+	k weak.Pointer[ptx.Kernel]
 	n int
 }
 
-// shared is the registry. 1024 bounds it: past that the map is dropped
-// wholesale (long sweeps allocate thousands of short-lived kernels, and
-// rebuilding a handful of live ones is cheaper than retaining them all).
-var shared = pool.NewMemo[sharedKey, *KernelAnalyses](1024)
+// NewKernelMemo returns an empty per-kernel memo.
+func NewKernelMemo[V any]() *KernelMemo[V] {
+	return &KernelMemo[V]{m: pool.NewMemo[kernelKey, V]()}
+}
+
+// Do returns k's value, computing it with build on first use. Concurrent
+// callers for one kernel share a single build.
+func (km *KernelMemo[V]) Do(k *ptx.Kernel, build func(*ptx.Kernel) (V, error)) (V, error) {
+	key := kernelKey{weak.Make(k), len(k.Insts)}
+	v, _, err := km.m.Do(context.Background(), key, func() (V, error) {
+		runtime.AddCleanup(k, km.m.Forget, key)
+		return build(k)
+	})
+	return v, err
+}
+
+// Len returns the number of kernel versions held.
+func (km *KernelMemo[V]) Len() int { return km.m.Len() }
+
+// shared is the registry behind Shared.
+var shared = NewKernelMemo[*KernelAnalyses]()
 
 // Shared returns the memoized KernelAnalyses for k, computing them on
 // first use. The kernel must not be mutated after its first lookup; callers
@@ -42,9 +69,7 @@ var shared = pool.NewMemo[sharedKey, *KernelAnalyses](1024)
 // kernel — executors keep their own Validate calls (and error wrapping) in
 // front of it; a malformed CFG surfaces as cfg.Build's error, unwrapped.
 func Shared(k *ptx.Kernel) (*KernelAnalyses, error) {
-	an, _, err := shared.Do(context.Background(), sharedKey{k, len(k.Insts)},
-		func() (*KernelAnalyses, error) { return buildShared(k) })
-	return an, err
+	return shared.Do(k, buildShared)
 }
 
 func buildShared(k *ptx.Kernel) (*KernelAnalyses, error) {

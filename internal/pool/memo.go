@@ -19,14 +19,11 @@ import (
 // whose fn panics is treated the same way: nothing is memoized, its
 // waiters elect a new leader, and the panic propagates to its own caller.
 //
-// With max > 0 the memo is bounded: a miss that finds max keys present
-// drops the whole map before inserting (long sweeps allocate thousands of
-// short-lived kernels, and rebuilding the few live ones is cheaper than
-// tracking recency). A caller already holding an evicted entry still gets
-// its value. max == 0 means unbounded.
+// A memo never evicts on its own. Keys whose subject can die (a kernel
+// collected by the GC) are removed with Forget, typically from a
+// runtime.AddCleanup registered on that subject.
 type Memo[K comparable, V any] struct {
 	mu      sync.Mutex // guards entries and every entry's fields
-	max     int
 	entries map[K]*memoEntry[V]
 }
 
@@ -37,9 +34,9 @@ type memoEntry[V any] struct {
 	err  error
 }
 
-// NewMemo returns an empty memo holding at most max keys (0 = unbounded).
-func NewMemo[K comparable, V any](max int) *Memo[K, V] {
-	return &Memo[K, V]{max: max, entries: make(map[K]*memoEntry[V])}
+// NewMemo returns an empty memo.
+func NewMemo[K comparable, V any]() *Memo[K, V] {
+	return &Memo[K, V]{entries: make(map[K]*memoEntry[V])}
 }
 
 // IsCancellation reports whether err (anywhere in its chain, so structured
@@ -59,9 +56,6 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, 
 	m.mu.Lock()
 	e := m.entries[key]
 	if e == nil {
-		if m.max > 0 && len(m.entries) >= m.max {
-			m.entries = make(map[K]*memoEntry[V])
-		}
 		e = &memoEntry[V]{}
 		m.entries[key] = e
 	}
@@ -108,6 +102,15 @@ func (m *Memo[K, V]) lead(e *memoEntry[V], fn func() (V, error)) (v V, err error
 	v, err = fn()
 	returned = true
 	return v, err
+}
+
+// Forget drops key's entry, memoized or in flight. Callers already waiting
+// on an in-flight computation still receive its result; the next Do for
+// key computes afresh.
+func (m *Memo[K, V]) Forget(key K) {
+	m.mu.Lock()
+	delete(m.entries, key)
+	m.mu.Unlock()
 }
 
 // Len returns the number of keys held, memoized or in flight.

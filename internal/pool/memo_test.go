@@ -54,7 +54,7 @@ func startLeader[V any](m *Memo[string, V], key string, val V, release <-chan st
 // experiments cannot heal by retrying, so every later caller sees the same
 // error without recomputing.
 func TestMemoMemoizesPlainError(t *testing.T) {
-	m := NewMemo[string, int](0)
+	m := NewMemo[string, int]()
 	var runs atomic.Int32
 	boom := errors.New("boom")
 	fn := func() (int, error) { runs.Add(1); return 0, boom }
@@ -73,7 +73,7 @@ func TestMemoMemoizesPlainError(t *testing.T) {
 // context was canceled must NOT poison the key — the next caller with a
 // live context recomputes and memoizes the real value.
 func TestMemoRetriesAfterCancellation(t *testing.T) {
-	m := NewMemo[string, int](0)
+	m := NewMemo[string, int]()
 	var runs atomic.Int32
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -100,7 +100,7 @@ func TestMemoRetriesAfterCancellation(t *testing.T) {
 // context dies must elect a new leader rather than inheriting the
 // cancellation error. Run with -race: this is the poisoning regression.
 func TestMemoWaitersSurviveCanceledLeader(t *testing.T) {
-	m := NewMemo[string, int](0)
+	m := NewMemo[string, int]()
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderIn := make(chan struct{}) // leader signals it is inside fn
 	leaderGo := make(chan struct{}) // test releases the leader
@@ -155,7 +155,7 @@ func TestMemoWaitersSurviveCanceledLeader(t *testing.T) {
 // call that ran fn reports memoized=false; a waiter that received the
 // leader's result and a later hit were both served without computing.
 func TestMemoMemoizedFlag(t *testing.T) {
-	m := NewMemo[string, int](0)
+	m := NewMemo[string, int]()
 	release := make(chan struct{})
 	leader := startLeader(m, "k", 5, release)
 
@@ -191,14 +191,20 @@ func TestMemoMemoizedFlag(t *testing.T) {
 	}
 }
 
-// TestMemoEvictsWholesaleAtMax: the miss that finds max keys present drops
-// them all, yet a caller parked on an evicted in-flight entry still gets
-// the leader's value; the evicted key recomputes on its next lookup.
-func TestMemoEvictsWholesaleAtMax(t *testing.T) {
-	m := NewMemo[string, int](2)
+// TestMemoForget: Forget drops one key — memoized or in flight — and
+// nothing else. A caller parked on the forgotten in-flight entry still gets
+// its leader's value, and the key computes afresh on its next lookup.
+func TestMemoForget(t *testing.T) {
+	m := NewMemo[string, int]()
+	constant := func(v int) func() (int, error) { return func() (int, error) { return v, nil } }
+	m.Do(context.Background(), "b", constant(2))
+	m.Forget("absent")
+	if n := m.Len(); n != 1 {
+		t.Fatalf("Len = %d after forgetting an absent key, want 1", n)
+	}
+
 	release := make(chan struct{})
 	leader := startLeader(m, "a", 1, release)
-
 	wctx := newParkedCtx()
 	waiter := make(chan int)
 	go func() {
@@ -210,40 +216,34 @@ func TestMemoEvictsWholesaleAtMax(t *testing.T) {
 	}()
 	<-wctx.parked
 
-	constant := func(v int) func() (int, error) { return func() (int, error) { return v, nil } }
-	m.Do(context.Background(), "b", constant(2))
-	if n := m.Len(); n != 2 {
-		t.Fatalf("Len = %d before the bound is hit, want 2", n)
-	}
-	m.Do(context.Background(), "c", constant(3))
+	m.Forget("a")
 	if n := m.Len(); n != 1 {
-		t.Fatalf("Len = %d after the bound is hit, want 1 (wholesale eviction)", n)
+		t.Fatalf("Len = %d after forgetting the in-flight key, want 1", n)
 	}
-
 	close(release)
-	if v, _, _ := leader(); v != 1 {
-		t.Errorf("evicted leader got %d, want 1", v)
+	if v, memoized, _ := leader(); v != 1 || memoized {
+		t.Errorf("forgotten leader = (%d, memoized=%t), want (1, false)", v, memoized)
 	}
 	if v := <-waiter; v != 1 {
-		t.Errorf("waiter parked on the evicted entry got %d, want the leader's 1", v)
+		t.Errorf("waiter parked on the forgotten entry got %d, want the leader's 1", v)
 	}
 	if v, memoized, _ := m.Do(context.Background(), "a", constant(10)); v != 10 || memoized {
-		t.Errorf("evicted key = (%d, memoized=%t), want a fresh compute (10, false)", v, memoized)
+		t.Errorf("forgotten key = (%d, memoized=%t), want a fresh compute (10, false)", v, memoized)
 	}
 
-	unbounded := NewMemo[int, int](0)
-	for i := 0; i < 3000; i++ {
-		unbounded.Do(context.Background(), i, constant(i))
+	m.Forget("b")
+	if v, memoized, _ := m.Do(context.Background(), "b", constant(20)); v != 20 || memoized {
+		t.Errorf("forgotten memoized key = (%d, memoized=%t), want a fresh compute (20, false)", v, memoized)
 	}
-	if n := unbounded.Len(); n != 3000 {
-		t.Errorf("unbounded Len = %d, want 3000", n)
+	if v, memoized, _ := m.Do(context.Background(), "a", constant(30)); v != 10 || !memoized {
+		t.Errorf("untouched key = (%d, memoized=%t), want the memoized (10, true)", v, memoized)
 	}
 }
 
 // TestMemoLeaderPanicReleasesWaiters: a panicking leader memoizes nothing
 // and must not strand its waiters — one of them becomes the new leader.
 func TestMemoLeaderPanicReleasesWaiters(t *testing.T) {
-	m := NewMemo[string, int](0)
+	m := NewMemo[string, int]()
 	in := make(chan struct{})
 	release := make(chan struct{})
 	recovered := make(chan any)

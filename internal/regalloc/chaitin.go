@@ -3,6 +3,7 @@ package regalloc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"crat/internal/cfg"
@@ -16,9 +17,6 @@ const SpillStackName = "SpillStack"
 // ErrInfeasible is returned when the register limit is too small to hold
 // even the unspillable values (spill temporaries and addressing registers).
 var ErrInfeasible = errors.New("regalloc: register limit infeasible")
-
-// debugInfeasible enables diagnostic prints on infeasibility (dev only).
-var debugInfeasible = false
 
 // Algorithm selects the allocation algorithm.
 type Algorithm uint8
@@ -166,6 +164,11 @@ func MaxReg(k *ptx.Kernel) (int, error) {
 // color runs one build-simplify-select round over the cached liveness. It
 // returns the coloring (slot assignment) and the set of registers chosen
 // for spilling (empty when the coloring succeeded).
+//
+// Simplify keeps each live node's squeeze (slots its remaining neighbours
+// can block) and degree in dense slices and updates them as nodes leave the
+// graph, so a pick costs one scan of the nodes instead of one adjacency walk
+// per node.
 func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error) {
 	ig := buildIGraph(st.k, lv)
 	weights := lv.AccessWeights()
@@ -174,20 +177,25 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 	}
 
 	K := st.opts.Regs
-	removed := make(map[ptx.Reg]bool)
-	var order []ptx.Reg // simplification stack (pop in reverse)
-	optimistic := make(map[ptx.Reg]bool)
-	nodes := ig.sortedNodes()
-	remaining := len(nodes)
+	n := st.k.NumRegs()
+	noSpill := make([]bool, n)
+	for r := range st.noSpill {
+		noSpill[r] = true
+	}
+	removed := make([]bool, n)
+	squeeze := make([]int, n)
+	degree := make([]int, n)
+	for _, r := range ig.nodes {
+		squeeze[r] = ig.squeeze(r)
+		degree[r] = len(ig.adj[r])
+	}
+	order := make([]ptx.Reg, 0, len(ig.nodes)) // simplification stack (pop in reverse)
 
-	for remaining > 0 {
+	for len(order) < len(ig.nodes) {
 		// Pick a trivially colorable node (deterministically: smallest id).
 		picked := ptx.NoReg
-		for _, r := range nodes {
-			if removed[r] {
-				continue
-			}
-			if ig.squeeze(r, removed) <= K-ig.slots(r) {
+		for _, r := range ig.nodes {
+			if !removed[r] && squeeze[r] <= K-ig.slots(r) {
 				picked = r
 				break
 			}
@@ -196,57 +204,55 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 			// Blocked: choose a spill candidate with minimal
 			// weight/degree (Chaitin heuristic); push it optimistically
 			// (Briggs) — it may still receive a color.
-			best := ptx.NoReg
 			bestMetric := 0.0
-			for _, r := range nodes {
-				if removed[r] || st.noSpill[r] {
+			for _, r := range ig.nodes {
+				if removed[r] || noSpill[r] {
 					continue
 				}
-				d := ig.degree(r, removed)
-				if d == 0 {
-					d = 1
-				}
-				m := weights[r] / float64(d)
-				if best == ptx.NoReg || m < bestMetric {
-					best = r
+				m := weights[r] / float64(max(degree[r], 1))
+				if picked == ptx.NoReg || m < bestMetric {
+					picked = r
 					bestMetric = m
 				}
 			}
-			if best == ptx.NoReg {
+			if picked == ptx.NoReg {
 				// Only unspillable nodes remain and none is trivially
 				// colorable: the budget cannot hold the spill machinery.
-				if debugInfeasible {
-					println("INFEASIBLE: simplify stuck, remaining:", remaining)
-				}
 				return nil, nil, ErrInfeasible
 			}
-			picked = best
-			optimistic[picked] = true
 		}
 		removed[picked] = true
 		order = append(order, picked)
-		remaining--
+		w := ig.slots(picked)
+		for _, m := range ig.adj[picked] {
+			squeeze[m] -= w
+			degree[m]--
+		}
 	}
 
 	// Select phase: pop in reverse order, assign lowest feasible slot run.
+	slot := make([]int, n) // starting slot per register, -1 = uncolored
+	for i := range slot {
+		slot[i] = -1
+	}
+	var slotType []ptx.Type // TypeStrict: the type pinned to each slot (TypeNone = free)
+	if st.opts.TypeStrict {
+		slotType = make([]ptx.Type, K)
+	}
+	blocked := make([]bool, K) // findSlot scratch
 	assignment := make(map[ptx.Reg]int)
-	slotTypes := make(map[int]ptx.Type) // TypeStrict bookkeeping
 	var spills []ptx.Reg
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
-		slot := st.findSlot(ig, r, assignment, slotTypes)
-		if slot < 0 {
-			if st.noSpill[r] {
+		s := st.findSlot(ig, r, slot, slotType, blocked)
+		if s < 0 {
+			if noSpill[r] {
 				// An unspillable node (spill temporary or addressing
 				// register) failed to color: free a slot by spilling its
 				// cheapest spillable neighbor instead. Only when no such
 				// neighbor exists is the budget genuinely infeasible.
 				victim := st.cheapestSpillableNeighbor(ig, r, weights, spills)
 				if victim == ptx.NoReg {
-					if debugInfeasible {
-						println("INFEASIBLE: noSpill node failed select, reg:", int(r),
-							"type:", st.k.RegType(r).String())
-					}
 					return nil, nil, ErrInfeasible
 				}
 				spills = append(spills, victim)
@@ -255,11 +261,12 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 			spills = append(spills, r)
 			continue
 		}
-		assignment[r] = slot
-		if st.opts.TypeStrict {
+		slot[r] = s
+		assignment[r] = s
+		if slotType != nil {
 			t := st.k.RegType(r)
-			for s := 0; s < ig.slots(r); s++ {
-				slotTypes[slot+s] = t
+			for j := 0; j < ig.slots(r); j++ {
+				slotType[s+j] = t
 			}
 		}
 	}
@@ -268,24 +275,17 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 
 // cheapestSpillableNeighbor picks the interference neighbor of r with the
 // lowest spill metric that is spillable and not already queued for
-// spilling. It returns NoReg when none exists.
+// spilling (ties go to the lowest register). It returns NoReg when none
+// exists.
 func (st *allocState) cheapestSpillableNeighbor(ig *igraph, r ptx.Reg, weights []float64, queued []ptx.Reg) ptx.Reg {
-	inQueue := make(map[ptx.Reg]bool, len(queued))
-	for _, q := range queued {
-		inQueue[q] = true
-	}
 	best := ptx.NoReg
 	bestMetric := 0.0
-	for n := range ig.adj[r] {
-		if st.noSpill[n] || inQueue[n] {
+	for _, n := range ig.adj[r] {
+		if st.noSpill[n] || slices.Contains(queued, n) {
 			continue
 		}
-		d := ig.degree(n, nil)
-		if d == 0 {
-			d = 1
-		}
-		m := weights[n] / float64(d)
-		if best == ptx.NoReg || m < bestMetric || (m == bestMetric && n < best) {
+		m := weights[n] / float64(max(len(ig.adj[n]), 1))
+		if best == ptx.NoReg || m < bestMetric {
 			best = n
 			bestMetric = m
 		}
@@ -294,35 +294,29 @@ func (st *allocState) cheapestSpillableNeighbor(ig *igraph, r ptx.Reg, weights [
 }
 
 // findSlot returns the lowest starting slot where r fits given its already-
-// colored interference neighbors, or -1 if none exists within the budget.
-func (st *allocState) findSlot(ig *igraph, r ptx.Reg, assignment map[ptx.Reg]int, slotTypes map[int]ptx.Type) int {
+// colored interference neighbors (slot[n] >= 0), or -1 if none exists within
+// the budget. blocked is all-false scratch of the budget's length and is
+// left that way.
+func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, slotType []ptx.Type, blocked []bool) int {
 	K := st.opts.Regs
-	w := ig.slots(r)
-	blocked := make([]bool, K)
-	for n := range ig.adj[r] {
-		s, ok := assignment[n]
-		if !ok {
-			continue
-		}
-		for i := 0; i < ig.slots(n); i++ {
-			if s+i < K {
-				blocked[s+i] = true
+	hi := 0 // blocked[:hi] holds every mark
+	for _, n := range ig.adj[r] {
+		if s := slot[n]; s >= 0 {
+			e := min(s+ig.slots(n), K)
+			for i := s; i < e; i++ {
+				blocked[i] = true
 			}
+			hi = max(hi, e)
 		}
 	}
-	t := st.k.RegType(r)
+	defer clear(blocked[:hi])
+	w, t := ig.slots(r), st.k.RegType(r)
 	for s := 0; s+w <= K; s++ {
 		ok := true
-		for i := 0; i < w; i++ {
-			if blocked[s+i] {
+		for i := s; i < s+w; i++ {
+			if blocked[i] || (slotType != nil && slotType[i] != ptx.TypeNone && slotType[i] != t) {
 				ok = false
 				break
-			}
-			if st.opts.TypeStrict {
-				if prev, used := slotTypes[s+i]; used && prev != t {
-					ok = false
-					break
-				}
 			}
 		}
 		if ok {
@@ -364,6 +358,3 @@ func unweightedCounts(k *ptx.Kernel) []float64 {
 	}
 	return out
 }
-
-// SetDebugInfeasible toggles infeasibility diagnostics (development aid).
-func SetDebugInfeasible(v bool) { debugInfeasible = v }

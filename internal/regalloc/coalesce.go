@@ -63,7 +63,7 @@ func findCoalescable(k *ptx.Kernel, ig *igraph, budget int) (copyPair, bool) {
 		}
 		// Must not interfere (a copy between interfering names is a real
 		// data movement, not an artifact).
-		if _, bad := ig.adj[dst][src]; bad {
+		if ig.interferes(dst, src) {
 			continue
 		}
 		if briggsSafe(ig, dst, src, budget) {
@@ -78,19 +78,20 @@ func findCoalescable(k *ptx.Kernel, ig *igraph, budget int) (copyPair, bool) {
 // slots, so the merged node is still trivially colorable in the worst case.
 func briggsSafe(ig *igraph, a, b ptx.Reg, budget int) bool {
 	mergedSlots := ig.slots(a)
-	neighbors := make(map[ptx.Reg]struct{}, len(ig.adj[a])+len(ig.adj[b]))
-	for n := range ig.adj[a] {
-		neighbors[n] = struct{}{}
-	}
-	for n := range ig.adj[b] {
-		neighbors[n] = struct{}{}
-	}
-	delete(neighbors, a)
-	delete(neighbors, b)
 	significant := 0
-	for n := range neighbors {
-		if ig.squeeze(n, nil) >= budget-ig.slots(n) {
+	count := func(n ptx.Reg) {
+		if n != a && n != b && ig.squeeze(n) >= budget-ig.slots(n) {
 			significant += ig.slots(n)
+		}
+	}
+	// The union of both neighbour lists, each node once: walk a's list and
+	// the part of b's that a's lacks.
+	for _, n := range ig.adj[a] {
+		count(n)
+	}
+	for _, n := range ig.adj[b] {
+		if !ig.interferes(a, n) {
+			count(n)
 		}
 	}
 	return significant <= budget-mergedSlots

@@ -213,12 +213,13 @@ func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry,
 	if opt == 0 {
 		opt = a.MaxTLP
 	}
-	costs, err := s.costsFor(job.arch)
+	costs, err := gpusim.MeasureCosts(job.arch)
 	if err != nil {
 		return nil, err
 	}
 	d, err := core.OptimizeCtx(ctx, app, core.Options{
 		Arch:              job.arch,
+		Analysis:          a,
 		OptTLP:            opt,
 		SpillShared:       !job.req.NoSharedSpill,
 		Coalesce:          job.req.Coalesce,
@@ -263,20 +264,3 @@ type requestError struct{ err error }
 
 func (e *requestError) Error() string { return e.err.Error() }
 func (e *requestError) Unwrap() error { return e.err }
-
-// costsFor memoizes gpusim.MeasureCosts per architecture: the
-// microbenchmarks simulate a few probe kernels, which the daemon pays once
-// per arch (at startup for the default arch), never per request.
-func (s *Server) costsFor(arch gpusim.Config) (gpusim.Costs, error) {
-	s.costsMu.Lock()
-	defer s.costsMu.Unlock()
-	if c, ok := s.costs[arch.Name]; ok {
-		return c, nil
-	}
-	c, err := gpusim.MeasureCosts(arch)
-	if err != nil {
-		return gpusim.Costs{}, err
-	}
-	s.costs[arch.Name] = c
-	return c, nil
-}

@@ -172,9 +172,6 @@ type Server struct {
 
 	wg sync.WaitGroup // admitted requests in flight
 
-	costsMu sync.Mutex
-	costs   map[string]gpusim.Costs
-
 	backendMu   sync.Mutex
 	backendWins map[string]int64 // 200s served per winning backend
 
@@ -197,8 +194,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		queue:       make(chan struct{}, cfg.QueueCapacity),
 		workers:     make(chan struct{}, cfg.Workers),
-		mem:         pool.NewMemo[string, *cacheEntry](0),
-		costs:       make(map[string]gpusim.Costs),
+		mem:         pool.NewMemo[string, *cacheEntry](),
 		backendWins: make(map[string]int64),
 		start:       time.Now(),
 	}
@@ -234,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 			s.logf("cache %s: %d entries warm", cfg.CacheDir, st.Loaded())
 		}
 	}
-	if _, err := s.costsFor(gpusim.FermiConfig()); err != nil {
+	if _, err := gpusim.MeasureCosts(gpusim.FermiConfig()); err != nil {
 		return nil, fmt.Errorf("measuring access costs: %w", err)
 	}
 	return s, nil
