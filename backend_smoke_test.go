@@ -1,9 +1,10 @@
 // Backend smoke: run every registered optimization backend over every
 // seed workload with the PTX verifier enabled after every pass and the
-// differential oracle gating the chosen kernel (make backend-smoke). A
-// backend that emits malformed IR fails with the offending pass named; a
-// backend that miscompiles fails the zero-divergence assertion instead of
-// silently degrading.
+// differential oracle gating the chosen kernel (all workloads under
+// `make race`, which `make ci` runs; two under -short). A backend that
+// emits malformed IR fails with the offending pass named; a backend that
+// miscompiles fails the zero-divergence assertion instead of silently
+// degrading.
 package crat_test
 
 import (
@@ -54,7 +55,7 @@ func TestBackendSmoke(t *testing.T) {
 			for _, name := range names {
 				o := opts
 				o.Backends = []string{name}
-				d, err := core.Optimize(app, o)
+				d, err := core.OptimizeCtx(t.Context(), app, o)
 				if err != nil {
 					t.Fatalf("Optimize(backend=%s): %v", name, err)
 				}
@@ -73,7 +74,7 @@ func TestBackendSmoke(t *testing.T) {
 			// to an enabled backend.
 			o := opts
 			o.Backends = names
-			d, err := core.Optimize(app, o)
+			d, err := core.OptimizeCtx(t.Context(), app, o)
 			if err != nil {
 				t.Fatalf("Optimize(union): %v", err)
 			}

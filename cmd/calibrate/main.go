@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,12 +56,13 @@ func main() {
 	check(err)
 	fmt.Printf("costs: local=%.1f shared=%.1f\n", costs.Local, costs.Shared)
 
+	ctx := context.Background()
 	for _, p := range profiles {
 		start := time.Now()
 		app := p.App()
 		a, err := core.Analyze(app, arch)
 		check(err)
-		opt, runs, err := core.ProfileOptTLP(app, arch, a)
+		opt, runs, err := core.ProfileOptTLPNCtx(ctx, app, arch, a, 1)
 		check(err)
 		a.OptTLP = opt
 		stairs := a.Staircase(arch)
@@ -81,7 +83,7 @@ func main() {
 		}
 
 		if *modes {
-			d, err := core.Optimize(app, core.Options{Arch: arch, OptTLP: opt, SpillShared: true, Costs: costs})
+			d, err := core.OptimizeCtx(ctx, app, core.Options{Arch: arch, Analysis: a, OptTLP: opt, SpillShared: true, Costs: costs})
 			check(err)
 			for _, c := range d.Candidates {
 				fmt.Printf("        cand reg=%-3d tlp=%d locals=%d shm=%d others=%d tpsc=%.2f\n",
@@ -90,7 +92,7 @@ func main() {
 			fmt.Printf("        chosen: reg=%d tlp=%d\n", d.Chosen.Reg, d.Chosen.TLP)
 			var base int64
 			for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-				st, dd, err := core.RunMode(app, m, core.Options{Arch: arch, OptTLP: opt, Costs: costs})
+				st, dd, err := core.RunModeCtx(ctx, app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt, Costs: costs})
 				check(err)
 				if m == core.ModeOptTLP {
 					base = st.Cycles

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -91,24 +92,9 @@ func main() {
 	check(err)
 	module, err := ptx.ParseModule(string(src))
 	check(err)
-	var kernel *ptx.Kernel
-	switch {
-	case len(module.Kernels) == 0:
-		check(fmt.Errorf("no kernels in %s", *in))
-	case *kernelName != "":
-		k, ok := module.Kernel(*kernelName)
-		if !ok {
-			check(fmt.Errorf("kernel %q not found in %s", *kernelName, *in))
-		}
-		kernel = k
-	case len(module.Kernels) == 1:
-		kernel = module.Kernels[0]
-	default:
-		names := make([]string, len(module.Kernels))
-		for i, k := range module.Kernels {
-			names[i] = k.Name
-		}
-		check(fmt.Errorf("module has %d kernels (%v); select one with -kernel", len(names), names))
+	kernel, err := module.Select(*kernelName)
+	if err != nil {
+		check(fmt.Errorf("%s: %w", *in, err))
 	}
 	check(kernel.Validate())
 
@@ -157,19 +143,15 @@ func main() {
 		app := core.App{Name: kernel.Name, Kernel: kernel, Block: *block, Grid: 1}
 		a, err := core.Analyze(app, arch)
 		check(err)
-		opt := *optTLP
-		if opt == 0 {
-			opt = a.MaxTLP
-		}
-		d, err := core.Optimize(app, core.Options{
-			Arch: arch, Analysis: a, OptTLP: opt, SpillShared: !*noShared, Coalesce: *coalesceFlag,
+		d, err := core.OptimizeCtx(context.Background(), app, core.Options{
+			Arch: arch, Analysis: a, OptTLP: *optTLP, SpillShared: !*noShared, Coalesce: *coalesceFlag,
 			Backends:       backends,
 			VerifyEachPass: *verifyPasses, DumpAfter: dump,
 		})
 		check(err)
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "analysis: MaxReg=%d MinReg=%d MaxTLP=%d OptTLP=%d ShmSize=%d\n",
-				a.MaxReg, a.MinReg, a.MaxTLP, opt, a.ShmSize)
+				a.MaxReg, a.MinReg, a.MaxTLP, d.Analysis.OptTLP, a.ShmSize)
 			for _, c := range d.Candidates {
 				fmt.Fprintf(os.Stderr, "candidate backend=%-10s reg=%-3d tlp=%d spills(local=%d shm=%d others=%d) tpsc=%.2f\n",
 					c.Backend, c.Reg, c.TLP, c.Overhead.Locals(), c.Overhead.Shareds(), c.Overhead.AddrInsts, c.TPSC)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -44,7 +45,7 @@ func main() {
 	fmt.Println()
 
 	// OptTLP through profiling (paper §4.1).
-	opt, runs, err := core.ProfileOptTLP(app, arch, a)
+	opt, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func main() {
 	}
 
 	// Full pipeline: pruning, per-candidate allocation + Algorithm 1, TPSC.
-	d, err := core.Optimize(app, core.Options{Arch: arch, OptTLP: opt, SpillShared: true})
+	d, err := core.OptimizeCtx(context.Background(), app, core.Options{Arch: arch, Analysis: a, OptTLP: opt, SpillShared: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 	// Compare the four configurations (paper Figure 13).
 	var base int64
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		st, dd, err := core.RunMode(app, m, core.Options{Arch: arch, OptTLP: opt})
+		st, dd, err := core.RunModeCtx(context.Background(), app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,7 @@ func main() {
 
 	// Run both variants: identical results, fewer cycles.
 	run := func(k *ptx.Kernel, regs int) gpusim.Stats {
-		st, err := core.SimulateKernel(app, arch, k, regs, tlp)
+		st, err := core.SimulateKernelCtx(context.Background(), app, arch, k, regs, tlp)
 		if err != nil {
 			log.Fatal(err)
 		}

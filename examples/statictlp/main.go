@@ -41,7 +41,7 @@ func main() {
 
 		// Profiling: simulate every TLP.
 		start := time.Now()
-		profiled, runs, err := core.ProfileOptTLP(app, arch, a)
+		profiled, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

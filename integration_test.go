@@ -23,6 +23,22 @@ func fastProfile() workloads.Profile {
 	}
 }
 
+// profiledOptions returns CRAT pipeline options for app carrying its
+// analysis and its profiled OptTLP, as the experiment harness supplies
+// them.
+func profiledOptions(t *testing.T, app core.App, arch gpusim.Config) core.Options {
+	t.Helper()
+	a, err := core.Analyze(app, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := core.ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Options{Arch: arch, Analysis: a, OptTLP: opt, SpillShared: true}
+}
+
 // TestEndToEndPipeline runs the complete CRAT flow on a fresh workload:
 // analysis, profiling, pruning, allocation, spilling optimization, TPSC
 // selection, and the four-mode comparison — asserting the paper's
@@ -31,7 +47,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := fastProfile().App()
 
-	d, err := core.Optimize(app, core.Options{Arch: arch, SpillShared: true})
+	opts := profiledOptions(t, app, arch)
+	d, err := core.OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +76,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// lose to MaxTLP, beyond a small tolerance.
 	cycles := map[core.Mode]int64{}
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		st, _, err := core.RunMode(app, m, core.Options{Arch: arch, OptTLP: d.Analysis.OptTLP})
+		st, _, err := core.RunModeCtx(t.Context(), app, m, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -84,7 +101,7 @@ func TestTransformedKernelsFunctionallyEquivalent(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	p := fastProfile()
 	app := p.App()
-	d, err := core.Optimize(app, core.Options{Arch: arch, SpillShared: true})
+	d, err := core.OptimizeCtx(t.Context(), app, profiledOptions(t, app, arch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +187,7 @@ func TestAllocatorPropertyOverBudgets(t *testing.T) {
 func TestCratcShapedOutput(t *testing.T) {
 	app := fastProfile().App()
 	arch := gpusim.FermiConfig()
-	d, err := core.Optimize(app, core.Options{Arch: arch, SpillShared: true})
+	d, err := core.OptimizeCtx(t.Context(), app, profiledOptions(t, app, arch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ type PassInfo struct {
 // Backend is one candidate-generation strategy. Implementations must be
 // deterministic (same Request, same candidates) and must run every
 // kernel-transforming stage under the provided pass manager so the
-// caller's instrumentation (verify-after-every-pass, dumps, oracle
-// spot-checks, timing) covers them.
+// caller's instrumentation (verify-after-every-pass, dumps, timing)
+// covers them.
 type Backend interface {
 	// Name is the stable identifier used in flags, cache keys, Decision
 	// records, and figures.
@@ -166,20 +166,13 @@ func Resolve(names []string) ([]Backend, error) {
 	return out, nil
 }
 
-// pipelineFaulter marks errors that indicate a compiler bug rather than
-// an infeasible design point. core.PassCheckError implements it.
-type pipelineFaulter interface {
-	PipelineFault()
-}
-
 // IsPipelineFault separates hard pipeline failures (a pass produced
-// unverifiable IR, or an oracle spot-check diverged) from ordinary
-// per-candidate infeasibility (regalloc.ErrInfeasible and friends),
-// which backends absorb by dropping the design point.
+// unverifiable IR) from ordinary per-candidate infeasibility
+// (regalloc.ErrInfeasible and friends), which backends absorb by dropping
+// the design point.
 func IsPipelineFault(err error) bool {
 	var verr *ptx.VerifyError
-	var ferr pipelineFaulter
-	return errors.As(err, &verr) || errors.As(err, &ferr)
+	return errors.As(err, &verr)
 }
 
 // SpareShm computes the spare shared memory per block at a given TLP: the

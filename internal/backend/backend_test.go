@@ -1,14 +1,12 @@
 package backend_test
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"crat/internal/backend"
-	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/ptx"
 	"crat/internal/regalloc"
@@ -68,14 +66,12 @@ func TestResolve(t *testing.T) {
 
 func TestIsPipelineFault(t *testing.T) {
 	verr := &ptx.VerifyError{Kernel: "k", Pass: "spill-insert", Inst: -1, Msg: "undefined register"}
-	check := &core.PassCheckError{Pass: "spill-insert", Err: errors.New("oracle run failed")}
 	for _, tc := range []struct {
 		name string
 		err  error
 		want bool
 	}{
 		{"wrapped verify error", fmt.Errorf("candidate (32,4): %w", verr), true},
-		{"wrapped pass spot-check failure", fmt.Errorf("candidate (32,4): %w", check), true},
 		{"infeasible budget", regalloc.ErrInfeasible, false},
 		{"wrapped infeasible budget", fmt.Errorf("candidate (8,4): %w", regalloc.ErrInfeasible), false},
 		{"nil", nil, false},

@@ -4,9 +4,11 @@
 //
 // The pipeline follows paper Figure 9:
 //
-//  1. Resource usage analysis collects MaxReg/MinReg, BlockSize, ShmSize,
-//     MaxTLP and OptTLP (Table 1), the latter by profiling or by static
-//     code analysis (Figure 10).
+//  1. Resource usage analysis collects MaxReg/MinReg, BlockSize, ShmSize
+//     and MaxTLP (Table 1). OptTLP is an input to the pipeline
+//     (Options.OptTLP, 0 = MaxTLP), found offline by the caller: by
+//     profiling (ProfileOptTLPNCtx) or by static code analysis
+//     (MeasureStaticInputs + EstimateOptTLP, Figure 10).
 //  2. Design space pruning keeps only the rightmost register point of each
 //     TLP "stair" and discards points whose TLP exceeds OptTLP (§4.2).
 //  3. Each candidate (reg, TLP) is register-allocated (Chaitin-Briggs) with
@@ -48,13 +50,13 @@ type Analysis struct {
 	BlockSize      int
 	ShmSize        int64 // shared memory per block requested by the kernel
 	MaxTLP         int   // occupancy at DefaultReg
-	OptTLP         int   // filled by ProfileOptTLP or EstimateOptTLP
+	OptTLP         int   // 0 from Analyze; a Decision carries the resolved Options.OptTLP
 	Segments       []Segment
 }
 
 // Analyze collects the static resource-usage parameters of the app on the
 // given architecture (paper §4.1). OptTLP is left zero; obtain it with
-// ProfileOptTLP or EstimateOptTLP.
+// ProfileOptTLPNCtx or EstimateOptTLP.
 func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
 	if app.Kernel == nil || app.Block <= 0 {
 		return nil, fmt.Errorf("core: app %q incomplete", app.Name)

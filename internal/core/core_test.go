@@ -245,7 +245,7 @@ func TestProfileOptTLPWithinRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, runs, err := ProfileOptTLP(app, arch, a)
+	opt, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +263,32 @@ func TestProfileOptTLPWithinRange(t *testing.T) {
 	}
 }
 
+// profiledOptions returns pipeline options for app on arch carrying its
+// analysis and its profiled OptTLP, as the harness supplies them.
+func profiledOptions(t *testing.T, app App, arch gpusim.Config) Options {
+	t.Helper()
+	a, err := Analyze(app, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{Arch: arch, Analysis: a, OptTLP: opt}
+}
+
 func TestOptimizeEndToEnd(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := makeTestApp("big", 12, 40, 2048, 3, 128, 6) // MaxReg beyond some stairs
-	d, err := Optimize(app, Options{Arch: arch, SpillShared: true})
+	opts := profiledOptions(t, app, arch)
+	opts.SpillShared = true
+	d, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d.Analysis.OptTLP != opts.OptTLP {
+		t.Errorf("pipeline pruned at OptTLP %d, want the supplied %d", d.Analysis.OptTLP, opts.OptTLP)
 	}
 	if len(d.Candidates) == 0 {
 		t.Fatal("no candidates")
@@ -295,34 +315,67 @@ func TestOptimizeEndToEnd(t *testing.T) {
 			t.Errorf("chosen TPSC %v not minimal (candidate %v)", d.Chosen.TPSC, c.TPSC)
 		}
 	}
-	if d.ProfileRuns != d.Analysis.MaxTLP {
-		t.Errorf("ProfileRuns = %d, want MaxTLP %d", d.ProfileRuns, d.Analysis.MaxTLP)
+}
+
+// TestOptimizeDefaultsOptTLPToMaxTLP: OptTLP is an input; 0 means MaxTLP
+// and larger values clamp to it.
+func TestOptimizeDefaultsOptTLPToMaxTLP(t *testing.T) {
+	arch := gpusim.FermiConfig()
+	app := testApp()
+	costs := gpusim.Costs{Local: 40, Shared: 4}
+	for _, opt := range []int{0, 1000} {
+		d, err := OptimizeCtx(t.Context(), app, Options{Arch: arch, OptTLP: opt, Costs: costs, SpillShared: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Analysis.OptTLP != d.Analysis.MaxTLP {
+			t.Errorf("OptTLP %d resolved to %d, want MaxTLP %d", opt, d.Analysis.OptTLP, d.Analysis.MaxTLP)
+		}
 	}
 }
 
+// TestOptimizeStaticCheaper: the static estimator (CRAT-static, paper
+// §7.6) needs one TLP=1 simulation where profiling needs MaxTLP, and its
+// estimate drives the pipeline like a profiled one.
 func TestOptimizeStaticCheaper(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := testApp()
-	d, err := Optimize(app, Options{Arch: arch, StaticOptTLP: true, SpillShared: true})
+	a, err := Analyze(app, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ProfileRuns != 1 {
-		t.Errorf("static OptTLP used %d profiling runs, want 1", d.ProfileRuns)
+	_, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Analysis.OptTLP < 1 || d.Analysis.OptTLP > d.Analysis.MaxTLP {
-		t.Errorf("static OptTLP = %d out of range", d.Analysis.OptTLP)
+	if len(runs) != a.MaxTLP || a.MaxTLP <= 1 {
+		t.Fatalf("profiling ran %d simulations for MaxTLP %d; want MaxTLP > 1 of them", len(runs), a.MaxTLP)
+	}
+	in, err := MeasureStaticInputs(t.Context(), app, arch, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := EstimateOptTLP(a, arch, in)
+	d, err := OptimizeCtx(t.Context(), app, Options{Arch: arch, Analysis: a, OptTLP: est, SpillShared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Analysis.OptTLP != est || est < 1 || est > d.Analysis.MaxTLP {
+		t.Errorf("static OptTLP = %d (pipeline used %d) out of [1,%d]", est, d.Analysis.OptTLP, d.Analysis.MaxTLP)
 	}
 }
 
 func TestOracleMatchesOrBeatsTPSC(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := makeTestApp("orc", 12, 30, 1024, 3, 128, 6)
-	tpsc, err := Optimize(app, Options{Arch: arch, SpillShared: true})
+	opts := profiledOptions(t, app, arch)
+	opts.SpillShared = true
+	tpsc, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Optimize(app, Options{Arch: arch, SpillShared: true, Oracle: true, OptTLP: tpsc.Analysis.OptTLP})
+	opts.Oracle = true
+	oracle, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +387,7 @@ func TestOracleMatchesOrBeatsTPSC(t *testing.T) {
 	}
 	// TPSC's choice, simulated, should be within 2x of the oracle (it is a
 	// model, not an oracle — but it must not be absurd).
-	st, err := SimulateKernel(app, arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
+	st, err := SimulateKernelCtx(t.Context(), app, arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +399,11 @@ func TestOracleMatchesOrBeatsTPSC(t *testing.T) {
 func TestRunModes(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := makeTestApp("modes", 12, 30, 2048, 3, 128, 6)
-	opts := Options{Arch: arch}
+	opts := profiledOptions(t, app, arch)
 	var results [4]gpusim.Stats
 	var decisions [4]*Decision
 	for i, m := range []Mode{ModeMaxTLP, ModeOptTLP, ModeCRATLocal, ModeCRAT} {
-		st, d, err := RunMode(app, m, opts)
+		st, d, err := RunModeCtx(t.Context(), app, m, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -429,7 +482,9 @@ func TestModeStrings(t *testing.T) {
 func TestCandidateAccessors(t *testing.T) {
 	arch := gpusim.FermiConfig()
 	app := makeTestApp("acc", 10, 20, 1024, 2, 128, 4)
-	d, err := Optimize(app, Options{Arch: arch, SpillShared: true})
+	opts := profiledOptions(t, app, arch)
+	opts.SpillShared = true
+	d, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +530,7 @@ func TestInvolvedBlocksBounds(t *testing.T) {
 
 func TestRunModeUnknown(t *testing.T) {
 	arch := gpusim.FermiConfig()
-	if _, _, err := RunMode(testApp(), Mode(99), Options{Arch: arch}); err == nil {
-		t.Error("RunMode accepted an unknown mode")
+	if _, _, err := RunModeCtx(t.Context(), testApp(), Mode(99), Options{Arch: arch}); err == nil {
+		t.Error("RunModeCtx accepted an unknown mode")
 	}
 }

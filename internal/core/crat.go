@@ -44,14 +44,14 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures the Optimize pipeline.
+// Options configures the OptimizeCtx pipeline and the comparison modes.
 type Options struct {
 	Arch gpusim.Config
-	// OptTLP overrides the optimal TLP (0 = obtain per OptTLPSource).
+	// OptTLP is the optimal TLP pruning caps the design space at: an
+	// input found offline by ProfileOptTLPNCtx or EstimateOptTLP (paper
+	// §4.1, §7.2). 0 (or less) means MaxTLP; values above MaxTLP are
+	// clamped to it.
 	OptTLP int
-	// StaticOptTLP uses the static code-analysis estimator instead of
-	// profiling (CRAT-static, paper §7.6).
-	StaticOptTLP bool
 	// SpillShared disables (false) or enables (true) the shared-memory
 	// spilling optimization; ModeCRATLocal corresponds to false. It only
 	// selects the implied backend when Backends is empty.
@@ -89,49 +89,52 @@ type Options struct {
 	// VerifySeed is the oracle's base input-generation seed.
 	VerifySeed int64
 	// VerifyEachPass runs ptx.Verify on the working kernel after every
-	// pipeline pass, failing fast with the offending pass named (the
-	// pass-smoke gate; cratc -verify-passes).
+	// pipeline pass, failing fast with the offending pass named
+	// (TestPassSmoke; cratc -verify-passes).
 	VerifyEachPass bool
-	// OracleEachPass spot-checks every IR-changing pass against the
-	// differential oracle (pass input vs pass output). Expensive; a
-	// debugging aid for bisecting a miscompile to one pass.
-	OracleEachPass bool
 	// DumpAfter, when set, receives the working kernel after every pass
 	// (cratc -dump-after filters by pass name inside the hook).
 	DumpAfter func(pass string, k *ptx.Kernel)
 	// Analysis is the app's resource analysis, already computed by Analyze
 	// for the same App and Arch (nil = analyze here). The pipeline works on
-	// a copy with OptTLP cleared, exactly what Analyze would return, so one
-	// analysis can serve many compiles.
+	// a copy whose OptTLP comes from Options.OptTLP, so one analysis can
+	// serve many compiles.
 	Analysis *Analysis
 	// Costs overrides the microbenchmarked per-access latencies
 	// (zero value = measure on Arch).
 	Costs gpusim.Costs
-	// Workers bounds the goroutines used for independent simulations (the
-	// OptTLP profiling sweep and the Oracle candidate sweep). 0 or 1 keeps
-	// the pipeline fully serial; results are identical at any setting.
+	// Workers bounds the goroutines the Oracle candidate sweep simulates
+	// on. 0 or 1 keeps the pipeline fully serial; results are identical at
+	// any setting.
 	Workers int
 }
 
-// profileWorkers maps the Workers option to a pool size: the zero value
+// workers maps the Workers option to a pool size: the zero value
 // (callers that never set it) stays serial.
-func (o Options) profileWorkers() int {
+func (o Options) workers() int {
 	if o.Workers < 1 {
 		return 1
 	}
 	return o.Workers
 }
 
-// analyze returns a private copy of the supplied analysis, or analyzes
-// the app when none was supplied. The pipeline writes OptTLP into its
-// analysis, so it never works on the caller's.
+// analyze returns a private copy of the supplied analysis (or analyzes
+// the app when none was supplied) with OptTLP resolved from the options:
+// 0 (or less) means MaxTLP, and nothing exceeds MaxTLP.
 func (o Options) analyze(app App) (*Analysis, error) {
-	if o.Analysis == nil {
-		return Analyze(app, o.Arch)
+	a := o.Analysis
+	if a == nil {
+		var err error
+		if a, err = Analyze(app, o.Arch); err != nil {
+			return nil, err
+		}
 	}
-	a := *o.Analysis
-	a.OptTLP = 0
-	return &a, nil
+	c := *a
+	c.OptTLP = o.OptTLP
+	if c.OptTLP < 1 || c.OptTLP > c.MaxTLP {
+		c.OptTLP = c.MaxTLP
+	}
+	return &c, nil
 }
 
 // Candidate is one surviving design point with its compiled kernel.
@@ -180,9 +183,6 @@ type Decision struct {
 	// Backend names the strategy whose candidate won the selection
 	// (Chosen.Backend; "baseline" when the decision degraded).
 	Backend string
-	// ProfileRuns counts simulations spent determining OptTLP (the
-	// profiling overhead of paper §7.7); static estimation uses 1.
-	ProfileRuns int
 	// Degraded is set when Options.VerifyEquivalence found the chosen
 	// candidate semantically divergent and the pipeline fell back to the
 	// baseline allocation.
@@ -192,24 +192,19 @@ type Decision struct {
 	Divergence *oracle.Divergence
 }
 
-// Optimize runs the full CRAT pipeline on one app: analysis, OptTLP,
-// pruning, per-candidate register allocation and spilling optimization, and
-// TPSC selection.
-func Optimize(app App, opts Options) (*Decision, error) {
-	return OptimizeCtx(context.Background(), app, opts)
-}
-
-// OptimizeCtx is Optimize under a context: the profiling and Oracle sweeps
-// observe cancellation and wall-clock deadlines. With Options.OptTLP set and
-// Options.Costs supplied (and Oracle off), the pipeline runs no simulations
-// at all — the checkpoint/resume path relies on that to rebuild decisions
-// deterministically from persisted stats.
+// OptimizeCtx runs the full CRAT pipeline on one app under a context:
+// analysis, pruning at Options.OptTLP, per-candidate register allocation
+// and spilling optimization, and TPSC selection. With Options.Costs
+// supplied (and Oracle off) the pipeline runs no simulations at all — the
+// checkpoint/resume path relies on that to rebuild decisions
+// deterministically from persisted stats; the Oracle sweep observes
+// cancellation and wall-clock deadlines.
 func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) {
 	if err := ptx.Verify(app.Kernel, "input"); err != nil {
 		return nil, err
 	}
 	// Resolve the backend set up front so a bad -backend flag fails before
-	// any profiling simulations run.
+	// any work runs.
 	backends, err := backend.Resolve(opts.backendNames())
 	if err != nil {
 		return nil, err
@@ -220,29 +215,6 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 		return nil, err
 	}
 	d := &Decision{App: app, Arch: arch, Analysis: a}
-
-	// Determine OptTLP.
-	switch {
-	case opts.OptTLP > 0:
-		a.OptTLP = opts.OptTLP
-	case opts.StaticOptTLP:
-		in, err := MeasureStaticInputs(ctx, app, arch, a)
-		if err != nil {
-			return nil, err
-		}
-		a.OptTLP = EstimateOptTLP(a, arch, in)
-		d.ProfileRuns = 1
-	default:
-		opt, runs, err := ProfileOptTLPNCtx(ctx, app, arch, a, opts.profileWorkers())
-		if err != nil {
-			return nil, err
-		}
-		a.OptTLP = opt
-		d.ProfileRuns = len(runs)
-	}
-	if a.OptTLP > a.MaxTLP {
-		a.OptTLP = a.MaxTLP
-	}
 
 	// Per-access costs for the TPSC model.
 	d.Costs = opts.Costs
@@ -257,7 +229,7 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 	// The remaining stages run as an instrumented pass pipeline over one
 	// manager: prune, then every enabled backend's candidate pipeline over
 	// the shared design points, then selection across the union.
-	pm := opts.passManager(app)
+	pm := opts.passManager()
 	am := passes.NewAnalysisManager(app.Kernel)
 
 	pr := &prunePass{a: a, arch: arch, opts: opts}
@@ -339,7 +311,7 @@ func (o Options) backendNames() []string {
 }
 
 // modePlan is the compile-only product of planModeCtx: the decision plus
-// the exact launch parameters RunMode would hand to the simulator.
+// the exact launch parameters RunModeCtx hands to the simulator.
 type modePlan struct {
 	d      *Decision
 	kernel *ptx.Kernel
@@ -347,50 +319,33 @@ type modePlan struct {
 	tlp    int // TLPLimit for the simulator (0 = hardware maximum)
 }
 
-// planModeCtx performs everything RunMode does except the final
-// simulation: analysis, OptTLP determination, allocation, and (for the CRAT
-// modes) the full optimization pipeline. With Options.OptTLP and
-// Options.Costs supplied it is purely deterministic compilation — no
-// simulator cycles — which is what lets checkpoint resume rebuild a
-// Decision byte-identically from persisted stats.
+// planModeCtx performs everything RunModeCtx does except the final
+// simulation: analysis, allocation, and (for the CRAT modes) the full
+// optimization pipeline. With Options.Costs supplied it is purely
+// deterministic compilation — no simulator cycles — which is what lets
+// checkpoint resume rebuild a Decision byte-identically from persisted
+// stats.
 func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePlan, error) {
-	if err := ptx.Verify(app.Kernel, "input"); err != nil {
-		return nil, err
-	}
-	arch := opts.Arch
 	switch mode {
 	case ModeMaxTLP, ModeOptTLP:
+		if err := ptx.Verify(app.Kernel, "input"); err != nil {
+			return nil, err
+		}
 		a, err := opts.analyze(app)
 		if err != nil {
 			return nil, err
 		}
 		// The baseline modes get the same instrumented pass manager as the
 		// CRAT modes, so -verify-passes and per-pass timing cover them too.
-		alloc, err := regalloc.AllocateWith(opts.passManager(app), app.Kernel, regalloc.Options{Regs: a.DefaultReg})
+		alloc, err := regalloc.AllocateWith(opts.passManager(), app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 		if err != nil {
 			return nil, err
 		}
 		tlp := 0 // hardware maximum
 		if mode == ModeOptTLP {
-			switch {
-			case opts.OptTLP > 0:
-				a.OptTLP = opts.OptTLP
-			case opts.StaticOptTLP:
-				in, err := MeasureStaticInputs(ctx, app, arch, a)
-				if err != nil {
-					return nil, err
-				}
-				a.OptTLP = EstimateOptTLP(a, arch, in)
-			default:
-				opt, _, err := ProfileOptTLPNCtx(ctx, app, arch, a, opts.profileWorkers())
-				if err != nil {
-					return nil, err
-				}
-				a.OptTLP = opt
-			}
 			tlp = a.OptTLP
 		}
-		d := &Decision{App: app, Arch: arch, Analysis: a}
+		d := &Decision{App: app, Arch: opts.Arch, Analysis: a}
 		d.Chosen = Candidate{Reg: a.DefaultReg, TLP: tlp, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}
 		if tlp == 0 {
 			d.Chosen.TLP = a.MaxTLP
@@ -398,14 +353,11 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 		if opts.VerifyEquivalence {
 			// DefaultReg allocation can spill too; the baseline modes get
 			// the same oracle gate and degraded-mode fallback as CRAT.
-			if err := verifyDecision(app, arch, a, d, opts); err != nil {
+			if err := verifyDecision(app, opts.Arch, a, d, opts); err != nil {
 				return nil, err
 			}
-			if d.Degraded {
-				return &modePlan{d: d, kernel: d.Chosen.Kernel(), regs: d.Chosen.UsedRegs(), tlp: tlp}, nil
-			}
 		}
-		return &modePlan{d: d, kernel: alloc.Kernel, regs: alloc.UsedRegs, tlp: tlp}, nil
+		return &modePlan{d: d, kernel: d.Chosen.Kernel(), regs: d.Chosen.UsedRegs(), tlp: tlp}, nil
 	case ModeCRATLocal, ModeCRAT:
 		o := opts
 		o.SpillShared = mode == ModeCRAT
@@ -421,8 +373,7 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 // CompileModeCtx builds the Decision for one comparison mode without the
 // final simulation. Callers that already hold the mode's simulated stats
 // (checkpoint resume) use it to reconstitute the full decision
-// deterministically; Options.OptTLP and Options.Costs should be set so no
-// profiling simulations run.
+// deterministically; Options.Costs should be set so no simulations run.
 func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Decision, error) {
 	pl, err := planModeCtx(ctx, app, mode, opts)
 	if err != nil {
@@ -431,16 +382,11 @@ func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Dec
 	return pl.d, nil
 }
 
-// RunMode builds and simulates the kernel for one comparison mode,
-// returning the stats and the effective (reg, TLP) configuration.
-func RunMode(app App, mode Mode, opts Options) (gpusim.Stats, *Decision, error) {
-	return RunModeCtx(context.Background(), app, mode, opts)
-}
-
-// RunModeCtx is RunMode under a context: profiling sweeps and the final
-// simulation observe cancellation and deadlines. On a simulation fault the
-// compiled Decision is still returned alongside the error, matching the
-// historical RunMode contract.
+// RunModeCtx builds and simulates the kernel for one comparison mode,
+// returning the stats and the Decision holding the effective (reg, TLP)
+// configuration. The final simulation observes cancellation and deadlines;
+// on a simulation fault the compiled Decision is still returned alongside
+// the error.
 func RunModeCtx(ctx context.Context, app App, mode Mode, opts Options) (gpusim.Stats, *Decision, error) {
 	pl, err := planModeCtx(ctx, app, mode, opts)
 	if err != nil {

@@ -11,11 +11,6 @@ import (
 	"crat/internal/regalloc"
 )
 
-// SimulateKernel is SimulateKernelCtx without cancellation.
-func SimulateKernel(app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error) {
-	return SimulateKernelCtx(context.Background(), app, arch, k, regsPerThread, tlpLimit)
-}
-
 // SimulateKernelCtx runs an explicit kernel variant of the app (e.g. one
 // allocated at a particular register budget) on the simulator: memory is
 // prepared by app.Setup, regsPerThread feeds the occupancy calculation and
@@ -39,24 +34,21 @@ func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.
 	return sim.RunCtx(ctx)
 }
 
-// ProfileOptTLP determines the optimal TLP by exhaustive profiling
+// ProfileOptTLPNCtx determines the optimal TLP by exhaustive profiling
 // (paper §4.1 / §7.2 "OptTLP is determined offline by exhaustively testing
 // all the possible TLPs"): the kernel is allocated at the default register
 // count and simulated at every TLP in [1, MaxTLP]; the TLP with the fewest
-// cycles wins.
-func ProfileOptTLP(app App, arch gpusim.Config, a *Analysis) (int, []gpusim.Stats, error) {
-	return ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
-}
-
-// ProfileOptTLPNCtx is ProfileOptTLP under a context, fanning the per-TLP
-// simulations across up to `workers` goroutines (0 = one per CPU). Each TLP
-// point is an independent simulation over its own Memory, so the fan-out is
-// embarrassingly parallel; results are reduced in ascending TLP order
-// afterwards, which makes the winner — and on failure, the reported error
-// (lowest failing TLP) — identical to the serial sweep. A canceled or
-// timed-out sweep returns the first structured simulator fault (lowest TLP
-// first), or the bare context error when cancellation landed between
-// simulations.
+// cycles wins. The pipeline does not call it: callers pass the result as
+// Options.OptTLP.
+//
+// The per-TLP simulations fan out across up to `workers` goroutines (0 =
+// one per CPU). Each TLP point is an independent simulation over its own
+// Memory, so the fan-out is embarrassingly parallel; results are reduced
+// in ascending TLP order afterwards, which makes the winner — and on
+// failure, the reported error (lowest failing TLP) — identical to the
+// serial sweep. A canceled or timed-out sweep returns the first structured
+// simulator fault (lowest TLP first), or the bare context error when
+// cancellation landed between simulations.
 func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Analysis, workers int) (int, []gpusim.Stats, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 	if err != nil {

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"crat/internal/backend"
 	"crat/internal/gpusim"
-	"crat/internal/oracle"
 	"crat/internal/passes"
 	"crat/internal/pool"
 	"crat/internal/ptx"
@@ -57,50 +55,12 @@ func PipelinePassesFor(names []string) []PassInfo {
 	return out
 }
 
-// PassCheckError reports a per-pass oracle spot-check failure: either the
-// pass's output diverged from its input (Div set) or the check itself could
-// not run (Err set). Unlike an infeasible register budget, this is a
-// pipeline fault — Optimize fails fast instead of skipping the candidate.
-type PassCheckError struct {
-	Pass string
-	Div  *oracle.Divergence
-	Err  error
-}
-
-func (e *PassCheckError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("core: pass %q spot-check: %v", e.Pass, e.Err)
-	}
-	return fmt.Sprintf("core: pass %q diverged: %v", e.Pass, e.Div)
-}
-
-func (e *PassCheckError) Unwrap() error { return e.Err }
-
-// PipelineFault marks the error as a hard pipeline failure for
-// backend.IsPipelineFault, so backends fail fast instead of treating a
-// diverging pass as an infeasible design point.
-func (e *PassCheckError) PipelineFault() {}
-
-// passManager builds the instrumented pass manager one Optimize (or
+// passManager builds the instrumented pass manager one OptimizeCtx (or
 // planModeCtx) invocation threads through every pipeline stage. The zero
 // configuration is free: hooks stay nil and the manager only records
 // per-pass events and the process-wide timing aggregates.
-func (o Options) passManager(app App) *passes.Manager {
-	pm := &passes.Manager{VerifyEach: o.VerifyEachPass, DumpAfter: o.DumpAfter}
-	if o.OracleEachPass {
-		oopts := o.oracleOpts(app)
-		pm.SpotCheck = func(pass string, before, after *ptx.Kernel) error {
-			div, err := oracle.Check(before, after, "pass:"+pass, oopts)
-			if err != nil {
-				return &PassCheckError{Pass: pass, Err: err}
-			}
-			if div != nil {
-				return &PassCheckError{Pass: pass, Div: div}
-			}
-			return nil
-		}
-	}
-	return pm
+func (o Options) passManager() *passes.Manager {
+	return &passes.Manager{VerifyEach: o.VerifyEachPass, DumpAfter: o.DumpAfter}
 }
 
 // designPoint is one surviving (register budget, TLP) pair from pruning.
@@ -176,7 +136,7 @@ func (p *tpscSelectPass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 
 // oracleSelectPass is the ablation selector: simulate every candidate and
 // take the fastest. The candidates are independent kernels, so the sweep
-// fans out like the profiling one; the reduction stays in candidate order
+// fans out across Options.Workers; the reduction stays in candidate order
 // so the winner (and first error) matches the serial loop.
 type oracleSelectPass struct {
 	ctx  context.Context
@@ -196,7 +156,7 @@ func (p *oracleSelectPass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 	d := p.d
 	stats := make([]gpusim.Stats, len(d.Candidates))
 	errs := make([]error, len(d.Candidates))
-	poolErr := pool.RunCtx(p.ctx, p.opts.profileWorkers(), len(d.Candidates), func(i int) {
+	poolErr := pool.RunCtx(p.ctx, p.opts.workers(), len(d.Candidates), func(i int) {
 		c := &d.Candidates[i]
 		stats[i], errs[i] = SimulateKernelCtx(p.ctx, p.app, p.arch, c.Kernel(), c.UsedRegs(), c.TLP)
 	})

@@ -30,7 +30,7 @@ func wrapPhysRewrite(fn func(k *ptx.Kernel, ropts regalloc.Options)) {
 }
 
 // verifyOpts returns pipeline options that run the oracle but no
-// simulations (OptTLP and Costs pinned).
+// simulations (Costs pinned).
 func verifyOpts(arch gpusim.Config) Options {
 	return Options{
 		Arch:              arch,
@@ -45,7 +45,7 @@ func verifyOpts(arch gpusim.Config) Options {
 // nothing and leave the decision untouched.
 func TestVerifyEquivalenceClean(t *testing.T) {
 	arch := gpusim.FermiConfig()
-	d, err := Optimize(testApp(), verifyOpts(arch))
+	d, err := OptimizeCtx(t.Context(), testApp(), verifyOpts(arch))
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestInjectedMiscompileDegrades(t *testing.T) {
 
 	// Pass 1 (honest) learns which budget wins; TPSC selection is
 	// deterministic, so the sabotaged pass chooses the same point.
-	clean, err := Optimize(app, opts)
+	clean, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatalf("clean Optimize: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestInjectedMiscompileDegrades(t *testing.T) {
 	})
 	defer passes.SetGlobalWrap(nil)
 
-	d, err := Optimize(app, opts)
+	d, err := OptimizeCtx(t.Context(), app, opts)
 	if err != nil {
 		t.Fatalf("Optimize with injected miscompile: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestMiscompiledBaselineIsHardError(t *testing.T) {
 	})
 	defer passes.SetGlobalWrap(nil)
 
-	_, err := Optimize(testApp(), verifyOpts(arch))
+	_, err := OptimizeCtx(t.Context(), testApp(), verifyOpts(arch))
 	if err == nil {
 		t.Fatalf("expected hard error when every allocation is miscompiled")
 	}

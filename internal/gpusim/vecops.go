@@ -312,7 +312,7 @@ func vecInt32(op ptx.Opcode, signed bool) vecFn {
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] << (b[l] & 63)) & m32
+				d[l] = (a[l] << min(b[l]&m32, 32)) & m32
 			}
 		}
 	case ptx.OpShr:
@@ -320,14 +320,14 @@ func vecInt32(op ptx.Opcode, signed bool) vecFn {
 			return func(d, a, b, c *[32]uint64, mask uint64) {
 				for m := mask; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
-					d[l] = uint64(int64(int32(a[l]))>>(b[l]&63)) & m32
+					d[l] = uint64(int64(int32(a[l]))>>min(b[l]&m32, 32)) & m32
 				}
 			}
 		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] & m32) >> (b[l] & 63)
+				d[l] = (a[l] & m32) >> min(b[l]&m32, 32)
 			}
 		}
 	case ptx.OpMov:
@@ -707,7 +707,7 @@ func vecInt64(op ptx.Opcode, signed bool) vecFn {
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = a[l] << (b[l] & 63)
+				d[l] = a[l] << min(b[l]&0xffffffff, 64)
 			}
 		}
 	case ptx.OpShr:
@@ -715,14 +715,14 @@ func vecInt64(op ptx.Opcode, signed bool) vecFn {
 			return func(d, a, b, c *[32]uint64, mask uint64) {
 				for m := mask; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
-					d[l] = uint64(int64(a[l]) >> (b[l] & 63))
+					d[l] = uint64(int64(a[l]) >> min(b[l]&0xffffffff, 64))
 				}
 			}
 		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = a[l] >> (b[l] & 63)
+				d[l] = a[l] >> min(b[l]&0xffffffff, 64)
 			}
 		}
 	case ptx.OpMov:

@@ -77,7 +77,7 @@ func (s *Session) AblationSpillCost() (*Table, error) {
 			return nil, err
 		}
 		stU, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
-			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs,
+			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
 			UnweightedSpillCost: true, UnweightedGain: true,
 		})
 		if err != nil {
@@ -113,7 +113,7 @@ func (s *Session) AblationSubstackSplit() (*Table, error) {
 		row := []string{p.Abbr}
 		for _, split := range []spillopt.Split{spillopt.SplitByType, spillopt.SplitWhole, spillopt.SplitPerVariable} {
 			st, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
-				Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, Split: split,
+				Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Split: split,
 			})
 			if err != nil {
 				return nil, err
@@ -140,13 +140,13 @@ func (s *Session) AblationPruning() (*Table, error) {
 			return nil, err
 		}
 		pruned, err := core.OptimizeCtx(s.Context(), s.App(p), core.Options{
-			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
+			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
 		})
 		if err != nil {
 			return nil, err
 		}
 		full, err := core.OptimizeCtx(s.Context(), s.App(p), core.Options{
-			Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
+			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true,
 			DisablePruning: true,
 		})
 		if err != nil {
@@ -175,7 +175,7 @@ func (s *Session) AblationTPSC() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := core.Options{Arch: s.Arch, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true, Workers: s.Workers()}
+		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, SpillShared: true, Workers: s.Workers()}
 		tpsc, err := core.OptimizeCtx(s.Context(), s.App(p), opts)
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"crat/internal/backend"
@@ -37,53 +36,21 @@ func (s *Session) BackendNames() []string {
 	return append([]string(nil), names...)
 }
 
-// Backend evaluates one backend for the app (cached), under the session's
-// base context: compile with only that backend enabled, simulate the
-// chosen candidate at its TLP.
+// Backend evaluates one backend for the app (cached), under the session
+// context: compile with only that backend enabled, simulate the chosen
+// candidate at its TLP. The crat and crat-local backends are
+// definitionally the ModeCRAT / ModeCRATLocal pipelines, so they share
+// those modes' caches and checkpoints; other backends are checkpointed
+// under "backend/<app>/<name>" and rebuilt deterministically on resume,
+// exactly like modes.
 func (s *Session) Backend(p workloads.Profile, name string) (gpusim.Stats, *core.Decision, error) {
-	return s.BackendCtx(s.Context(), p, name)
-}
-
-// BackendCtx is Backend under an explicit context. The crat and
-// crat-local backends are definitionally the ModeCRAT / ModeCRATLocal
-// pipelines, so they share those modes' caches and checkpoints; other
-// backends are checkpointed under "backend/<app>/<name>" and rebuilt
-// deterministically on resume, exactly like modes.
-func (s *Session) BackendCtx(ctx context.Context, p workloads.Profile, name string) (gpusim.Stats, *core.Decision, error) {
 	switch name {
 	case "crat":
-		return s.ModeCtx(ctx, p, core.ModeCRAT)
+		return s.Mode(p, core.ModeCRAT)
 	case "crat-local":
-		return s.ModeCtx(ctx, p, core.ModeCRATLocal)
+		return s.Mode(p, core.ModeCRATLocal)
 	}
-	key := p.Abbr + "/backend/" + name
-	ckey := "backend/" + p.Abbr + "/" + name
-	r, _, err := s.backendRes.Do(ctx, key, func() (modeResult, error) {
-		a, _, err := s.AnalysisCtx(ctx, p)
-		if err != nil {
-			return modeResult{}, err
-		}
-		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
-			VerifyEquivalence: s.verifyOn(), Backends: []string{name}}
-		var e modeEntry
-		if s.ckptGet(ckey, &e) {
-			d, err := core.CompileModeCtx(ctx, s.App(p), core.ModeCRAT, opts)
-			if err != nil {
-				return modeResult{}, err
-			}
-			s.noteDegradation(key, d)
-			return modeResult{stats: e.Stats, decision: d}, nil
-		}
-		s.noteCompute(ckey)
-		st, d, err := core.RunModeCtx(ctx, s.App(p), core.ModeCRAT, opts)
-		if err != nil {
-			return modeResult{}, err
-		}
-		s.noteDegradation(key, d)
-		s.ckptPut(ckey, modeEntry{Stats: st})
-		return modeResult{stats: st, decision: d}, nil
-	})
-	return r.stats, r.decision, err
+	return s.evaluate(p, core.ModeCRAT, []string{name}, p.Abbr+"/backend/"+name, "backend/"+p.Abbr+"/"+name)
 }
 
 // UnionWinner compiles the app once with every enabled backend competing
@@ -92,18 +59,14 @@ func (s *Session) BackendCtx(ctx context.Context, p workloads.Profile, name stri
 // deterministic compilation — no simulations — so it is cached in memory
 // but never checkpointed.
 func (s *Session) UnionWinner(p workloads.Profile) (string, error) {
-	return s.UnionWinnerCtx(s.Context(), p)
-}
-
-// UnionWinnerCtx is UnionWinner under an explicit context.
-func (s *Session) UnionWinnerCtx(ctx context.Context, p workloads.Profile) (string, error) {
+	ctx := s.Context()
 	w, _, err := s.unionWin.Do(ctx, p.Abbr, func() (string, error) {
-		a, _, err := s.AnalysisCtx(ctx, p)
+		a, _, err := s.Analysis(p)
 		if err != nil {
 			return "", err
 		}
 		d, err := core.CompileModeCtx(ctx, s.App(p), core.ModeCRAT, core.Options{
-			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
+			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
 			Backends: s.BackendNames()})
 		if err != nil {
 			return "", err

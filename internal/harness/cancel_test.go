@@ -24,10 +24,12 @@ func TestSessionAnalysisRetriesAfterCancellation(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.AnalysisCtx(canceled, p); !pool.IsCancellation(err) {
+	s.SetContext(canceled)
+	if _, _, err := s.Analysis(p); !pool.IsCancellation(err) {
 		t.Fatalf("canceled analysis: err = %v, want cancellation", err)
 	}
-	a, _, err := s.AnalysisCtx(context.Background(), p)
+	s.SetContext(nil)
+	a, _, err := s.Analysis(p)
 	if err != nil {
 		t.Fatalf("analysis after canceled attempt: %v", err)
 	}
@@ -38,7 +40,8 @@ func TestSessionAnalysisRetriesAfterCancellation(t *testing.T) {
 	// still gets it (memoized hits never consult the context).
 	canceled2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, _, err := s.AnalysisCtx(canceled2, p); err != nil {
+	s.SetContext(canceled2)
+	if _, _, err := s.Analysis(p); err != nil {
 		t.Errorf("memoized analysis under dead context: %v", err)
 	}
 }
@@ -82,10 +85,12 @@ func TestSessionTimeoutSurfacesStructuredFault(t *testing.T) {
 	p := tinyProfile()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate: the profiling sweep must not start
-	if _, _, err := s.ModeCtx(ctx, p, core.ModeCRAT); !pool.IsCancellation(err) {
+	s.SetContext(ctx)
+	if _, _, err := s.Mode(p, core.ModeCRAT); !pool.IsCancellation(err) {
 		t.Fatalf("mode under dead context: %v", err)
 	}
-	if _, _, err := s.ModeCtx(context.Background(), p, core.ModeCRAT); err != nil {
+	s.SetContext(nil)
+	if _, _, err := s.Mode(p, core.ModeCRAT); err != nil {
 		t.Errorf("mode after canceled attempt: %v", err)
 	}
 }

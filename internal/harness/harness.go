@@ -102,12 +102,13 @@ type Session struct {
 	ckpt     *checkpoint.Store
 	apps     *pool.Memo[string, core.App]
 	analyses *pool.Memo[string, analysisResult]
-	modeRes  *pool.Memo[string, modeResult]
+	// evals caches every compile-and-simulate evaluation: the comparison
+	// modes ("<app>/<mode>") and the single-backend runs
+	// ("<app>/backend/<name>").
+	evals    *pool.Memo[string, modeResult]
 	speedups *pool.Memo[string, float64]
-	// backendRes caches per-(app, backend) evaluations; unionWin the
-	// compile-only union-selection winner per app. backendNames is the
-	// enabled backend set (empty = all registered).
-	backendRes   *pool.Memo[string, modeResult]
+	// unionWin caches the compile-only union-selection winner per app.
+	// backendNames is the enabled backend set (empty = all registered).
 	unionWin     *pool.Memo[string, string]
 	backendNames []string
 	// computes counts cache-miss computations by key; the concurrency tests
@@ -143,22 +144,22 @@ func NewSession(arch gpusim.Config) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Arch:       arch,
-		Costs:      costs,
-		apps:       pool.NewMemo[string, core.App](),
-		analyses:   pool.NewMemo[string, analysisResult](),
-		modeRes:    pool.NewMemo[string, modeResult](),
-		speedups:   pool.NewMemo[string, float64](),
-		backendRes: pool.NewMemo[string, modeResult](),
-		unionWin:   pool.NewMemo[string, string](),
-		computes:   make(map[string]int),
-		ckptHits:   make(map[string]int),
+		Arch:     arch,
+		Costs:    costs,
+		apps:     pool.NewMemo[string, core.App](),
+		analyses: pool.NewMemo[string, analysisResult](),
+		evals:    pool.NewMemo[string, modeResult](),
+		speedups: pool.NewMemo[string, float64](),
+		unionWin: pool.NewMemo[string, string](),
+		computes: make(map[string]int),
+		ckptHits: make(map[string]int),
 	}, nil
 }
 
-// SetContext installs the session's base context: Analysis/Mode/Speedup
-// calls without an explicit context (every figure runner) observe its
-// cancellation and deadline. nil restores context.Background().
+// SetContext installs the session's base context: every Analysis, Mode,
+// Speedup, Backend and UnionWinner call, and every simulation a figure
+// runner starts itself, observes its cancellation and deadline. nil
+// restores context.Background().
 func (s *Session) SetContext(ctx context.Context) {
 	s.mu.Lock()
 	s.ctx = ctx
@@ -352,15 +353,11 @@ func (s *Session) App(p workloads.Profile) core.App {
 }
 
 // Analysis returns the app's analysis with OptTLP profiled, plus the per-TLP
-// profiling runs (cached), under the session's base context.
-func (s *Session) Analysis(p workloads.Profile) (*core.Analysis, []gpusim.Stats, error) {
-	return s.AnalysisCtx(s.Context(), p)
-}
-
-// AnalysisCtx is Analysis under an explicit context. A checkpointed result
+// profiling runs (cached), under the session context. A checkpointed result
 // restores the profiled OptTLP and runs without simulating; otherwise the
-// profiling sweep runs (observing ctx) and the result is persisted.
-func (s *Session) AnalysisCtx(ctx context.Context, p workloads.Profile) (*core.Analysis, []gpusim.Stats, error) {
+// profiling sweep runs and the result is persisted.
+func (s *Session) Analysis(p workloads.Profile) (*core.Analysis, []gpusim.Stats, error) {
+	ctx := s.Context()
 	key := "analysis/" + p.Abbr
 	r, _, err := s.analyses.Do(ctx, p.Abbr, func() (analysisResult, error) {
 		app := s.App(p)
@@ -391,26 +388,28 @@ func (s *Session) AnalysisCtx(ctx context.Context, p workloads.Profile) (*core.A
 }
 
 // Mode evaluates one §7.2 comparison mode for the app (cached), under the
-// session's base context. The OptTLP comes from the session's profiled
-// analysis, so modes share it.
+// session context. The OptTLP comes from the session's profiled analysis,
+// so modes share it.
 func (s *Session) Mode(p workloads.Profile, mode core.Mode) (gpusim.Stats, *core.Decision, error) {
-	return s.ModeCtx(s.Context(), p, mode)
+	key := p.Abbr + "/" + mode.String()
+	return s.evaluate(p, mode, nil, key, "mode/"+key)
 }
 
-// ModeCtx is Mode under an explicit context. A checkpointed result restores
-// the simulated stats and deterministically recompiles the Decision
-// (core.CompileModeCtx runs zero simulations when OptTLP and Costs are
-// supplied); otherwise the mode is simulated and persisted.
-func (s *Session) ModeCtx(ctx context.Context, p workloads.Profile, mode core.Mode) (gpusim.Stats, *core.Decision, error) {
-	key := p.Abbr + "/" + mode.String()
-	ckey := "mode/" + key
-	r, _, err := s.modeRes.Do(ctx, key, func() (modeResult, error) {
-		a, _, err := s.AnalysisCtx(ctx, p)
+// evaluate compiles the app in mode, with backends enabled (nil = the
+// mode's own), at the session's profiled OptTLP and measured costs, then
+// simulates the chosen kernel. The result is memoized under key and
+// checkpointed under ckey. A checkpointed result restores the simulated
+// stats and deterministically recompiles the Decision (core.CompileModeCtx
+// runs zero simulations when Costs are supplied).
+func (s *Session) evaluate(p workloads.Profile, mode core.Mode, backends []string, key, ckey string) (gpusim.Stats, *core.Decision, error) {
+	ctx := s.Context()
+	r, _, err := s.evals.Do(ctx, key, func() (modeResult, error) {
+		a, _, err := s.Analysis(p)
 		if err != nil {
 			return modeResult{}, err
 		}
-		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Workers: s.Workers(),
-			VerifyEquivalence: s.verifyOn()}
+		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
+			Backends: backends, VerifyEquivalence: s.verifyOn()}
 		var e modeEntry
 		if s.ckptGet(ckey, &e) {
 			d, err := core.CompileModeCtx(ctx, s.App(p), mode, opts)
@@ -432,28 +431,23 @@ func (s *Session) ModeCtx(ctx context.Context, p workloads.Profile, mode core.Mo
 	return r.stats, r.decision, err
 }
 
-// Speedup returns mode-vs-OptTLP speedup for the app, under the session's
-// base context.
+// Speedup returns mode-vs-OptTLP speedup for the app under the session
+// context, cached and checkpointed like Mode: a persisted ratio
+// short-circuits both mode evaluations.
 func (s *Session) Speedup(p workloads.Profile, mode core.Mode) (float64, error) {
-	return s.SpeedupCtx(s.Context(), p, mode)
-}
-
-// SpeedupCtx is Speedup under an explicit context, cached and checkpointed
-// like ModeCtx: a persisted ratio short-circuits both mode evaluations.
-func (s *Session) SpeedupCtx(ctx context.Context, p workloads.Profile, mode core.Mode) (float64, error) {
 	key := p.Abbr + "/" + mode.String()
 	ckey := "speedup/" + key
-	v, _, err := s.speedups.Do(ctx, key, func() (float64, error) {
+	v, _, err := s.speedups.Do(s.Context(), key, func() (float64, error) {
 		var v float64
 		if s.ckptGet(ckey, &v) {
 			return v, nil
 		}
 		s.noteCompute(ckey)
-		base, _, err := s.ModeCtx(ctx, p, core.ModeOptTLP)
+		base, _, err := s.Mode(p, core.ModeOptTLP)
 		if err != nil {
 			return 0, err
 		}
-		st, _, err := s.ModeCtx(ctx, p, mode)
+		st, _, err := s.Mode(p, mode)
 		if err != nil {
 			return 0, err
 		}

@@ -83,8 +83,8 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestRunExperimentsRejectsUnknown(t *testing.T) {
 	var sb strings.Builder
-	if err := RunExperiments([]string{"fig99"}, 1, &sb); err == nil {
-		t.Error("RunExperiments accepted an unknown id")
+	if _, err := RunExperimentsCtx(t.Context(), []string{"fig99"}, RunOptions{Workers: 1, Strict: true}, &sb); err == nil {
+		t.Error("RunExperimentsCtx accepted an unknown id")
 	}
 }
 

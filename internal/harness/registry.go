@@ -98,20 +98,12 @@ type RunReport struct {
 	Loaded    int      // entries inherited from a resumed checkpoint
 }
 
-// RunExperiments executes the selected experiment IDs ("all" or empty =
+// RunExperimentsCtx executes the selected experiment IDs ("all" or empty =
 // everything) and renders results to w. Sessions are shared per
-// architecture so figures reuse each other's simulations. It is the
-// strict form: any captured fault fails the invocation — a CI caller
-// should not see exit 0 with ERROR rows.
-func RunExperiments(ids []string, workers int, w io.Writer) error {
-	_, err := RunExperimentsCtx(context.Background(), ids, RunOptions{Workers: workers, Strict: true}, w)
-	return err
-}
-
-// RunExperimentsCtx is RunExperiments under a context and RunOptions.
-// Cancellation (or a deadline) stops dispatching work promptly: in-flight
-// simulations notice within a cycle stride, undispatched apps degrade to
-// "skipped" fault rows, and every completed result already persisted to the
+// architecture so figures reuse each other's simulations. Cancellation (or
+// a deadline) stops dispatching work promptly: in-flight simulations
+// notice within a cycle stride, undispatched apps degrade to "skipped"
+// fault rows, and every completed result already persisted to the
 // checkpoint store survives for a later -resume.
 func RunExperimentsCtx(ctx context.Context, ids []string, opts RunOptions, w io.Writer) (*RunReport, error) {
 	wanted := make(map[string]bool)

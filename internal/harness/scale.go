@@ -68,7 +68,7 @@ func (s *Session) Figure18() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			baseSt, _, err := core.RunModeCtx(s.Context(), app, core.ModeOptTLP, core.Options{Arch: s.Arch, OptTLP: opt, Costs: s.Costs})
+			baseSt, _, err := core.RunModeCtx(s.Context(), app, core.ModeOptTLP, core.Options{Arch: s.Arch, Analysis: ai, OptTLP: opt, Costs: s.Costs})
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +145,7 @@ func (s *Session) Figure20() (*Table, error) {
 			return nil, err
 		}
 		optStatic := core.EstimateOptTLP(a, s.Arch, in)
-		stStatic, _, err := core.RunModeCtx(s.Context(), app, core.ModeCRAT, core.Options{Arch: s.Arch, OptTLP: optStatic, Costs: s.Costs})
+		stStatic, _, err := core.RunModeCtx(s.Context(), app, core.ModeCRAT, core.Options{Arch: s.Arch, Analysis: a, OptTLP: optStatic, Costs: s.Costs})
 		if err != nil {
 			return nil, err
 		}

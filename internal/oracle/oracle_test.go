@@ -313,7 +313,7 @@ func TestMetamorphicBackends(t *testing.T) {
 		for _, name := range names {
 			o := opts
 			o.Backends = []string{name}
-			d, err := core.Optimize(app, o)
+			d, err := core.OptimizeCtx(t.Context(), app, o)
 			if err != nil {
 				t.Fatalf("seed %d: backend %s: %v", seed, name, err)
 			}
@@ -324,7 +324,7 @@ func TestMetamorphicBackends(t *testing.T) {
 		}
 		o := opts
 		o.Backends = names
-		d, err := core.Optimize(app, o)
+		d, err := core.OptimizeCtx(t.Context(), app, o)
 		if err != nil {
 			t.Fatalf("seed %d: union: %v", seed, err)
 		}

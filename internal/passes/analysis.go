@@ -3,8 +3,7 @@
 // dataflow analyses (CFG, liveness, dominators, reconvergence, use-def)
 // once per kernel version and invalidates them precisely on transform, and
 // a Manager that runs passes with per-pass instrumentation (wall time,
-// IR-size deltas, verify-after-every-pass, dump hooks, semantic
-// spot-checks). The compiler (regalloc, spillopt, core), the cycle-level
+// IR-size deltas, verify-after-every-pass, dump hooks). The compiler (regalloc, spillopt, core), the cycle-level
 // simulator (gpusim), and the functional emulator (emu) all obtain their
 // static kernel analyses through this package, so there is exactly one
 // analysis substrate instead of per-package private copies.

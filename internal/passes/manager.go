@@ -27,12 +27,6 @@ type Manager struct {
 	// DumpAfter, when set, receives the kernel after every pass (cratc
 	// -dump-after filters by name inside the hook).
 	DumpAfter func(pass string, k *ptx.Kernel)
-	// SpotCheck, when set, receives the pre-pass kernel clone and the
-	// post-pass kernel for every pass that changed the IR; a non-nil error
-	// aborts the pipeline. core wires this to the differential oracle.
-	SpotCheck func(pass string, before, after *ptx.Kernel) error
-	// Wrap, when set, decorates every pass before it runs (see After).
-	Wrap func(Pass) Pass
 
 	// Events accumulates one entry per executed pass, in order.
 	Events []Event
@@ -48,13 +42,6 @@ func (m *Manager) Run(am *AnalysisManager, ps ...Pass) error {
 		if gw := globalWrap(); gw != nil {
 			eff = gw(eff)
 		}
-		if m.Wrap != nil {
-			eff = m.Wrap(eff)
-		}
-		var before *ptx.Kernel
-		if m.SpotCheck != nil {
-			before = am.Kernel().Clone()
-		}
 		instsBefore := len(am.Kernel().Insts)
 		verBefore := am.Version()
 		if err := am.Require(p.Requires()...); err != nil {
@@ -67,13 +54,12 @@ func (m *Manager) Run(am *AnalysisManager, ps ...Pass) error {
 			return err
 		}
 		am.Invalidate(p.Invalidates()...)
-		changed := am.Version() != verBefore
 		ev := Event{
 			Pass:        p.Name(),
 			Wall:        wall,
 			InstsBefore: instsBefore,
 			InstsAfter:  len(am.Kernel().Insts),
-			Changed:     changed,
+			Changed:     am.Version() != verBefore,
 		}
 		m.Events = append(m.Events, ev)
 		recordTiming(ev)
@@ -84,11 +70,6 @@ func (m *Manager) Run(am *AnalysisManager, ps ...Pass) error {
 		}
 		if m.DumpAfter != nil {
 			m.DumpAfter(p.Name(), am.Kernel())
-		}
-		if m.SpotCheck != nil && changed {
-			if serr := m.SpotCheck(p.Name(), before, am.Kernel()); serr != nil {
-				return serr
-			}
 		}
 	}
 	return nil

@@ -60,7 +60,7 @@ func (w wrapped) Unwrap() Pass { return w.Pass }
 
 // After returns p extended with fn, which runs after p succeeds and sees
 // the post-transform kernel. It is the building block for test hooks and
-// per-pass observers installed through Manager.Wrap / SetGlobalWrap.
+// per-pass observers installed through SetGlobalWrap.
 func After(p Pass, fn func(k *ptx.Kernel, am *AnalysisManager) error) Pass {
 	return wrapped{Pass: p, after: fn}
 }

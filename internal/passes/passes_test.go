@@ -298,34 +298,6 @@ func TestManagerReturnsPassErrorsUnwrapped(t *testing.T) {
 	}
 }
 
-func TestManagerSpotCheckSeesBeforeAndAfter(t *testing.T) {
-	k := buildLoopKernel()
-	am := NewAnalysisManager(k)
-	var checked []string
-	m := &Manager{
-		SpotCheck: func(pass string, before, after *ptx.Kernel) error {
-			checked = append(checked, pass)
-			if len(after.Insts) != len(before.Insts)+1 {
-				t.Errorf("spot-check %s: before=%d after=%d insts, want +1", pass, len(before.Insts), len(after.Insts))
-			}
-			return nil
-		},
-	}
-	noop := Fn{PassName: "noop", Body: func(k *ptx.Kernel, am *AnalysisManager) error { return nil }}
-	grow := Fn{PassName: "grow", Clobbers: []Kind{KindCFG},
-		Body: func(k *ptx.Kernel, am *AnalysisManager) error {
-			k.Insts = append(k.Insts[:len(k.Insts):len(k.Insts)], ptx.Inst{Op: ptx.OpNop, Guard: ptx.NoReg})
-			return nil
-		}}
-	if err := m.Run(am, noop, grow); err != nil {
-		t.Fatal(err)
-	}
-	// Only the IR-changing pass is spot-checked.
-	if want := []string{"grow"}; !reflect.DeepEqual(checked, want) {
-		t.Errorf("spot-checked passes = %v, want %v", checked, want)
-	}
-}
-
 func TestGlobalWrapDecoratesEveryPass(t *testing.T) {
 	var seen []string
 	SetGlobalWrap(func(p Pass) Pass {

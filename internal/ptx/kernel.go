@@ -1,6 +1,9 @@
 package ptx
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Param is a kernel parameter. Pointer parameters are declared .u64.
 type Param struct {
@@ -335,4 +338,28 @@ func (m *Module) Kernel(name string) (*Kernel, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Select picks the kernel a compile works on: the named one, or, when name
+// is empty, the module's only kernel. It fails on an empty module, a
+// missing name, and an unnamed choice among several kernels (the error
+// lists their names).
+func (m *Module) Select(name string) (*Kernel, error) {
+	switch {
+	case len(m.Kernels) == 0:
+		return nil, fmt.Errorf("ptx: module has no kernels")
+	case name != "":
+		k, ok := m.Kernel(name)
+		if !ok {
+			return nil, fmt.Errorf("ptx: kernel %q not found in module", name)
+		}
+		return k, nil
+	case len(m.Kernels) == 1:
+		return m.Kernels[0], nil
+	}
+	names := make([]string, len(m.Kernels))
+	for i, k := range m.Kernels {
+		names[i] = k.Name
+	}
+	return nil, fmt.Errorf("ptx: module has %d kernels (%v); select one by name", len(names), names)
 }

@@ -456,3 +456,37 @@ func TestClone(t *testing.T) {
 		t.Error("Clone shares state with original")
 	}
 }
+
+func TestModuleSelect(t *testing.T) {
+	a, b := &Kernel{Name: "a"}, &Kernel{Name: "b"}
+	for _, tc := range []struct {
+		name    string
+		kernels []*Kernel
+		sel     string
+		want    *Kernel
+		errFrag string
+	}{
+		{"no kernels", nil, "", nil, "no kernels"},
+		{"named kernel missing", []*Kernel{a, b}, "c", nil, `kernel "c" not found`},
+		{"named kernel present", []*Kernel{a, b}, "b", b, ""},
+		{"single kernel", []*Kernel{a}, "", a, ""},
+		{"several kernels, none named", []*Kernel{a, b}, "", nil, "2 kernels ([a b])"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &Module{Kernels: tc.kernels}
+			k, err := m.Select(tc.sel)
+			if tc.errFrag == "" {
+				if err != nil || k != tc.want {
+					t.Fatalf("Select(%q) = %v, %v; want kernel %q", tc.sel, k, err, tc.want.Name)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.errFrag) {
+				t.Fatalf("Select(%q) error = %v, want one containing %q", tc.sel, err, tc.errFrag)
+			}
+			if k != nil {
+				t.Errorf("Select(%q) returned kernel %q alongside the error", tc.sel, k.Name)
+			}
+		})
+	}
+}

@@ -44,6 +44,16 @@ func Truncate(v uint64, t ptx.Type) uint64 {
 	}
 }
 
+// width is the number of value bits Truncate keeps for t: 8, 16 or 32
+// for the narrow types, 64 for everything else.
+func width(t ptx.Type) int {
+	switch w := t.Bits(); w {
+	case 8, 16, 32:
+		return w
+	}
+	return 64
+}
+
 // SignExtend interprets the low bits of v as a signed integer of t's width.
 func SignExtend(v uint64, t ptx.Type) int64 {
 	switch t.Bits() {
@@ -151,16 +161,23 @@ func aluInt(op ptx.Opcode, t ptx.Type, a, b, c uint64) (uint64, error) {
 	case ptx.OpNot:
 		return Truncate(^a, t), nil
 	case ptx.OpShl:
-		return Truncate(a<<(b&63), t), nil
+		return Truncate(a<<shiftAmount(b, t), t), nil
 	case ptx.OpShr:
 		if signed {
-			return Truncate(uint64(SignExtend(a, t)>>(b&63)), t), nil
+			return Truncate(uint64(SignExtend(a, t)>>shiftAmount(b, t)), t), nil
 		}
-		return Truncate(Truncate(a, t)>>(b&63), t), nil
+		return Truncate(Truncate(a, t)>>shiftAmount(b, t), t), nil
 	case ptx.OpMov:
 		return Truncate(a, t), nil
 	}
 	return 0, fmt.Errorf("sem: integer op %v unsupported", op)
+}
+
+// shiftAmount reads a shift's b operand as PTX does: a u32, with amounts
+// beyond the register width of t clamped to that width (so shl and shr.u
+// yield 0 and shr.s yields the sign fill).
+func shiftAmount(b uint64, t ptx.Type) uint64 {
+	return min(b&0xffffffff, uint64(width(t)))
 }
 
 func aluFloat(op ptx.Opcode, t ptx.Type, a, b, c uint64) (uint64, error) {
@@ -309,13 +326,7 @@ func Convert(to, from ptx.Type, v uint64) (uint64, error) {
 		} else {
 			f = BitsF64(v)
 		}
-		if to.IsSigned() {
-			return Truncate(uint64(int64(f)), to), nil
-		}
-		if f < 0 {
-			f = 0
-		}
-		return Truncate(uint64(f), to), nil
+		return floatToInt(f, to), nil
 	case !from.IsFloat() && to.IsFloat():
 		var f float64
 		if from.IsSigned() {
@@ -333,4 +344,34 @@ func Convert(to, from ptx.Type, v uint64) (uint64, error) {
 		}
 		return Truncate(Truncate(v, from), to), nil
 	}
+}
+
+// floatToInt converts f to the integer type t as PTX's float-to-integer
+// cvt does by default: the fraction is truncated toward zero, the result
+// saturates to t's range, and NaN maps to 0. Go leaves out-of-range
+// float-to-integer conversions implementation-defined, so every edge is
+// decided here before converting.
+func floatToInt(f float64, t ptx.Type) uint64 {
+	if math.IsNaN(f) {
+		return 0
+	}
+	f = math.Trunc(f)
+	w := width(t)
+	if t.IsSigned() {
+		limit := math.Ldexp(1, w-1) // 2^(w-1): the first value above MaxInt
+		switch {
+		case f >= limit:
+			return Truncate(1<<(w-1)-1, t)
+		case f <= -limit:
+			return Truncate(1<<(w-1), t)
+		}
+		return Truncate(uint64(int64(f)), t)
+	}
+	switch {
+	case f <= 0:
+		return 0
+	case f >= math.Ldexp(1, w):
+		return Truncate(^uint64(0), t)
+	}
+	return uint64(f)
 }

@@ -75,7 +75,7 @@ type CompileResponse struct {
 	Reg         int    `json:"reg"`
 	TLP         int    `json:"tlp"`
 	Candidates  int    `json:"candidates"`
-	ProfileRuns int    `json:"profile_runs"`
+	ProfileRuns int    `json:"profile_runs"` // always 0: OptTLP is an input; kept so clients and journal records keep their shape
 	// Backend names the optimization backend whose candidate won the TPSC
 	// selection ("baseline" when Degraded).
 	Backend string `json:"backend,omitempty"`
@@ -116,6 +116,9 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 	}
 	if req.Block <= 0 {
 		return nil, fmt.Errorf("block must be > 0")
+	}
+	if req.OptTLP < 0 {
+		return nil, fmt.Errorf("opttlp must be >= 0 (0 = MaxTLP)")
 	}
 	if req.Grid <= 0 {
 		req.Grid = 1
@@ -172,33 +175,18 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 
 // compileOnce runs the full CRAT pipeline for one job. It is the only
 // place the daemon invokes the compiler; the caller provides panic
-// isolation, caching, and admission around it. With OptTLP pinned and
-// Costs supplied the pipeline runs no simulations (oracle verification
-// uses the functional emulator), so a compile's latency is deterministic
-// compilation work bounded by ctx.
+// isolation, caching, and admission around it. OptTLP is an input (0 =
+// MaxTLP) and Costs are supplied, so the pipeline runs no simulations
+// (oracle verification uses the functional emulator), and a compile's
+// latency is deterministic compilation work bounded by ctx.
 func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry, error) {
 	module, err := ptx.ParseModule(job.req.PTX)
 	if err != nil {
 		return nil, &requestError{fmt.Errorf("parsing ptx: %w", err)}
 	}
-	var kernel *ptx.Kernel
-	switch {
-	case len(module.Kernels) == 0:
-		return nil, &requestError{fmt.Errorf("module has no kernels")}
-	case job.req.Kernel != "":
-		k, ok := module.Kernel(job.req.Kernel)
-		if !ok {
-			return nil, &requestError{fmt.Errorf("kernel %q not found in module", job.req.Kernel)}
-		}
-		kernel = k
-	case len(module.Kernels) == 1:
-		kernel = module.Kernels[0]
-	default:
-		names := make([]string, len(module.Kernels))
-		for i, k := range module.Kernels {
-			names[i] = k.Name
-		}
-		return nil, &requestError{fmt.Errorf("module has %d kernels (%v); select one with \"kernel\"", len(names), names)}
+	kernel, err := module.Select(job.req.Kernel)
+	if err != nil {
+		return nil, &requestError{err}
 	}
 	if err := kernel.Validate(); err != nil {
 		return nil, &requestError{fmt.Errorf("invalid kernel: %w", err)}
@@ -209,10 +197,6 @@ func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry,
 	if err != nil {
 		return nil, &requestError{err}
 	}
-	opt := job.req.OptTLP
-	if opt == 0 {
-		opt = a.MaxTLP
-	}
 	costs, err := gpusim.MeasureCosts(job.arch)
 	if err != nil {
 		return nil, err
@@ -220,7 +204,7 @@ func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry,
 	d, err := core.OptimizeCtx(ctx, app, core.Options{
 		Arch:              job.arch,
 		Analysis:          a,
-		OptTLP:            opt,
+		OptTLP:            job.req.OptTLP,
 		SpillShared:       !job.req.NoSharedSpill,
 		Coalesce:          job.req.Coalesce,
 		Backends:          job.backends,
@@ -241,15 +225,14 @@ func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry,
 		}
 	}
 	entry := &cacheEntry{
-		Kernel:      kernel.Name,
-		Arch:        job.arch.Name,
-		Reg:         d.Chosen.UsedRegs(),
-		TLP:         d.Chosen.TLP,
-		Candidates:  len(d.Candidates),
-		ProfileRuns: d.ProfileRuns,
-		Backend:     d.Backend,
-		Degraded:    d.Degraded,
-		PTX:         ptx.PrintModule(module),
+		Kernel:     kernel.Name,
+		Arch:       job.arch.Name,
+		Reg:        d.Chosen.UsedRegs(),
+		TLP:        d.Chosen.TLP,
+		Candidates: len(d.Candidates),
+		Backend:    d.Backend,
+		Degraded:   d.Degraded,
+		PTX:        ptx.PrintModule(module),
 	}
 	if d.Divergence != nil {
 		entry.Divergence = d.Divergence.Error()

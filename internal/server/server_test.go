@@ -128,6 +128,7 @@ func TestBadRequests(t *testing.T) {
 		{"missing ptx", CompileRequest{Block: 64}, http.StatusBadRequest},
 		{"missing block", CompileRequest{PTX: testPTX("k_b", 4)}, http.StatusBadRequest},
 		{"bad arch", CompileRequest{PTX: testPTX("k_b", 4), Block: 64, Arch: "volta"}, http.StatusBadRequest},
+		{"negative opttlp", CompileRequest{PTX: testPTX("k_b", 4), Block: 64, OptTLP: -1}, http.StatusBadRequest},
 		{"unparsable ptx", CompileRequest{PTX: "this is not ptx", Block: 64}, http.StatusUnprocessableEntity},
 		{"missing kernel", CompileRequest{PTX: testPTX("k_b", 4), Kernel: "nope", Block: 64}, http.StatusUnprocessableEntity},
 	}

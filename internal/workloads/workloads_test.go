@@ -131,7 +131,7 @@ func TestSetupAllocatesEnoughData(t *testing.T) {
 		p := p
 		t.Run(p.Abbr, func(t *testing.T) {
 			app := p.App()
-			st, err := core.SimulateKernel(app, arch, app.Kernel, 0, 1)
+			st, err := core.SimulateKernelCtx(t.Context(), app, arch, app.Kernel, 0, 1)
 			if err != nil {
 				t.Fatalf("simulate: %v", err)
 			}

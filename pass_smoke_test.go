@@ -1,7 +1,8 @@
 // Pass-pipeline smoke: run the full CRAT pipeline with the PTX verifier
-// enabled after every pass on every seed workload (make pass-smoke). A pass
-// that emits malformed IR fails here with the offending pass named, long
-// before the golden experiment outputs could drift.
+// enabled after every pass on every seed workload (all of them under
+// `make race`, which `make ci` runs; two under -short). A pass that emits
+// malformed IR fails here with the offending pass named, long before the
+// golden experiment outputs could drift.
 package crat_test
 
 import (
@@ -41,7 +42,7 @@ func TestPassSmoke(t *testing.T) {
 			t.Parallel()
 			app := p.App()
 			for _, spillShared := range []bool{true, false} {
-				d, err := core.Optimize(app, core.Options{
+				d, err := core.OptimizeCtx(t.Context(), app, core.Options{
 					Arch:           arch,
 					OptTLP:         4,
 					Costs:          gpusim.Costs{Local: 40, Shared: 4},
