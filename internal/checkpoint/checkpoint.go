@@ -96,6 +96,22 @@ type Health struct {
 	PendingRepair    bool `json:"pending_repair"`    // a repair is queued for the first write
 }
 
+// entry is one stored payload: raw as replayed from the journal, or v as
+// Put by this process. A Put value is encoded again only when it is read
+// back or the journal is compacted, so a caller that keeps v in memory
+// itself (a cache serving hits from it) does not also hold its encoding.
+type entry struct {
+	raw json.RawMessage
+	v   any
+}
+
+func (e entry) payload() (json.RawMessage, error) {
+	if e.raw != nil {
+		return e.raw, nil
+	}
+	return json.Marshal(e.v)
+}
+
 // Store is a durable map from result keys to JSON payloads. All methods
 // are safe for concurrent use.
 type Store struct {
@@ -103,7 +119,7 @@ type Store struct {
 	dir     string
 	key     string // config hash this store was opened under
 	fs      faultinject.FS
-	entries map[string]json.RawMessage
+	entries map[string]entry
 	loaded  int // entries restored from disk at Open (resume)
 
 	f          faultinject.File // open append handle (nil until first append)
@@ -145,7 +161,7 @@ func OpenFS(dir, key, label string, resume bool, fsys faultinject.FS) (*Store, e
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, key: key, fs: fsys, entries: make(map[string]json.RawMessage)}
+	s := &Store{dir: dir, key: key, fs: fsys, entries: make(map[string]entry)}
 
 	manifestPath := filepath.Join(dir, ManifestFilename)
 	if resume {
@@ -211,7 +227,9 @@ func (s *Store) loadJournal() error {
 		return err
 	}
 	entries, stats, quarantine := decodeJournal(data)
-	s.entries = entries
+	for k, raw := range entries {
+		s.entries[k] = entry{raw: raw}
+	}
 	s.dupes = stats.Duplicates
 	s.quarantine = quarantine
 	s.health.SalvagedTail = stats.SalvagedTail
@@ -231,12 +249,16 @@ func (s *Store) overGarbageThreshold() bool {
 // the key was present.
 func (s *Store) Get(key string, out any) (bool, error) {
 	s.mu.Lock()
-	raw, ok := s.entries[key]
+	e, ok := s.entries[key]
 	s.mu.Unlock()
 	if !ok {
 		return false, nil
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	raw, err := e.payload()
+	if err == nil {
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
 		return false, fmt.Errorf("checkpoint: entry %q: %w", key, err)
 	}
 	return true, nil
@@ -254,6 +276,8 @@ func (s *Store) Has(key string) bool {
 // record, one fsync, independent of store size. The in-memory entry is
 // updated even when the durable append fails (the caller keeps serving;
 // Health.AppendErrors counts the degradation) and the error reports why.
+// The store keeps v itself, not its encoding, so v must not be modified
+// after Put.
 func (s *Store) Put(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -264,7 +288,7 @@ func (s *Store) Put(key string, v any) error {
 	if _, existed := s.entries[key]; existed {
 		s.dupes++
 	}
-	s.entries[key] = raw
+	s.entries[key] = entry{v: v}
 	if err := s.persistLocked(key, raw); err != nil {
 		s.health.AppendErrors++
 		return err
@@ -338,7 +362,15 @@ func (s *Store) repairLocked() error {
 				filepath.Join(s.dir, QuarantineFilename), err)
 		}
 	}
-	buf, err := encodeJournal(s.entries)
+	payloads := make(map[string]json.RawMessage, len(s.entries))
+	for k, e := range s.entries {
+		raw, err := e.payload()
+		if err != nil {
+			return s.journalErr(err)
+		}
+		payloads[k] = raw
+	}
+	buf, err := encodeJournal(payloads)
 	if err != nil {
 		return s.journalErr(err)
 	}

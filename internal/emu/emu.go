@@ -1,24 +1,25 @@
 // Package emu is a fast, timing-free functional PTX emulator. It executes a
 // kernel launch warp-by-warp with the same SIMT reconvergence discipline
-// (immediate post-dominator stacks from internal/cfg) and the same
-// instruction semantics (internal/sem) as the cycle-level simulator, but
-// with no caches, scoreboards, or scheduling — only architectural state.
-// Both engines interpret the same pre-decoded micro-op stream from
-// internal/passes (operand kinds resolved, immediates encoded, symbols
-// folded once per kernel); the emulator reads the scalar fields per lane
-// because its warps may be up to 64 lanes wide, where the simulator runs
-// 32-lane register planes. The differential oracle (internal/oracle) runs
-// kernel variants through it and compares final global memory, so
-// correctness here is judged purely on execution order and the rewrites
-// under test, never on timing.
+// (immediate post-dominator stacks from internal/cfg) as the cycle-level
+// simulator, but with no caches, scoreboards, or scheduling — only
+// architectural state. Both engines run the same lowered program from
+// internal/vec, built once per kernel: a warp's registers are 32-lane
+// planes and an ALU instruction is one vector-kernel call under the
+// execution mask, while memory instructions go lane by lane in ascending
+// order. The differential oracle (internal/oracle) runs kernel variants
+// through it and compares final global memory, so correctness here is
+// judged purely on execution order and the rewrites under test, never on
+// timing.
 package emu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
+	"crat/internal/vec"
 )
 
 // Launch describes one functional kernel execution.
@@ -29,13 +30,15 @@ type Launch struct {
 	// Params holds one raw value per kernel parameter (pointers as
 	// addresses in the supplied Memory, scalars as their bit patterns).
 	Params []uint64
-	// WarpSize is the SIMT width (0 = 32). It only affects %laneid/%warpid
-	// and barrier arrival granularity, not results of well-formed kernels.
-	WarpSize int
 	// MaxWarpInsts bounds total executed warp instructions before the
 	// emulator declares a livelock (0 = DefaultMaxWarpInsts). A functional
 	// emulator has no cycle clock, so a step budget is its watchdog.
 	MaxWarpInsts int64
+	// Provenance records Result.LastStore. It costs a map entry per stored
+	// byte, so callers ask for it only to localize a divergence they have
+	// already found; execution is deterministic, so a re-run with it on
+	// reproduces the first run exactly.
+	Provenance bool
 }
 
 // DefaultMaxWarpInsts is the default livelock budget. Seed workloads run in
@@ -117,20 +120,8 @@ type Result struct {
 	// WarpInsts counts executed warp instructions.
 	WarpInsts int64
 	// LastStore maps each written global byte address to the provenance of
-	// its final write.
+	// its final write. Nil unless Launch.Provenance was set.
 	LastStore map[uint64]Store
-}
-
-// analyze validates the kernel and fetches its micro-op stream and
-// branch-target/reconvergence summary from the shared analysis registry
-// (internal/passes) — the same memoized substrate the cycle-level simulator
-// uses, so a kernel analyzed by either executor is never re-analyzed by the
-// other.
-func analyze(k *ptx.Kernel) (*passes.KernelAnalyses, error) {
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("emu: %w", err)
-	}
-	return passes.Shared(k)
 }
 
 // simtEntry mirrors the simulator's divergence stack entries.
@@ -140,36 +131,45 @@ type simtEntry struct {
 	mask uint64
 }
 
-type thread struct {
-	regs  []uint64
-	local []byte
-	tid   int
-}
+// warpSize is the SIMT width: the lanes of one vec.Fn plane.
+const warpSize = 32
 
+// warp holds one warp's architectural state: regs is nRegs consecutive
+// 32-lane planes (register r of lane l lives at regs[r*32+l]), the layout
+// the vector kernels run over.
 type warp struct {
 	id      int
-	lanes   []*thread
+	regs    []uint64
+	locals  [][]byte // per-lane local frame (zero-length when the kernel has none)
 	stack   []simtEntry
 	done    bool
 	barrier bool
 }
 
-// machine is the per-launch execution state.
+// plane returns register r's 32-lane plane.
+func (w *warp) plane(r ptx.Reg) *[32]uint64 {
+	return (*[32]uint64)(w.regs[int(r)*32:])
+}
+
+// machine is the per-launch execution state. Every block has the same
+// shape, so the register, local and shared buffers are sized once per
+// launch and cleared for each block.
 type machine struct {
 	launch     Launch
 	kernel     *ptx.Kernel
-	an         *passes.KernelAnalyses
-	prog       []passes.MicroOp // the shared pre-decoded stream (an.Micro.Ops)
-	mem        *sem.Memory
+	ops        []vec.Op // the shared lowered program
+	global     sem.PageCache
 	paramBlock []byte
-	warpSize   int
 	budget     int64
 
-	blockID   int
-	shared    []byte
-	warps     []*warp
-	liveWarps int
-	arrived   int
+	blockID     int
+	shared      []byte
+	regArena    []uint64
+	localArena  []byte
+	warps       []*warp
+	liveWarps   int
+	arrived     int
+	specScratch [3][32]uint64 // special-register source planes, one per slot
 
 	res   Result
 	fault *Fault
@@ -180,14 +180,17 @@ type machine struct {
 const nullPageBytes = 4096
 
 // Run executes the launch to completion against mem. Global-memory effects
-// are applied in place; the returned Result carries execution counters and
-// last-store provenance. Failures surface as a *Fault.
+// are applied in place; the returned Result carries execution counters and,
+// on request, last-store provenance. Failures surface as a *Fault.
 func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	k := l.Kernel
 	if k == nil {
 		return nil, fmt.Errorf("emu: nil kernel")
 	}
-	an, err := analyze(k)
+	if err := k.Validate(); err != nil {
+		return nil, fmt.Errorf("emu: %w", err)
+	}
+	prog, err := vec.ProgramFor(k)
 	if err != nil {
 		return nil, err
 	}
@@ -197,13 +200,6 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	if l.Grid <= 0 || l.Block <= 0 {
 		return nil, fmt.Errorf("emu: grid=%d block=%d must be positive", l.Grid, l.Block)
 	}
-	ws := l.WarpSize
-	if ws <= 0 {
-		ws = 32
-	}
-	if ws > 64 {
-		return nil, fmt.Errorf("emu: warp size %d exceeds 64-lane mask", ws)
-	}
 	budget := l.MaxWarpInsts
 	if budget <= 0 {
 		budget = DefaultMaxWarpInsts
@@ -211,14 +207,15 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	m := &machine{
 		launch:     l,
 		kernel:     k,
-		an:         an,
-		prog:       an.Micro.Ops,
-		mem:        mem,
+		ops:        prog.Ops,
+		global:     sem.NewPageCache(mem),
 		paramBlock: buildParamBlock(k, l.Params),
-		warpSize:   ws,
 		budget:     budget,
 	}
-	m.res.LastStore = make(map[uint64]Store)
+	if l.Provenance {
+		m.res.LastStore = make(map[uint64]Store)
+	}
+	m.allocBlock()
 
 	// Blocks are independent (no inter-block synchronization in the model),
 	// so they run sequentially and deterministically.
@@ -251,35 +248,37 @@ func buildParamBlock(k *ptx.Kernel, vals []uint64) []byte {
 	return out
 }
 
-// runBlock sets up one thread block and drives its warps round-robin. Each
-// warp runs until it exits or parks at a barrier; the barrier releases once
-// every live warp arrives, matching the simulator's per-warp arrival
-// semantics (a divergent warp still arrives exactly once).
-func (m *machine) runBlock(id int) {
-	m.blockID = id
-	m.shared = make([]byte, m.kernel.SharedBytes())
+// allocBlock sizes one block's warps, registers, local frames and shared
+// segment.
+func (m *machine) allocBlock() {
 	nRegs := m.kernel.NumRegs()
 	localSize := int(m.kernel.LocalBytes())
-	nWarps := (m.launch.Block + m.warpSize - 1) / m.warpSize
-
-	m.warps = m.warps[:0]
+	nWarps := (m.launch.Block + warpSize - 1) / warpSize
+	m.shared = make([]byte, m.kernel.SharedBytes())
+	m.regArena = make([]uint64, nWarps*nRegs*32)
+	m.localArena = make([]byte, localSize*m.launch.Block)
 	for wi := 0; wi < nWarps; wi++ {
-		w := &warp{id: wi}
-		var mask uint64
-		for l := 0; l < m.warpSize; l++ {
-			tid := wi*m.warpSize + l
-			if tid >= m.launch.Block {
-				break
-			}
-			th := &thread{regs: make([]uint64, nRegs), tid: tid}
-			if localSize > 0 {
-				th.local = make([]byte, localSize)
-			}
-			w.lanes = append(w.lanes, th)
-			mask |= 1 << uint(l)
+		w := &warp{id: wi, regs: m.regArena[wi*nRegs*32 : (wi+1)*nRegs*32 : (wi+1)*nRegs*32]}
+		for tid := wi * warpSize; tid < min((wi+1)*warpSize, m.launch.Block); tid++ {
+			w.locals = append(w.locals, m.localArena[tid*localSize:(tid+1)*localSize:(tid+1)*localSize])
 		}
-		w.stack = []simtEntry{{pc: 0, rpc: len(m.kernel.Insts), mask: mask}}
 		m.warps = append(m.warps, w)
+	}
+}
+
+// runBlock resets the block state and drives the block's warps
+// round-robin. Each warp runs until it exits or parks at a barrier; the
+// barrier releases once every live warp arrives, matching the simulator's
+// per-warp arrival semantics (a divergent warp still arrives exactly once).
+func (m *machine) runBlock(id int) {
+	m.blockID = id
+	clear(m.shared)
+	clear(m.regArena)
+	clear(m.localArena)
+	for _, w := range m.warps {
+		lanes := min(m.launch.Block-w.id*warpSize, warpSize)
+		w.stack = append(w.stack[:0], simtEntry{pc: 0, rpc: len(m.kernel.Insts), mask: 1<<uint(lanes) - 1})
+		w.done, w.barrier = false, false
 	}
 	m.liveWarps = len(m.warps)
 	m.arrived = 0
@@ -333,33 +332,32 @@ func (m *machine) pcOf(w *warp) int {
 	return w.stack[len(w.stack)-1].pc
 }
 
-// step executes the warp's next micro-op functionally.
+// step executes the warp's next instruction for all its executing lanes.
 func (m *machine) step(w *warp) {
 	top := &w.stack[len(w.stack)-1]
-	if top.pc >= len(m.prog) {
+	if top.pc >= len(m.ops) {
 		m.exitLanes(w, top.mask)
 		return
 	}
 	pc := top.pc
-	u := &m.prog[pc]
+	u := &m.ops[pc]
 
 	// Effective execution mask: active lanes whose guard holds.
-	execMask := uint64(0)
-	for l, th := range w.lanes {
-		if top.mask&(1<<uint(l)) == 0 {
-			continue
-		}
-		if u.Guard != ptx.NoReg {
-			p := th.regs[u.Guard] != 0
-			if p == u.GuardNeg {
-				continue
+	execMask := top.mask
+	if u.Guard != ptx.NoReg {
+		g := w.plane(u.Guard)
+		gm := uint64(0)
+		for mk := execMask; mk != 0; mk &= mk - 1 {
+			l := bits.TrailingZeros64(mk)
+			if (g[l] != 0) != u.GuardNeg {
+				gm |= 1 << uint(l)
 			}
 		}
-		execMask |= 1 << uint(l)
+		execMask = gm
 	}
 
 	m.res.WarpInsts++
-	m.res.ThreadInsts += int64(onesCount(execMask))
+	m.res.ThreadInsts += int64(bits.OnesCount64(execMask))
 
 	switch u.Class {
 	case passes.MicroBra:
@@ -381,12 +379,23 @@ func (m *machine) step(w *warp) {
 		return
 	}
 
-	for l, th := range w.lanes {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
-		if !m.execLane(w, th, pc, l, u) {
-			return // faulted
+	if execMask != 0 {
+		switch u.Class {
+		case passes.MicroBad:
+			// A statically-unsupported instruction carries its evaluation
+			// error; the lowest executing lane raises it.
+			m.fault = &Fault{Kind: FaultExec, PC: pc, Block: m.blockID, Warp: w.id,
+				Lane: bits.TrailingZeros64(execMask), Err: u.Err}
+			return
+		case passes.MicroLdParam:
+			m.execLdParam(w, u, execMask)
+		case passes.MicroMem:
+			if !m.execMemory(w, pc, u, execMask) {
+				return // faulted
+			}
+		default: // passes.MicroALU
+			u.Fn(w.plane(u.Dst), m.srcPlane(w, &u.Src[0], 0, execMask),
+				m.srcPlane(w, &u.Src[1], 1, execMask), m.srcPlane(w, &u.Src[2], 2, execMask), execMask)
 		}
 	}
 
@@ -394,18 +403,10 @@ func (m *machine) step(w *warp) {
 	m.popReconverged(w)
 }
 
-func onesCount(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
-
 // execBranch implements SIMT divergence with immediate-post-dominator
 // reconvergence, identically to the simulator. Target and reconvergence pcs
-// come pre-resolved in the micro-op.
-func (m *machine) execBranch(w *warp, u *passes.MicroOp, activeMask, takenMask uint64) {
+// come pre-resolved in the lowered op.
+func (m *machine) execBranch(w *warp, u *vec.Op, activeMask, takenMask uint64) {
 	top := &w.stack[len(w.stack)-1]
 	target := u.Target
 	switch takenMask {
@@ -417,7 +418,7 @@ func (m *machine) execBranch(w *warp, u *passes.MicroOp, activeMask, takenMask u
 		pc := top.pc
 		rpc := u.Rpc
 		if rpc < 0 {
-			rpc = len(m.prog)
+			rpc = len(m.ops)
 		}
 		top.pc = rpc
 		w.stack = append(w.stack,
@@ -465,75 +466,41 @@ func (m *machine) releaseBarrier() {
 	m.arrived = 0
 }
 
-// srcVal reads one pre-resolved micro-op source for one lane: registers from
-// the lane's register file, constants as-decoded, specials computed.
-func (m *machine) srcVal(th *thread, s *passes.MicroSrc) uint64 {
+// srcPlane resolves one source slot to a 32-lane plane: registers and
+// broadcast constants are already planes; special registers are
+// materialized into the slot's scratch plane under the mask.
+func (m *machine) srcPlane(w *warp, s *vec.Src, slot int, mask uint64) *[32]uint64 {
 	switch s.Kind {
-	case passes.SrcReg:
-		return th.regs[s.Reg]
-	case passes.SrcConst:
-		return s.Const
-	case passes.SrcSpecial:
-		return uint64(m.special(th, s.Spec))
+	case vec.SrcReg:
+		return w.plane(s.Reg)
+	case vec.SrcSpec:
+		p := &m.specScratch[slot]
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			l := bits.TrailingZeros64(mk)
+			p[l] = uint64(m.special(w, l, s.Spec))
+		}
+		return p
 	}
-	return 0
+	return s.Bcast
 }
 
-// execLane evaluates one micro-op for one lane. Returns false when a fault
-// was recorded. Statically-unsupported instructions arrive as MicroBad with
-// the evaluation error pre-computed, so the sem calls on the live paths
-// cannot fail.
-func (m *machine) execLane(w *warp, th *thread, pc, lane int, u *passes.MicroOp) bool {
-	switch u.Class {
-	case passes.MicroBad:
-		m.fault = &Fault{Kind: FaultExec, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane, Err: u.Err}
-		return false
-	case passes.MicroLdParam:
-		addr := u.MemOff
-		if u.MemBase != ptx.NoReg {
-			addr += th.regs[u.MemBase]
-		}
-		v := uint64(0)
-		for b := 0; b < int(u.Size); b++ {
-			if int(addr)+b < len(m.paramBlock) {
-				v |= uint64(m.paramBlock[int(addr)+b]) << (8 * b)
-			}
-		}
-		th.regs[u.Dst] = v
-		return true
-	case passes.MicroMem:
-		return m.execMemory(w, th, pc, lane, u)
+// srcLane resolves one source slot for a single lane (a store needs one
+// value per lane, not a whole plane).
+func (m *machine) srcLane(w *warp, s *vec.Src, lane int) uint64 {
+	switch s.Kind {
+	case vec.SrcReg:
+		return w.plane(s.Reg)[lane]
+	case vec.SrcSpec:
+		return uint64(m.special(w, lane, s.Spec))
 	}
-
-	// MicroALU.
-	switch u.Op {
-	case ptx.OpSetp:
-		ok, _ := sem.Compare(u.Cmp, u.Type, m.srcVal(th, &u.Src[0]), m.srcVal(th, &u.Src[1]))
-		v := uint64(0)
-		if ok {
-			v = 1
-		}
-		th.regs[u.Dst] = v
-	case ptx.OpSelp:
-		if th.regs[u.Src[2].Reg] != 0 {
-			th.regs[u.Dst] = m.srcVal(th, &u.Src[0])
-		} else {
-			th.regs[u.Dst] = m.srcVal(th, &u.Src[1])
-		}
-	case ptx.OpCvt:
-		v, _ := sem.Convert(u.Type, u.CvtFrom, m.srcVal(th, &u.Src[0]))
-		th.regs[u.Dst] = v
-	default:
-		v, _ := sem.ALU(u.Op, u.Type, m.srcVal(th, &u.Src[0]), m.srcVal(th, &u.Src[1]), m.srcVal(th, &u.Src[2]))
-		th.regs[u.Dst] = v
-	}
-	return true
+	return s.Bcast[0]
 }
 
-func (m *machine) special(th *thread, sp ptx.Special) int {
+func (m *machine) special(w *warp, lane int, sp ptx.Special) int {
+	tid := w.id*warpSize + lane
 	switch sp {
 	case ptx.SpecTidX:
-		return th.tid
+		return tid
 	case ptx.SpecNTidX:
 		return m.launch.Block
 	case ptx.SpecCtaIdX:
@@ -541,9 +508,9 @@ func (m *machine) special(th *thread, sp ptx.Special) int {
 	case ptx.SpecNCtaIdX:
 		return m.launch.Grid
 	case ptx.SpecLaneId:
-		return th.tid % m.warpSize
+		return tid % warpSize
 	case ptx.SpecWarpId:
-		return th.tid / m.warpSize
+		return tid / warpSize
 	case ptx.SpecTidY, ptx.SpecTidZ, ptx.SpecCtaIdY, ptx.SpecCtaIdZ:
 		return 0
 	case ptx.SpecNTidY, ptx.SpecNTidZ, ptx.SpecNCtaIdY, ptx.SpecNCtaIdZ:
@@ -552,76 +519,101 @@ func (m *machine) special(th *thread, sp ptx.Special) int {
 	return 0
 }
 
+// execLdParam loads from the parameter block per lane. Reads past the
+// block yield zero bytes.
+func (m *machine) execLdParam(w *warp, u *vec.Op, execMask uint64) {
+	d := w.plane(u.Dst)
+	var base *[32]uint64
+	if u.MemBase != ptx.NoReg {
+		base = w.plane(u.MemBase)
+	}
+	for mk := execMask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros64(mk)
+		addr := u.MemOff
+		if base != nil {
+			addr += base[l]
+		}
+		v := uint64(0)
+		for b := 0; b < int(u.Size); b++ {
+			if int(addr)+b < len(m.paramBlock) {
+				v |= uint64(m.paramBlock[int(addr)+b]) << (8 * b)
+			}
+		}
+		d[l] = v
+	}
+}
+
 func inBounds(addr uint64, size int, limit int64) bool {
 	return uint64(size) <= uint64(limit) && addr <= uint64(limit)-uint64(size)
 }
 
-// execMemory performs one lane's load or store with the same bounds rules as
-// the simulator: null-page faults for global, declared-segment bounds for
-// local and shared. The address comes pre-decoded: an optional base register
-// plus a displacement with any symbol base already folded in.
-func (m *machine) execMemory(w *warp, th *thread, pc, lane int, u *passes.MicroOp) bool {
+// execMemory performs a load or store lane by lane in ascending lane order,
+// with the same bounds rules as the simulator: null-page faults for global,
+// declared-segment bounds for local and shared. The lowest offending lane
+// faults, after the lanes below it have taken effect. The address comes
+// pre-decoded: an optional base register plus a displacement with any
+// symbol base already folded in. Returns false on a fault.
+func (m *machine) execMemory(w *warp, pc int, u *vec.Op, execMask uint64) bool {
 	size := int(u.Size)
-	addr := u.MemOff
+	var base, dst *[32]uint64
 	if u.MemBase != ptx.NoReg {
-		addr += th.regs[u.MemBase]
+		base = w.plane(u.MemBase)
 	}
-	load := u.Op == ptx.OpLd
-	switch u.Space {
-	case ptx.SpaceGlobal:
-		if addr < nullPageBytes {
-			m.fault = &Fault{Kind: FaultNullGlobal, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane,
-				Space: u.Space, Addr: addr, Size: size, Limit: nullPageBytes}
-			return false
+	if u.Load {
+		dst = w.plane(u.Dst)
+	}
+	for mk := execMask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros64(mk)
+		addr := u.MemOff
+		if base != nil {
+			addr += base[l]
 		}
-		if load {
-			th.regs[u.Dst] = m.mem.Read(addr, size)
-		} else {
-			v := m.srcVal(th, &u.Src[0])
-			m.mem.Write(addr, v, size)
-			rec := Store{PC: pc, Block: m.blockID, Warp: w.id, Lane: lane, Value: v, Size: size}
-			for b := 0; b < size; b++ {
-				m.res.LastStore[addr+uint64(b)] = rec
+		switch u.Space {
+		case ptx.SpaceGlobal:
+			if addr < nullPageBytes {
+				m.memFault(FaultNullGlobal, w, pc, l, u.Space, addr, size, nullPageBytes)
+				return false
 			}
-		}
-	case ptx.SpaceLocal:
-		limit := int64(len(th.local))
-		if !inBounds(addr, size, limit) {
-			m.fault = &Fault{Kind: FaultMemOOB, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane,
-				Space: u.Space, Addr: addr, Size: size, Limit: limit}
-			return false
-		}
-		if load {
-			th.regs[u.Dst] = readLE(th.local[addr:], size)
-		} else {
-			writeLE(th.local[addr:], m.srcVal(th, &u.Src[0]), size)
-		}
-	case ptx.SpaceShared:
-		limit := m.kernel.SharedBytes()
-		if !inBounds(addr, size, limit) {
-			m.fault = &Fault{Kind: FaultMemOOB, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane,
-				Space: u.Space, Addr: addr, Size: size, Limit: limit}
-			return false
-		}
-		if load {
-			th.regs[u.Dst] = readLE(m.shared[addr:], size)
-		} else {
-			writeLE(m.shared[addr:], m.srcVal(th, &u.Src[0]), size)
+			if u.Load {
+				dst[l] = m.global.Read(addr, size)
+				continue
+			}
+			v := m.srcLane(w, &u.Src[0], l)
+			m.global.Write(addr, v, size)
+			if m.res.LastStore != nil {
+				rec := Store{PC: pc, Block: m.blockID, Warp: w.id, Lane: l, Value: v, Size: size}
+				for b := 0; b < size; b++ {
+					m.res.LastStore[addr+uint64(b)] = rec
+				}
+			}
+		case ptx.SpaceLocal:
+			limit := int64(len(w.locals[l]))
+			if !inBounds(addr, size, limit) {
+				m.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
+				return false
+			}
+			if u.Load {
+				dst[l] = sem.ReadLE(w.locals[l][addr:], size)
+			} else {
+				sem.WriteLE(w.locals[l][addr:], m.srcLane(w, &u.Src[0], l), size)
+			}
+		case ptx.SpaceShared:
+			limit := int64(len(m.shared))
+			if !inBounds(addr, size, limit) {
+				m.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
+				return false
+			}
+			if u.Load {
+				dst[l] = sem.ReadLE(m.shared[addr:], size)
+			} else {
+				sem.WriteLE(m.shared[addr:], m.srcLane(w, &u.Src[0], l), size)
+			}
 		}
 	}
 	return true
 }
 
-func readLE(b []byte, n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func writeLE(b []byte, v uint64, n int) {
-	for i := 0; i < n; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+func (m *machine) memFault(kind FaultKind, w *warp, pc, lane int, space ptx.Space, addr uint64, size int, limit int64) {
+	m.fault = &Fault{Kind: kind, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane,
+		Space: space, Addr: addr, Size: size, Limit: limit}
 }

@@ -38,7 +38,7 @@ func TestScaleKernel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mem.WriteUint32(in+uint64(4*i), uint32(i))
 	}
-	res, err := Run(Launch{Kernel: k, Grid: grid, Block: block, Params: []uint64{in, out}}, mem)
+	res, err := Run(Launch{Kernel: k, Grid: grid, Block: block, Params: []uint64{in, out}, Provenance: true}, mem)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

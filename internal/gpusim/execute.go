@@ -1,104 +1,39 @@
 package gpusim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
+	"crat/internal/vec"
 )
-
-// tlbPageFor resolves addr's backing page through the simulator's one-entry
-// TLB, falling back to the Memory's map on a key change.
-func (s *Simulator) tlbPageFor(addr uint64) []byte {
-	key := addr >> sem.PageBits
-	if key != s.tlbKey || s.tlbPage == nil {
-		s.tlbPage = s.mem.PageFor(addr)
-		s.tlbKey = key
-	}
-	return s.tlbPage
-}
-
-// memRead is sem.Memory.Read with the page lookup cached; page-straddling
-// accesses (possible with unaligned addresses) take the slow path. The
-// common widths go through encoding/binary, which the compiler turns into a
-// single little-endian load — bit-identical to the byte loop.
-func (s *Simulator) memRead(addr uint64, size int) uint64 {
-	off := addr & (sem.PageSize - 1)
-	if off+uint64(size) > sem.PageSize {
-		return s.mem.Read(addr, size)
-	}
-	p := s.tlbPageFor(addr)
-	switch size {
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(p[off:]))
-	case 8:
-		return binary.LittleEndian.Uint64(p[off:])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(p[off:]))
-	case 1:
-		return uint64(p[off])
-	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(p[off+uint64(i)]) << (8 * i)
-	}
-	return v
-}
-
-// memWrite is sem.Memory.Write with the page lookup cached.
-func (s *Simulator) memWrite(addr uint64, v uint64, size int) {
-	off := addr & (sem.PageSize - 1)
-	if off+uint64(size) > sem.PageSize {
-		s.mem.Write(addr, v, size)
-		return
-	}
-	p := s.tlbPageFor(addr)
-	switch size {
-	case 4:
-		binary.LittleEndian.PutUint32(p[off:], uint32(v))
-		return
-	case 8:
-		binary.LittleEndian.PutUint64(p[off:], v)
-		return
-	case 2:
-		binary.LittleEndian.PutUint16(p[off:], uint16(v))
-		return
-	case 1:
-		p[off] = byte(v)
-		return
-	}
-	for i := 0; i < size; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
-	}
-}
 
 // execute issues the warp's next instruction: functional effects happen
 // immediately (functional-first simulation), destination registers become
 // ready after the modeled latency. The instruction comes pre-decoded from
-// the exec program — no per-issue operand or opcode switches — and applies
+// the lowered program — no per-issue operand or opcode switches — and applies
 // to the whole warp as vector operations over 32-lane register planes.
 func (s *Simulator) execute(w *warp) {
 	w.sbValid = false // ready-times are about to change; drop the memo
 	s.schedUntil[w.sched][w.schedIdx] = 0
 	top := &w.stack[len(w.stack)-1]
-	if top.pc >= len(s.prog.ops) {
+	if top.pc >= len(s.prog.Ops) {
 		s.exitLanes(w, top.mask)
 		return
 	}
 	pc := top.pc
-	u := &s.prog.ops[pc]
+	u := &s.prog.Ops[pc]
 
 	// Effective execution mask: active lanes whose guard holds.
 	execMask := top.mask
-	if u.guard != ptx.NoReg {
-		g := w.plane(u.guard)
+	if u.Guard != ptx.NoReg {
+		g := w.plane(u.Guard)
 		gm := uint64(0)
 		for m := execMask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if (g[l] != 0) != u.guardNeg {
+			if (g[l] != 0) != u.GuardNeg {
 				gm |= 1 << uint(l)
 			}
 		}
@@ -107,14 +42,14 @@ func (s *Simulator) execute(w *warp) {
 
 	s.stats.WarpInsts++
 	s.stats.ThreadInsts += int64(bits.OnesCount64(execMask))
-	if u.meta != ptx.MetaNone {
+	if u.Meta != ptx.MetaNone {
 		s.countMeta(u, execMask)
 	}
 	if s.tracing {
 		s.traceInst(w, pc, execMask)
 	}
 
-	switch u.class {
+	switch u.Class {
 	case passes.MicroBra:
 		s.execBranch(w, u, top.mask, execMask)
 		return
@@ -138,11 +73,11 @@ func (s *Simulator) execute(w *warp) {
 	}
 
 	latency := int64(s.cfg.ALULat)
-	if u.sfu {
+	if u.SFU {
 		latency = int64(s.cfg.SFULat)
 	}
 	isMem := false
-	switch u.class {
+	switch u.Class {
 	case passes.MicroMem:
 		latency, isMem = s.execMemory(w, pc, u, execMask)
 	case passes.MicroLdParam:
@@ -152,7 +87,7 @@ func (s *Simulator) execute(w *warp) {
 			s.setFault(&Fault{
 				Kind: FaultExec, PC: pc,
 				Warp: w.id, Block: w.block.id, Lane: bits.TrailingZeros64(execMask),
-				Err: u.err,
+				Err: u.Err,
 			})
 		}
 	default: // passes.MicroALU
@@ -160,14 +95,14 @@ func (s *Simulator) execute(w *warp) {
 	}
 
 	// Scoreboard the destination (regReady packs ready<<1 | isMem).
-	if u.dst != ptx.NoReg {
+	if u.Dst != ptx.NoReg {
 		ready := s.now + latency
-		if ready > w.regReady[u.dst]>>1 {
+		if ready > w.regReady[u.Dst]>>1 {
 			packed := ready << 1
 			if isMem {
 				packed |= 1
 			}
-			w.regReady[u.dst] = packed
+			w.regReady[u.Dst] = packed
 		}
 	}
 
@@ -188,31 +123,31 @@ func (s *Simulator) traceInst(w *warp, pc int, execMask uint64) {
 // srcPlane resolves one pre-decoded source slot to a 32-lane plane:
 // registers and broadcast constants are already planes; special registers
 // are materialized into the per-slot scratch plane under the mask.
-func (s *Simulator) srcPlane(w *warp, sr *srcRef, slot int, mask uint64) *[32]uint64 {
-	switch sr.kind {
-	case srcReg:
-		return w.plane(sr.reg)
-	case srcSpec:
+func (s *Simulator) srcPlane(w *warp, sr *vec.Src, slot int, mask uint64) *[32]uint64 {
+	switch sr.Kind {
+	case vec.SrcReg:
+		return w.plane(sr.Reg)
+	case vec.SrcSpec:
 		p := &s.specScratch[slot]
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			p[l] = uint64(s.specialVal(w, l, sr.spec))
+			p[l] = uint64(s.specialVal(w, l, sr.Spec))
 		}
 		return p
 	}
-	return sr.bcast
+	return sr.Bcast
 }
 
 // execVec applies an ALU-class micro-op to the whole warp.
-func (s *Simulator) execVec(w *warp, u *execOp, execMask uint64) {
+func (s *Simulator) execVec(w *warp, u *vec.Op, execMask uint64) {
 	if execMask == 0 {
 		return
 	}
-	d := w.plane(u.dst)
-	a := s.srcPlane(w, &u.src[0], 0, execMask)
-	b := s.srcPlane(w, &u.src[1], 1, execMask)
-	c := s.srcPlane(w, &u.src[2], 2, execMask)
-	u.fn(d, a, b, c, execMask)
+	d := w.plane(u.Dst)
+	a := s.srcPlane(w, &u.Src[0], 0, execMask)
+	b := s.srcPlane(w, &u.Src[1], 1, execMask)
+	c := s.srcPlane(w, &u.Src[2], 2, execMask)
+	u.Fn(d, a, b, c, execMask)
 }
 
 // specialVal evaluates a special register for one lane.
@@ -241,22 +176,22 @@ func (s *Simulator) specialVal(w *warp, lane int, sp ptx.Special) int {
 
 // srcLane resolves a pre-decoded source slot for a single lane (the memory
 // path needs at most one value per lane, not a whole plane).
-func (s *Simulator) srcLane(w *warp, sr *srcRef, lane int) uint64 {
-	switch sr.kind {
-	case srcReg:
-		return w.plane(sr.reg)[lane]
-	case srcSpec:
-		return uint64(s.specialVal(w, lane, sr.spec))
+func (s *Simulator) srcLane(w *warp, sr *vec.Src, lane int) uint64 {
+	switch sr.Kind {
+	case vec.SrcReg:
+		return w.plane(sr.Reg)[lane]
+	case vec.SrcSpec:
+		return uint64(s.specialVal(w, lane, sr.Spec))
 	}
-	return sr.bcast[0]
+	return sr.Bcast[0]
 }
 
 // countMeta updates dynamic spill-overhead statistics.
-func (s *Simulator) countMeta(u *execOp, execMask uint64) {
+func (s *Simulator) countMeta(u *vec.Op, execMask uint64) {
 	n := int64(bits.OnesCount64(execMask))
-	switch u.meta {
+	switch u.Meta {
 	case ptx.MetaSpillLoad, ptx.MetaSpillStore:
-		if u.space == ptx.SpaceShared {
+		if u.Space == ptx.SpaceShared {
 			s.stats.SpillSharedOps += n
 		} else {
 			s.stats.SpillLocalOps += n
@@ -268,9 +203,9 @@ func (s *Simulator) countMeta(u *execOp, execMask uint64) {
 
 // execBranch implements SIMT divergence with immediate-post-dominator
 // reconvergence.
-func (s *Simulator) execBranch(w *warp, u *execOp, activeMask, takenMask uint64) {
+func (s *Simulator) execBranch(w *warp, u *vec.Op, activeMask, takenMask uint64) {
 	top := &w.stack[len(w.stack)-1]
-	target := u.target
+	target := u.Target
 	switch takenMask {
 	case activeMask:
 		top.pc = target
@@ -278,9 +213,9 @@ func (s *Simulator) execBranch(w *warp, u *execOp, activeMask, takenMask uint64)
 		top.pc++
 	default:
 		pc := top.pc
-		rpc := u.rpc
+		rpc := u.Rpc
 		if rpc < 0 {
-			rpc = len(s.prog.ops)
+			rpc = len(s.prog.Ops)
 		}
 		// Current entry waits at the reconvergence point; push the
 		// fallthrough then the taken path (taken executes first).
@@ -343,19 +278,19 @@ func (s *Simulator) releaseBarrier(bc *blockCtx) {
 
 // execLdParam performs a constant-bank (param block) load per lane. Reads
 // past the parameter block yield zero bytes, as the old per-lane path did.
-func (s *Simulator) execLdParam(w *warp, u *execOp, execMask uint64) {
+func (s *Simulator) execLdParam(w *warp, u *vec.Op, execMask uint64) {
 	if execMask == 0 {
 		return
 	}
-	d := w.plane(u.dst)
+	d := w.plane(u.Dst)
 	var base *[32]uint64
-	if u.membase != ptx.NoReg {
-		base = w.plane(u.membase)
+	if u.MemBase != ptx.NoReg {
+		base = w.plane(u.MemBase)
 	}
-	size := int(u.size)
+	size := int(u.Size)
 	for m := execMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		addr := u.memoff
+		addr := u.MemOff
 		if base != nil {
 			addr += base[l]
 		}
@@ -395,50 +330,50 @@ func inBounds(addr uint64, size int, limit int64) bool {
 // whether it counts as a memory dependence. Accesses outside the declared
 // local frame or shared segment (and global accesses inside the null page)
 // raise a structured fault instead of silently growing the backing store.
-func (s *Simulator) execMemory(w *warp, pc int, u *execOp, execMask uint64) (int64, bool) {
+func (s *Simulator) execMemory(w *warp, pc int, u *vec.Op, execMask uint64) (int64, bool) {
 	plan := s.planFor(w, pc, u)
 	w.hasPlan = false // consumed; loops must not reuse stale addresses
 
 	// Functional access per lane.
-	size := int(u.size)
+	size := int(u.Size)
 	var base *[32]uint64
-	if u.membase != ptx.NoReg {
-		base = w.plane(u.membase)
+	if u.MemBase != ptx.NoReg {
+		base = w.plane(u.MemBase)
 	}
 	var dst *[32]uint64
-	if u.load {
-		dst = w.plane(u.dst)
+	if u.Load {
+		dst = w.plane(u.Dst)
 	}
 	for m := execMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		addr := u.memoff
+		addr := u.MemOff
 		if base != nil {
 			addr += base[l]
 		}
-		switch u.space {
+		switch u.Space {
 		case ptx.SpaceGlobal:
 			if addr < nullPageBytes {
-				s.memFault(FaultNullGlobal, w, pc, l, u.space, addr, size, nullPageBytes)
+				s.memFault(FaultNullGlobal, w, pc, l, u.Space, addr, size, nullPageBytes)
 				return int64(s.cfg.ALULat), false
 			}
-			if u.load {
-				dst[l] = s.memRead(addr, size)
+			if u.Load {
+				dst[l] = s.global.Read(addr, size)
 				s.stats.GlobalLoads++
 			} else {
-				s.memWrite(addr, s.srcLane(w, &u.src[0], l), size)
+				s.global.Write(addr, s.srcLane(w, &u.Src[0], l), size)
 				s.stats.GlobalStores++
 			}
 		case ptx.SpaceLocal:
 			limit := int64(len(w.locals[l]))
 			if !inBounds(addr, size, limit) {
-				s.memFault(FaultMemOOB, w, pc, l, u.space, addr, size, limit)
+				s.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
 				return int64(s.cfg.ALULat), false
 			}
-			if u.load {
-				dst[l] = readLE(w.locals[l][addr:], size)
+			if u.Load {
+				dst[l] = sem.ReadLE(w.locals[l][addr:], size)
 				s.stats.LocalLoads++
 			} else {
-				writeLE(w.locals[l][addr:], s.srcLane(w, &u.src[0], l), size)
+				sem.WriteLE(w.locals[l][addr:], s.srcLane(w, &u.Src[0], l), size)
 				s.stats.LocalStores++
 			}
 		case ptx.SpaceShared:
@@ -447,28 +382,28 @@ func (s *Simulator) execMemory(w *warp, pc int, u *execOp, execMask uint64) (int
 			// but is never a legal target.
 			limit := s.kernel.SharedBytes()
 			if !inBounds(addr, size, limit) {
-				s.memFault(FaultMemOOB, w, pc, l, u.space, addr, size, limit)
+				s.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
 				return int64(s.cfg.ALULat), false
 			}
-			if u.load {
-				dst[l] = readLE(w.block.shared[addr:], size)
+			if u.Load {
+				dst[l] = sem.ReadLE(w.block.shared[addr:], size)
 				s.stats.SharedLoads++
 			} else {
-				writeLE(w.block.shared[addr:], s.srcLane(w, &u.src[0], l), size)
+				sem.WriteLE(w.block.shared[addr:], s.srcLane(w, &u.Src[0], l), size)
 				s.stats.SharedStores++
 			}
 		}
 	}
 
 	// Timing.
-	switch u.space {
+	switch u.Space {
 	case ptx.SpaceShared:
 		extra := int64(plan.conflicts - 1)
 		s.stats.BankConflictCycles += extra
 		s.memPipeFree = s.now + 1 + extra
 		return int64(s.cfg.SharedLat) + 2*extra, false
 	case ptx.SpaceGlobal:
-		if !u.load {
+		if !u.Load {
 			// Write-through, no-allocate: consume bandwidth, evict from L1.
 			for _, line := range plan.lines {
 				s.l1.evict(line)
@@ -477,7 +412,7 @@ func (s *Simulator) execMemory(w *warp, pc int, u *execOp, execMask uint64) (int
 			s.memPipeFree = s.now + int64(len(plan.lines))
 			return int64(s.cfg.ALULat), false
 		}
-		if u.bypass {
+		if u.Bypass {
 			// ld.global.cg: skip the L1, fetch straight from L2/DRAM.
 			worst := int64(s.cfg.L2Lat)
 			for _, line := range plan.lines {
@@ -494,7 +429,7 @@ func (s *Simulator) execMemory(w *warp, pc int, u *execOp, execMask uint64) (int
 	case ptx.SpaceLocal:
 		// Local loads and stores both allocate in L1 (write-back).
 		lat := s.accessCached(plan)
-		if !u.load {
+		if !u.Load {
 			return int64(s.cfg.ALULat), false
 		}
 		return lat, true
@@ -567,18 +502,4 @@ func (s *Simulator) chargeDRAM(bytes int64) {
 	}
 	s.dramFree += transfer
 	s.stats.DRAMBytes += bytes
-}
-
-func readLE(b []byte, n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func writeLE(b []byte, v uint64, n int) {
-	for i := 0; i < n; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

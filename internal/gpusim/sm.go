@@ -9,6 +9,8 @@ import (
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
+	"crat/internal/sem"
+	"crat/internal/vec"
 )
 
 // localBase is the synthetic physical-address region of thread-local
@@ -149,13 +151,12 @@ func (w *warp) plane(r ptx.Reg) *[32]uint64 {
 // Simulator executes one kernel launch on one SM.
 type Simulator struct {
 	cfg    Config
-	mem    *Memory
 	launch Launch
 	kernel *ptx.Kernel
 
 	paramBlock []byte
 	info       *kernelInfo  // cached per-kernel analysis (see kernelcache.go)
-	prog       *execProgram // the lowered micro-op program (info.prog)
+	prog       *vec.Program // the lowered micro-op program (info.prog)
 	tracing    bool         // launch.Trace != nil, pre-checked for the hot path
 
 	now         int64
@@ -191,12 +192,8 @@ type Simulator struct {
 	// source slot) without allocating.
 	specScratch [3][32]uint64
 
-	// One-entry global-memory TLB: coalesced warp accesses land on the same
-	// 64KB page lane after lane, so caching the last page slice turns the
-	// per-lane map lookup in sem.Memory into a compare. Page slices are
-	// stable for the life of the Memory (see sem.Memory.PageFor).
-	tlbKey  uint64
-	tlbPage []byte
+	// global is the launch's global memory behind a one-entry page cache.
+	global sem.PageCache
 
 	maxConc int
 	stats   Stats
@@ -236,7 +233,7 @@ func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 
 	s := &Simulator{
 		cfg:         cfg,
-		mem:         mem,
+		global:      sem.NewPageCache(mem),
 		launch:      launch,
 		kernel:      k,
 		info:        info,
@@ -733,7 +730,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 	}
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
-	if pc >= len(s.prog.ops) {
+	if pc >= len(s.prog.Ops) {
 		// Defensive: treat running off the end as exit.
 		return true, stallNone
 	}
@@ -780,14 +777,14 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 		return false, r
 	}
 
-	u := &s.prog.ops[pc]
-	if u.class == passes.MicroMem {
+	u := &s.prog.Ops[pc]
+	if u.Class == passes.MicroMem {
 		if s.memPipeFree > s.now {
 			return false, stallCongestion
 		}
 		plan := s.planFor(w, pc, u)
-		needsMSHR := u.space == ptx.SpaceLocal ||
-			(u.space == ptx.SpaceGlobal && u.load && !u.bypass)
+		needsMSHR := u.Space == ptx.SpaceLocal ||
+			(u.Space == ptx.SpaceGlobal && u.Load && !u.Bypass)
 		if needsMSHR {
 			// Count the new misses this access would create; reject when
 			// the MSHR file cannot absorb them.
@@ -808,7 +805,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 // planFor computes (and caches) the memory transactions of the instruction
 // at pc for warp w. Buffers are reused across calls to keep the hot path
 // allocation-free.
-func (s *Simulator) planFor(w *warp, pc int, u *execOp) *memPlan {
+func (s *Simulator) planFor(w *warp, pc int, u *vec.Op) *memPlan {
 	if w.hasPlan && w.plan.pc == pc {
 		return &w.plan
 	}
@@ -819,7 +816,7 @@ func (s *Simulator) planFor(w *warp, pc int, u *execOp) *memPlan {
 	w.plan.conflicts = 0
 	w.plan.bytes = 0
 	plan := &w.plan
-	size := uint64(u.size)
+	size := uint64(u.Size)
 
 	addLine := func(line uint64) {
 		for _, l := range plan.lines {
@@ -839,24 +836,24 @@ func (s *Simulator) planFor(w *warp, pc int, u *execOp) *memPlan {
 	}
 
 	var base *[32]uint64
-	if u.membase != ptx.NoReg {
-		base = w.plane(u.membase)
+	if u.MemBase != ptx.NoReg {
+		base = w.plane(u.MemBase)
 	}
 	var guard *[32]uint64
-	if u.guard != ptx.NoReg {
-		guard = w.plane(u.guard)
+	if u.Guard != ptx.NoReg {
+		guard = w.plane(u.Guard)
 	}
 	for m := top.mask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		if guard != nil && (guard[l] != 0) == u.guardNeg {
+		if guard != nil && (guard[l] != 0) == u.GuardNeg {
 			continue
 		}
-		addr := u.memoff
+		addr := u.MemOff
 		if base != nil {
 			addr += base[l]
 		}
 		plan.bytes += int64(size)
-		switch u.space {
+		switch u.Space {
 		case ptx.SpaceGlobal:
 			for b := uint64(0); b < size; b += 4 {
 				addLine(s.l1.lineAddr(addr + b))

@@ -164,11 +164,15 @@ func CheckVariants(ref *ptx.Kernel, variants []Variant, opts Options) (*Divergen
 		} else {
 			mem, params = GenInputs(ref, opts.Grid, opts.Block, opts.Seed+int64(run))
 		}
-		refMem := mem.Clone()
-		refRes, err := emu.Run(emu.Launch{
-			Kernel: ref, Grid: opts.Grid, Block: opts.Block,
-			Params: params, MaxWarpInsts: opts.MaxWarpInsts,
-		}, refMem)
+		exec := func(k *ptx.Kernel, provenance bool) (*sem.Memory, *emu.Result, error) {
+			out := mem.Clone()
+			res, err := emu.Run(emu.Launch{
+				Kernel: k, Grid: opts.Grid, Block: opts.Block,
+				Params: params, MaxWarpInsts: opts.MaxWarpInsts, Provenance: provenance,
+			}, out)
+			return out, res, err
+		}
+		refMem, _, err := exec(ref, false)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: reference %s failed on run %d: %w", ref.Name, run, err)
 		}
@@ -176,11 +180,7 @@ func CheckVariants(ref *ptx.Kernel, variants []Variant, opts Options) (*Divergen
 			if v.Kernel == nil || v.Kernel == ref {
 				continue
 			}
-			varMem := mem.Clone()
-			varRes, err := emu.Run(emu.Launch{
-				Kernel: v.Kernel, Grid: opts.Grid, Block: opts.Block,
-				Params: params, MaxWarpInsts: opts.MaxWarpInsts,
-			}, varMem)
+			varMem, _, err := exec(v.Kernel, false)
 			if err != nil {
 				return &Divergence{Kernel: ref.Name, Stage: v.Stage, Run: run, VarFault: err}, nil
 			}
@@ -189,6 +189,11 @@ func CheckVariants(ref *ptx.Kernel, variants []Variant, opts Options) (*Divergen
 					Kernel: ref.Name, Stage: v.Stage, Run: run,
 					Addr: addr, RefByte: a, VarByte: b,
 				}
+				// Provenance costs a map entry per stored byte, so only a
+				// divergence pays for it: both executions are deterministic,
+				// and re-running them with provenance on reproduces them.
+				_, refRes, _ := exec(ref, true)
+				_, varRes, _ := exec(v.Kernel, true)
 				if s, ok := refRes.LastStore[addr]; ok {
 					d.RefStore = &s
 				}

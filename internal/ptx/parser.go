@@ -37,6 +37,9 @@ func (p *parser) errf(format string, args ...interface{}) error {
 // ParseModule parses a PTX module in the dialect produced by PrintModule.
 // It also tolerates the common nvcc spellings of the paper's listings
 // (mul.lo.u32, mad.lo, div.rn, rcp.approx, sqrt.rn, ld.param, st.local, ...).
+// Every name a kernel keeps (kernel, parameters, arrays, labels, branch
+// targets, symbol operands) is copied out of src, so a parsed kernel never
+// pins its source text.
 func ParseModule(src string) (*Module, error) {
 	p := &parser{lines: splitLines(src)}
 	m := &Module{}
@@ -121,7 +124,7 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	if !validIdent(name) {
 		return nil, p.errf("bad kernel name %q", name)
 	}
-	k := NewKernel(name)
+	k := NewKernel(strings.Clone(name))
 
 	// Parameters: collect text between '(' and ')'.
 	paramText := ""
@@ -150,7 +153,7 @@ func (p *parser) parseKernel() (*Kernel, error) {
 		if !ok {
 			return nil, p.errf("bad parameter type %q", fields[1])
 		}
-		k.AddParam(fields[len(fields)-1], t)
+		k.AddParam(strings.Clone(fields[len(fields)-1]), t)
 	}
 	// Advance past header line(s) to '{'.
 	for p.pos < len(p.lines) && !strings.Contains(p.lines[p.pos], "{") {
@@ -187,7 +190,7 @@ func (p *parser) parseKernel() (*Kernel, error) {
 		}
 		// Label line: "name:" possibly followed by an instruction.
 		if j := strings.Index(line, ":"); j >= 0 && !strings.ContainsAny(line[:j], " \t@%.[") {
-			pendingLabel = line[:j]
+			pendingLabel = strings.Clone(line[:j])
 			line = strings.TrimSpace(line[j+1:])
 			if line == "" {
 				p.pos++
@@ -297,7 +300,7 @@ func (p *parser) parseArrayDecl(k *Kernel, line string) error {
 	if size < 0 {
 		return p.errf("negative array size in %q", nameSize)
 	}
-	k.AddArray(ArrayDecl{Name: nameSize[:j], Space: sp, Align: align, Size: size})
+	k.AddArray(ArrayDecl{Name: strings.Clone(nameSize[:j]), Space: sp, Align: align, Size: size})
 	return nil
 }
 
@@ -405,7 +408,7 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 
 	switch op {
 	case OpBra:
-		in.Target = strings.TrimSpace(operands)
+		in.Target = strings.Clone(strings.TrimSpace(operands))
 		return in, nil
 	case OpRet, OpExit, OpNop:
 		return in, nil
@@ -478,7 +481,7 @@ func (p *parser) parseOperand(k *Kernel, regs map[string]Reg, tok string) (Opera
 			}
 			return MemReg(r, off), nil
 		}
-		return MemSym(base, off), nil
+		return MemSym(strings.Clone(base), off), nil
 	case strings.HasPrefix(tok, "%"):
 		if s, ok := SpecialFromName(tok); ok {
 			return Spec(s), nil
@@ -509,10 +512,10 @@ func (p *parser) parseOperand(k *Kernel, regs map[string]Reg, tok string) (Opera
 		}
 		// Bare identifier: address-of symbol (mov %rd, SpillStack).
 		if _, ok := k.Array(tok); ok {
-			return Sym(tok), nil
+			return Sym(strings.Clone(tok)), nil
 		}
 		if _, ok := k.Param(tok); ok {
-			return Sym(tok), nil
+			return Sym(strings.Clone(tok)), nil
 		}
 		return Operand{}, p.errf("unknown operand %q", tok)
 	}

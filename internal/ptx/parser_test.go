@@ -3,6 +3,7 @@ package ptx
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func wrapBody(body string) string {
@@ -165,5 +166,60 @@ func TestBareGuardOnExit(t *testing.T) {
 	}
 	if k.Insts[2].Op != OpExit || k.Insts[2].Guard == NoReg {
 		t.Error("guarded exit not parsed")
+	}
+}
+
+// TestParsedNamesDoNotPinSource: every name a parsed kernel keeps is its
+// own copy, so holding the kernel (as a compile cache does) does not keep
+// the whole source text alive.
+func TestParsedNamesDoNotPinSource(t *testing.T) {
+	src := `
+.visible .entry pinned(.param .u64 out, .param .u32 n)
+{
+	.reg .u64 %rd<2>;
+	.reg .u32 %r<2>;
+	.shared .align 4 .b8 tile[64];
+	ld.param.u64 %rd0, [out];
+	mov.u64 %rd1, tile;
+	bra done;
+done:
+	st.shared.u32 [tile+4], %r0;
+	exit;
+}
+`
+	k, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	end := start + uintptr(len(src))
+	check := func(what, s string) {
+		t.Helper()
+		if s == "" {
+			t.Fatalf("%s is empty", what)
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= start && p < end {
+			t.Errorf("%s %q points into the source text", what, s)
+		}
+	}
+	check("kernel name", k.Name)
+	for _, p := range k.Params {
+		check("param name", p.Name)
+	}
+	for _, a := range k.Arrays {
+		check("array name", a.Name)
+	}
+	for _, in := range k.Insts {
+		if in.Label != "" {
+			check("label", in.Label)
+		}
+		if in.Op == OpBra {
+			check("branch target", in.Target)
+		}
+		for _, o := range append([]Operand{in.Dst}, in.Srcs...) {
+			if o.Sym != "" {
+				check("symbol operand", o.Sym)
+			}
+		}
 	}
 }

@@ -100,9 +100,19 @@ func PrintModule(m *Module) string {
 	if target == "" {
 		target = "sm_20"
 	}
-	fmt.Fprintf(&b, ".version %s\n.target %s\n.address_size 64\n\n", version, target)
-	for _, k := range m.Kernels {
-		b.WriteString(Print(k))
+	header := fmt.Sprintf(".version %s\n.target %s\n.address_size 64\n\n", version, target)
+	kernels := make([]string, len(m.Kernels))
+	size := len(header)
+	for i, k := range m.Kernels {
+		kernels[i] = Print(k)
+		size += len(kernels[i]) + 1
+	}
+	// Sized exactly: callers such as a compile cache keep the result for
+	// the life of the process, and a grown builder would keep its slack.
+	b.Grow(size)
+	b.WriteString(header)
+	for _, k := range kernels {
+		b.WriteString(k)
 		b.WriteString("\n")
 	}
 	return b.String()

@@ -1,8 +1,10 @@
 package sem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PageBits sizes the sparse memory pages (64KB).
@@ -36,6 +38,9 @@ func (m *Memory) Alloc(size int64) uint64 {
 	return base
 }
 
+// page returns the backing page containing addr, allocating it on first
+// touch. A page, once created, is never replaced or resized, so a caller
+// may cache the returned slice keyed by addr>>pageBits (see PageCache).
 func (m *Memory) page(addr uint64) []byte {
 	p, ok := m.pages[addr>>pageBits]
 	if !ok {
@@ -45,11 +50,81 @@ func (m *Memory) page(addr uint64) []byte {
 	return p
 }
 
-// PageFor returns the backing page containing addr, allocating it on first
-// touch. A page, once created, is never replaced or resized, so callers on a
-// hot path may cache the returned slice keyed by addr>>PageBits and skip the
-// map lookup while consecutive accesses stay within one page.
-func (m *Memory) PageFor(addr uint64) []byte { return m.page(addr) }
+// PageCache is a one-entry page cache in front of a Memory, for the
+// execution engines' global accesses. Coalesced warp accesses land on the
+// same 64KB page lane after lane, so caching the last page slice turns the
+// per-lane map lookup into a compare. Read and Write agree bit for bit with
+// Memory's; a page-straddling access (possible with unaligned addresses)
+// takes Memory's slow path.
+type PageCache struct {
+	mem  *Memory
+	key  uint64
+	page []byte
+}
+
+// NewPageCache returns an empty page cache over m.
+func NewPageCache(m *Memory) PageCache { return PageCache{mem: m} }
+
+func (c *PageCache) pageFor(addr uint64) []byte {
+	key := addr >> pageBits
+	if key != c.key || c.page == nil {
+		c.page = c.mem.page(addr)
+		c.key = key
+	}
+	return c.page
+}
+
+// Read is Memory.Read through the cache.
+func (c *PageCache) Read(addr uint64, size int) uint64 {
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		return c.mem.Read(addr, size)
+	}
+	return ReadLE(c.pageFor(addr)[off:], size)
+}
+
+// Write is Memory.Write through the cache.
+func (c *PageCache) Write(addr uint64, v uint64, size int) {
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		c.mem.Write(addr, v, size)
+		return
+	}
+	WriteLE(c.pageFor(addr)[off:], v, size)
+}
+
+// ReadLE reads the n-byte little-endian value at the front of b: a page, or
+// an engine's local or shared segment. The common widths go through
+// encoding/binary, which the compiler turns into a single load —
+// bit-identical to the byte loop.
+func ReadLE(b []byte, n int) uint64 {
+	switch n {
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	}
+	var v uint64
+	for i := 0; i < n; i++ {
+		v |= uint64(b[i]) << (8 * i)
+	}
+	return v
+}
+
+// WriteLE stores the low n bytes of v at the front of b, little-endian.
+func WriteLE(b []byte, v uint64, n int) {
+	switch n {
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		return
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+		return
+	}
+	for i := 0; i < n; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+}
 
 // ReadBytes copies n bytes at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
@@ -150,39 +225,40 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
+// zeroPage stands in for a page absent from one image. It is only read.
+var zeroPage = make([]byte, pageSize)
+
 // DiffFirst compares two memory images and returns the lowest address at
 // which they differ, with the differing bytes. A page absent from one image
 // compares as all zeros, so two images differ only where written contents
 // differ — identical allocations with different page fault patterns are
-// equal. The sorted page walk makes the answer deterministic.
+// equal. Pages are compared whole in ascending order, and only the first
+// unequal one is scanned byte by byte, so the answer is deterministic.
 func (m *Memory) DiffFirst(o *Memory) (addr uint64, a, b byte, ok bool) {
-	ids := make(map[uint64]struct{}, len(m.pages)+len(o.pages))
+	ids := make([]uint64, 0, len(m.pages)+len(o.pages))
 	for id := range m.pages {
-		ids[id] = struct{}{}
+		ids = append(ids, id)
 	}
 	for id := range o.pages {
-		ids[id] = struct{}{}
+		if _, both := m.pages[id]; !both {
+			ids = append(ids, id)
+		}
 	}
-	sorted := make([]uint64, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, id := range sorted {
+	slices.Sort(ids)
+	for _, id := range ids {
 		pa, pb := m.pages[id], o.pages[id]
-		if pa == nil && pb == nil {
+		if pa == nil {
+			pa = zeroPage
+		}
+		if pb == nil {
+			pb = zeroPage
+		}
+		if bytes.Equal(pa, pb) {
 			continue
 		}
-		for i := 0; i < pageSize; i++ {
-			var va, vb byte
-			if pa != nil {
-				va = pa[i]
-			}
-			if pb != nil {
-				vb = pb[i]
-			}
-			if va != vb {
-				return id<<pageBits | uint64(i), va, vb, true
+		for i := range pa {
+			if pa[i] != pb[i] {
+				return id<<pageBits | uint64(i), pa[i], pb[i], true
 			}
 		}
 	}

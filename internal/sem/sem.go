@@ -1,8 +1,9 @@
 // Package sem defines the functional semantics of the PTX subset: raw
 // register bit patterns, ALU/comparison/conversion evaluation, and the
-// sparse global-memory image. Both execution engines — the cycle-level
-// simulator (internal/gpusim) and the timing-free functional emulator
-// (internal/emu) — evaluate instructions through this single package, so
+// sparse global-memory image. It is the reference definition: both
+// execution engines — the cycle-level simulator (internal/gpusim) and the
+// timing-free functional emulator (internal/emu) — run the 32-lane kernels
+// of internal/vec, which mirror these formulas bit for bit or call them, so
 // the differential oracle compares *execution order and rewrite
 // correctness*, never two divergent reimplementations of arithmetic.
 package sem
@@ -29,6 +30,34 @@ func F64Bits(v float64) uint64 { return math.Float64bits(v) }
 
 // BitsF64 interprets a raw value as a float64.
 func BitsF64(b uint64) float64 { return math.Float64frombits(b) }
+
+// Canonical NaN bit patterns. A NaN result of add, sub, mul, mad or div is
+// canonical: IEEE 754 leaves open which input NaN such an operation
+// propagates, and the Go compiler may order a commutative operation's
+// operands either way, so a propagated payload would depend on how the
+// evaluating code was compiled.
+const (
+	CanonNaN32 = 0x7fffffff
+	CanonNaN64 = 0x7fffffffffffffff
+)
+
+// ArithF32Bits is F32Bits for an add/sub/mul/mad/div result: a NaN becomes
+// CanonNaN32.
+func ArithF32Bits(v float32) uint64 {
+	if v != v {
+		return CanonNaN32
+	}
+	return F32Bits(v)
+}
+
+// ArithF64Bits is F64Bits for an add/sub/mul/mad/div result: a NaN becomes
+// CanonNaN64.
+func ArithF64Bits(v float64) uint64 {
+	if v != v {
+		return CanonNaN64
+	}
+	return F64Bits(v)
+}
 
 // Truncate masks v to the width of t.
 func Truncate(v uint64, t ptx.Type) uint64 {
@@ -222,6 +251,10 @@ func aluFloat(op ptx.Opcode, t ptx.Type, a, b, c uint64) (uint64, error) {
 		default:
 			return 0, fmt.Errorf("sem: f32 op %v unsupported", op)
 		}
+		switch op {
+		case ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpMad, ptx.OpDiv:
+			return ArithF32Bits(r), nil
+		}
 		return F32Bits(r), nil
 	}
 	fa, fb, fc := BitsF64(a), BitsF64(b), BitsF64(c)
@@ -263,6 +296,10 @@ func aluFloat(op ptx.Opcode, t ptx.Type, a, b, c uint64) (uint64, error) {
 		r = math.Exp2(fa)
 	default:
 		return 0, fmt.Errorf("sem: f64 op %v unsupported", op)
+	}
+	switch op {
+	case ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpMad, ptx.OpDiv:
+		return ArithF64Bits(r), nil
 	}
 	return F64Bits(r), nil
 }

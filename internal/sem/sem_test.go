@@ -292,3 +292,81 @@ func TestConvertToFloat(t *testing.T) {
 		t.Errorf("cvt.f64.f32(NaN) = %v, want NaN", BitsF64(nan))
 	}
 }
+
+// TestDiffFirst pins DiffFirst's contract: an absent page equals an
+// all-zero page, a difference anywhere in a page (its last byte included)
+// is found, the lowest differing address wins, and the answer does not
+// depend on the order pages were created in.
+func TestDiffFirst(t *testing.T) {
+	const p0, p1, p2 = 0x10000, 0x30000, 0x50000 // three distinct pages
+	type write struct {
+		addr uint64
+		v    byte
+	}
+	rows := []struct {
+		name         string
+		a, b         []write
+		wantOK       bool
+		wantAddr     uint64
+		wantA, wantB byte
+	}{
+		{name: "absent page equals zero page", a: []write{{p1 + 5, 0}}},
+		{name: "both empty"},
+		{name: "last byte of a page", a: []write{{p1 + PageSize - 1, 7}}, b: []write{{p1, 0}},
+			wantOK: true, wantAddr: p1 + PageSize - 1, wantA: 7},
+		{name: "absent on one side", b: []write{{p2 + 9, 3}},
+			wantOK: true, wantAddr: p2 + 9, wantB: 3},
+		{name: "lowest of two differing pages", a: []write{{p2 + 1, 1}, {p0 + 100, 2}}, b: []write{{p2 + 1, 9}, {p0 + 100, 4}},
+			wantOK: true, wantAddr: p0 + 100, wantA: 2, wantB: 4},
+		{name: "lowest address within a page", a: []write{{p1 + 40, 1}, {p1 + 30, 1}},
+			wantOK: true, wantAddr: p1 + 30, wantA: 1},
+	}
+	build := func(ws []write, reverse bool) *Memory {
+		m := NewMemory()
+		for i := range ws {
+			w := ws[i]
+			if reverse {
+				w = ws[len(ws)-1-i]
+			}
+			m.WriteBytes(w.addr, []byte{w.v})
+		}
+		return m
+	}
+	for _, row := range rows {
+		for _, reverse := range []bool{false, true} {
+			a, b := build(row.a, reverse), build(row.b, !reverse)
+			addr, va, vb, ok := a.DiffFirst(b)
+			if ok != row.wantOK || addr != row.wantAddr || va != row.wantA || vb != row.wantB {
+				t.Errorf("%s (reverse=%v): got (%#x, %d, %d, %v), want (%#x, %d, %d, %v)",
+					row.name, reverse, addr, va, vb, ok, row.wantAddr, row.wantA, row.wantB, row.wantOK)
+			}
+			if a.Equal(b) == ok {
+				t.Errorf("%s (reverse=%v): Equal disagrees with DiffFirst", row.name, reverse)
+			}
+		}
+	}
+}
+
+// TestArithNaNIsCanonical: a NaN result of a multi-operand arithmetic op
+// is the canonical NaN whatever the input payloads and their order, so no
+// result depends on which operand the compiled code happened to put first.
+func TestArithNaNIsCanonical(t *testing.T) {
+	rows := []struct {
+		ty     ptx.Type
+		n1, n2 uint64 // NaNs with distinct payloads and signs
+		one    uint64
+		canon  uint64
+	}{
+		{ptx.F32, 0x7fc00001, 0xffc00002, F32Bits(1), CanonNaN32},
+		{ptx.F64, 0x7ff8000000000001, 0xfff8000000000002, F64Bits(1), CanonNaN64},
+	}
+	for _, r := range rows {
+		for _, op := range []ptx.Opcode{ptx.OpAdd, ptx.OpSub, ptx.OpMul, ptx.OpMad, ptx.OpDiv} {
+			for _, in := range [][3]uint64{{r.n1, r.n2, r.n1}, {r.n2, r.n1, r.n2}, {r.n1, r.one, r.one}, {r.one, r.n2, r.one}} {
+				if got, _ := ALU(op, r.ty, in[0], in[1], in[2]); got != r.canon {
+					t.Errorf("%v.%v(%#x, %#x, %#x) = %#x, want canonical %#x", op, r.ty, in[0], in[1], in[2], got, r.canon)
+				}
+			}
+		}
+	}
+}
