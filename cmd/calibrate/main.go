@@ -75,8 +75,8 @@ func main() {
 		for _, t := range tlps {
 			fmt.Fprintf(&sb, " %d:%d", t, stairs[t])
 		}
-		fmt.Printf("%-5s maxreg=%-3d floor=%-3d def=%-3d maxTLP=%d optTLP=%d stairs={%s }\n",
-			p.Abbr, a.MaxReg, a.FeasibleMinReg, a.DefaultReg, a.MaxTLP, a.OptTLP, sb.String())
+		fmt.Printf("%-5s maxreg=%-3d feasfloor=%-3d def=%-3d maxTLP=%d optTLP=%d stairs={%s }\n",
+			p.Abbr, a.MaxReg, core.FeasibleFloor(app.Kernel, a.MaxReg), a.DefaultReg, a.MaxTLP, a.OptTLP, sb.String())
 		for i, st := range runs {
 			fmt.Printf("        tlp=%d cycles=%-9d ipc=%.2f l1=%.3f congest=%-8d local=%d\n",
 				i+1, st.Cycles, st.IPC(), st.L1HitRate(), st.StallCongestion, st.LocalOps())

@@ -43,15 +43,18 @@ type App struct {
 
 // Analysis is the collected resource usage of paper Table 1.
 type Analysis struct {
-	MaxReg         int // registers to hold all variables (dataflow analysis)
-	MinReg         int // NumRegister / MaxThreads (architecture floor)
-	FeasibleMinReg int // smallest budget the allocator can honor
-	DefaultReg     int
-	BlockSize      int
-	ShmSize        int64 // shared memory per block requested by the kernel
-	MaxTLP         int   // occupancy at DefaultReg
-	OptTLP         int   // 0 from Analyze; a Decision carries the resolved Options.OptTLP
-	Segments       []Segment
+	MaxReg int // registers to hold all variables (dataflow analysis)
+	MinReg int // NumRegister / MaxThreads (architecture floor)
+	// RegFloor is max(FeasibleFloor, MinReg, 4): the lowest budget the
+	// pruned design space reaches. It is not the allocator's exact floor;
+	// call FeasibleFloor for that.
+	RegFloor   int
+	DefaultReg int
+	BlockSize  int
+	ShmSize    int64 // shared memory per block requested by the kernel
+	MaxTLP     int   // occupancy at DefaultReg
+	OptTLP     int   // 0 from Analyze; a Decision carries the resolved Options.OptTLP
+	Segments   []Segment
 }
 
 // Analyze collects the static resource-usage parameters of the app on the
@@ -78,7 +81,7 @@ func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
 	if cap := arch.MaxRegPerThread; cap > 0 && a.DefaultReg > cap {
 		a.DefaultReg = cap
 	}
-	a.FeasibleMinReg = feasibleFloor(app.Kernel, a.MaxReg)
+	a.RegFloor = regFloor(app.Kernel, a.MinReg, a.MaxReg)
 	a.MaxTLP = arch.Occupancy(a.DefaultReg, a.ShmSize, app.Block)
 	if a.MaxTLP == 0 {
 		return nil, fmt.Errorf("core: %s does not fit on the SM at its default configuration", app.Name)
@@ -91,21 +94,45 @@ func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
 	return a, nil
 }
 
-// feasibleFloor finds the smallest register budget the allocator can honor
-// (spill machinery included) by bisection over [4, maxReg].
-func feasibleFloor(k *ptx.Kernel, maxReg int) int {
-	lo, hi := 4, maxReg
-	ok := func(b int) bool {
-		_, err := regalloc.Allocate(k, regalloc.Options{Regs: b})
-		return err == nil
-	}
-	if ok(lo) {
+// allocate is the feasibility probe behind RegFloor and FeasibleFloor. It
+// is a variable only so that tests can count the probes.
+var allocate = regalloc.Allocate
+
+func feasible(k *ptx.Kernel, budget int) bool {
+	_, err := allocate(k, regalloc.Options{Regs: budget})
+	return err == nil
+}
+
+// regFloor returns max(FeasibleFloor(k, maxReg), minReg, 4) without
+// searching for the exact floor when the clamp decides: no probe when
+// maxReg is already at or below the clamp, one probe at the clamp
+// otherwise, and a bisection above it only if that probe fails.
+func regFloor(k *ptx.Kernel, minReg, maxReg int) int {
+	lo := max(minReg, 4)
+	if maxReg <= lo || feasible(k, lo) {
 		return lo
 	}
+	return bisectFloor(k, lo, maxReg)
+}
+
+// FeasibleFloor finds the smallest register budget the allocator can honor
+// (spill machinery included) by bisection over [4, maxReg]. The compile
+// path needs only Analysis.RegFloor; this exact value is for callers that
+// study the allocator below the architecture floor.
+func FeasibleFloor(k *ptx.Kernel, maxReg int) int {
+	if feasible(k, 4) {
+		return 4
+	}
+	return bisectFloor(k, 4, maxReg)
+}
+
+// bisectFloor returns the smallest feasible budget in (lo, hi], given lo
+// infeasible and hi feasible.
+func bisectFloor(k *ptx.Kernel, lo, hi int) int {
 	// Invariant: lo infeasible, hi feasible.
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if ok(mid) {
+		if feasible(k, mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -120,6 +147,19 @@ func (a *Analysis) TLPAt(arch gpusim.Config, reg int) int {
 	return arch.Occupancy(reg, a.ShmSize, a.BlockSize)
 }
 
+// RegRange returns the register budgets [lo, hi] the design space spans:
+// from RegFloor up to MaxReg, capped by the ISA's per-thread limit (0 means
+// uncapped). When the cap sits below RegFloor the range is the single
+// budget hi.
+func (a *Analysis) RegRange(arch gpusim.Config) (lo, hi int) {
+	lo, hi = a.RegFloor, a.MaxReg
+	if cap := arch.MaxRegPerThread; cap > 0 && hi > cap {
+		// The ISA caps per-thread registers; demand beyond it must spill.
+		hi = cap
+	}
+	return min(lo, hi), hi
+}
+
 // Staircase returns, for every TLP value t in [1, occupancy(lowest useful
 // reg)], the largest register per-thread realizable at that TLP — the
 // rightmost point of each stair in paper Figure 11. Because the throttler
@@ -127,21 +167,7 @@ func (a *Analysis) TLPAt(arch gpusim.Config, reg int) int {
 // occupancy(MaxReg) sit at MaxReg.
 func (a *Analysis) Staircase(arch gpusim.Config) map[int]int {
 	out := make(map[int]int)
-	lo := a.FeasibleMinReg
-	if lo < a.MinReg {
-		lo = a.MinReg
-	}
-	if lo < 4 {
-		lo = 4
-	}
-	hi := a.MaxReg
-	if cap := arch.MaxRegPerThread; cap > 0 && hi > cap {
-		// The ISA caps per-thread registers; demand beyond it must spill.
-		hi = cap
-	}
-	if lo > hi {
-		lo = hi
-	}
+	lo, hi := a.RegRange(arch)
 	maxT := a.TLPAt(arch, lo)
 	for t := 1; t <= maxT; t++ {
 		// Largest reg in [lo, hi] whose occupancy still reaches t.

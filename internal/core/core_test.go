@@ -107,8 +107,11 @@ func TestAnalyze(t *testing.T) {
 	if a.MaxTLP < 1 || a.MaxTLP > 8 {
 		t.Errorf("MaxTLP = %d out of range", a.MaxTLP)
 	}
-	if a.FeasibleMinReg >= a.MaxReg || a.FeasibleMinReg < 4 {
-		t.Errorf("FeasibleMinReg = %d implausible vs MaxReg %d", a.FeasibleMinReg, a.MaxReg)
+	if a.RegFloor != a.MinReg {
+		t.Errorf("RegFloor = %d, want MinReg %d (feasible here)", a.RegFloor, a.MinReg)
+	}
+	if floor := FeasibleFloor(app.Kernel, a.MaxReg); floor >= a.MaxReg || floor < 4 {
+		t.Errorf("FeasibleFloor = %d implausible vs MaxReg %d", floor, a.MaxReg)
 	}
 	if len(a.Segments) < 3 {
 		t.Errorf("expected several segments, got %d", len(a.Segments))

@@ -35,7 +35,7 @@ func runCorpus(b *testing.B) []runCase {
 		if err != nil {
 			b.Fatalf("%s: analyze: %v", name, err)
 		}
-		alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.FeasibleMinReg})
+		alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: core.FeasibleFloor(app.Kernel, a.MaxReg)})
 		if err != nil {
 			b.Fatalf("%s: allocate: %v", name, err)
 		}

@@ -123,14 +123,7 @@ func (s *Session) Figure2() (*Table, error) {
 		Title:   "Design space of register per-thread and TLP for CFD (paper Fig 2)",
 		Columns: []string{"reg/thread", "TLP", "cycles", "speedup vs default"},
 	}
-	lo := a.FeasibleMinReg
-	if lo < a.MinReg {
-		lo = a.MinReg
-	}
-	hi := a.MaxReg
-	if hi > s.Arch.MaxRegPerThread {
-		hi = s.Arch.MaxRegPerThread
-	}
+	lo, hi := a.RegRange(s.Arch)
 	// The sweep points are independent simulations: fan them out, then emit
 	// rows in sweep order (the running-baseline logic is order-dependent).
 	type point struct{ reg, tlp int }
@@ -262,14 +255,7 @@ func (s *Session) Figure6() (*Table, error) {
 		Title:   "Register per-thread vs TLP and instruction count for CFD (paper Fig 6)",
 		Columns: []string{"reg/thread", "TLP (occupancy)", "dynamic thread insts", "spill insts (static)"},
 	}
-	lo := a.FeasibleMinReg
-	if lo < a.MinReg {
-		lo = a.MinReg
-	}
-	hi := a.MaxReg
-	if hi > s.Arch.MaxRegPerThread {
-		hi = s.Arch.MaxRegPerThread
-	}
+	lo, hi := a.RegRange(s.Arch)
 	type point struct{ reg, tlp int }
 	var pts []point
 	for reg := lo; reg <= hi; reg += 6 {
@@ -438,7 +424,7 @@ func (s *Session) Figure12() (*Table, error) {
 	// Sweep from just above the feasibility floor (where the hot,
 	// loop-resident values spill and the two allocators' victim choices
 	// diverge) up past the default.
-	lo := a.FeasibleMinReg + 2
+	lo := core.FeasibleFloor(app.Kernel, a.MaxReg) + 2
 	for reg := lo; reg <= a.DefaultReg+8; reg += 4 {
 		cb, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: reg})
 		if err != nil {

@@ -39,7 +39,7 @@ func chainCorpus(b *testing.B) []chainCase {
 		if err != nil {
 			b.Fatalf("%s: analyze: %v", name, err)
 		}
-		alloc, spill := buildVariants(b, app, arch, a, a.FeasibleMinReg)
+		alloc, spill := buildVariants(b, app, arch, a, core.FeasibleFloor(app.Kernel, a.MaxReg))
 		c := chainCase{name: name, original: app.Kernel, allocated: alloc.Kernel, final: spill.Alloc.Kernel, opts: opts}
 		c.warpInsts = chainWarpInsts(b, c)
 		out = append(out, c)

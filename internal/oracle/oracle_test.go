@@ -69,8 +69,8 @@ func TestWorkloadsZeroDivergence(t *testing.T) {
 				t.Fatalf("analyze: %v", err)
 			}
 			budgets := []int{a.DefaultReg}
-			if a.FeasibleMinReg < a.DefaultReg {
-				budgets = append(budgets, a.FeasibleMinReg)
+			if floor := core.FeasibleFloor(app.Kernel, a.MaxReg); floor < a.DefaultReg {
+				budgets = append(budgets, floor)
 			}
 			for _, budget := range budgets {
 				alloc, spill := buildVariants(t, app, arch, a, budget)
