@@ -13,6 +13,7 @@ GOLDENDIR := /tmp/crat-golden-diff
 SVCDIR := /tmp/crat-service-smoke
 SHARDDIR := /tmp/crat-shard-smoke
 CHAOSDIR := /tmp/crat-chaos-smoke
+GOLDEN_SIMS := 420
 
 # Normalization for golden-output comparison: drop the wall-clock footer,
 # mask duration tokens (the overhead table's profiling/static wall columns
@@ -50,27 +51,44 @@ bench:
 	set -e; for w in paper_suite svc_cold svc_warm gw_mixed; do $(GO) run ./bench -workload $$w; done
 
 # Checkpoint round-trip smoke: run two experiments clean, re-run them with
-# -checkpoint and kill the process mid-flight (SIGINT, as a user would), then
-# tear the tail off one journal (the torn final record a power cut leaves)
-# before the -resume, and require the resumed output byte-identical to the
-# clean run with the salvage reported. Guards the whole durability stack end
-# to end: signal handling, journal atomicity, torn-tail salvage, manifest
-# validation, and deterministic decision rebuild.
+# -checkpoint and interrupt the process mid-flight (SIGINT, as a user would,
+# sent once the journal holds a few records), then tear the tail off the
+# journal (the torn final record a power cut leaves) before the -resume, and
+# require the resumed output byte-identical to the clean run with the
+# salvage reported and fewer launches simulated than the clean run. Guards
+# the whole durability stack end to end: signal handling, journal
+# atomicity, torn-tail salvage, manifest validation, and deterministic
+# decision rebuild.
 checkpoint-smoke:
 	rm -rf $(SMOKEDIR) && mkdir -p $(SMOKEDIR)
 	$(GO) build -o $(SMOKEDIR)/experiments ./cmd/experiments
-	$(SMOKEDIR)/experiments -run fig12,fig8 -j 4 > $(SMOKEDIR)/clean.txt
-	-timeout -s INT 6 $(SMOKEDIR)/experiments -run fig12,fig8 -j 4 -checkpoint $(SMOKEDIR)/ck > $(SMOKEDIR)/killed.txt
-	JL=$$(ls $(SMOKEDIR)/ck/*/journal.log 2>/dev/null | head -1); \
-	[ -n "$$JL" ] || { echo "checkpoint-smoke: no journal written by the killed run"; exit 1; }; \
+	$(SMOKEDIR)/experiments -run fig12,fig8 -j 4 > $(SMOKEDIR)/clean.txt 2> $(SMOKEDIR)/clean.err
+	set -e; \
+	JL=$(SMOKEDIR)/ck/fermi/journal.log; \
+	$(SMOKEDIR)/experiments -run fig12,fig8 -j 4 -checkpoint $(SMOKEDIR)/ck > $(SMOKEDIR)/killed.txt 2>&1 & \
+	PID=$$!; \
+	N=0; \
+	for i in $$(seq 1 600); do \
+		N=$$(grep -ao CRJ2 $$JL 2>/dev/null | wc -l); \
+		[ $$N -ge 3 ] && break; \
+		sleep 0.05; \
+	done; \
+	kill -INT $$PID 2>/dev/null || true; \
+	wait $$PID || true; \
+	grep -q '^interrupted (' $(SMOKEDIR)/killed.txt && ! grep -q '^done in' $(SMOKEDIR)/killed.txt || \
+		{ echo "checkpoint-smoke: the -checkpoint run was not interrupted mid-flight"; cat $(SMOKEDIR)/killed.txt; exit 1; }; \
 	truncate -s -7 $$JL; \
-	echo "checkpoint-smoke: tore 7 bytes off $$JL"
-	$(SMOKEDIR)/experiments -run fig12,fig8 -j 4 -checkpoint $(SMOKEDIR)/ck -resume > $(SMOKEDIR)/resumed.txt
+	echo "checkpoint-smoke: interrupted at $$N journal records; tore 7 bytes off $$JL"
+	$(SMOKEDIR)/experiments -run fig12,fig8 -j 4 -checkpoint $(SMOKEDIR)/ck -resume > $(SMOKEDIR)/resumed.txt 2> $(SMOKEDIR)/resumed.err
 	grep -q '^checkpoint: .* salvaged' $(SMOKEDIR)/resumed.txt
+	CLEAN=$$(sed -n 's/^simulations: \([0-9]*\) run.*/\1/p' $(SMOKEDIR)/clean.err); \
+	RESUMED=$$(sed -n 's/^simulations: \([0-9]*\) run.*/\1/p' $(SMOKEDIR)/resumed.err); \
+	[ -n "$$CLEAN" ] && [ -n "$$RESUMED" ] && [ $$RESUMED -lt $$CLEAN ] || \
+		{ echo "checkpoint-smoke: the resume simulated $$RESUMED launches, the clean run $$CLEAN"; exit 1; }
 	grep -v '^done in\|^checkpoint:' $(SMOKEDIR)/clean.txt > $(SMOKEDIR)/clean.norm
 	grep -v '^done in\|^checkpoint:' $(SMOKEDIR)/resumed.txt > $(SMOKEDIR)/resumed.norm
 	diff $(SMOKEDIR)/clean.norm $(SMOKEDIR)/resumed.norm
-	@echo "checkpoint-smoke: resumed output byte-identical to the clean run, torn tail salvaged"
+	@echo "checkpoint-smoke: resumed output byte-identical to the clean run, torn tail salvaged, fewer launches simulated"
 
 # Short fuzz runs of the kernel and module parsers (no-panic + print/parse
 # round-trip properties) and of the checkpoint journal decoder (salvage
@@ -184,13 +202,19 @@ chaos-smoke:
 # against the committed experiments_output.txt (durations normalized, see
 # NORM). The full sweep is deterministic — any diff is a real behavior
 # change; if it is intentional, refresh the golden with `make golden-regen`.
+# It also pins GOLDEN_SIMS, the distinct launches the sweep simulates
+# through the session memos (the overhead table and abl-tpsc's oracle
+# sweep simulate directly and are not counted): a launch simulated twice,
+# or one the memo wrongly merges, moves it.
 golden-diff:
 	rm -rf $(GOLDENDIR) && mkdir -p $(GOLDENDIR)
-	$(GO) run ./cmd/experiments -run all > $(GOLDENDIR)/fresh.txt
+	$(GO) run ./cmd/experiments -run all > $(GOLDENDIR)/fresh.txt 2> $(GOLDENDIR)/fresh.err
 	$(NORM) experiments_output.txt > $(GOLDENDIR)/golden.norm
 	$(NORM) $(GOLDENDIR)/fresh.txt > $(GOLDENDIR)/fresh.norm
 	diff $(GOLDENDIR)/golden.norm $(GOLDENDIR)/fresh.norm
-	@echo "golden-diff: experiment output matches experiments_output.txt"
+	grep -q '^simulations: $(GOLDEN_SIMS) run,' $(GOLDENDIR)/fresh.err || \
+		{ echo "golden-diff: want $(GOLDEN_SIMS) simulations"; cat $(GOLDENDIR)/fresh.err; exit 1; }
+	@echo "golden-diff: experiment output matches experiments_output.txt; $(GOLDEN_SIMS) launches simulated"
 
 # Refresh the golden after an intentional output change.
 golden-regen:

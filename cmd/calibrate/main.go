@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +18,7 @@ import (
 	"crat/internal/buildinfo"
 	"crat/internal/core"
 	"crat/internal/gpusim"
+	"crat/internal/harness"
 	"crat/internal/workloads"
 )
 
@@ -52,19 +52,14 @@ func main() {
 		}
 	}
 
-	costs, err := gpusim.MeasureCosts(arch)
+	s, err := harness.NewSession(arch)
 	check(err)
-	fmt.Printf("costs: local=%.1f shared=%.1f\n", costs.Local, costs.Shared)
+	fmt.Printf("costs: local=%.1f shared=%.1f\n", s.Costs.Local, s.Costs.Shared)
 
-	ctx := context.Background()
 	for _, p := range profiles {
 		start := time.Now()
-		app := p.App()
-		a, err := core.Analyze(app, arch)
+		a, runs, err := s.Analysis(p)
 		check(err)
-		opt, runs, err := core.ProfileOptTLPNCtx(ctx, app, arch, a, 1)
-		check(err)
-		a.OptTLP = opt
 		stairs := a.Staircase(arch)
 		var tlps []int
 		for t := range stairs {
@@ -76,14 +71,14 @@ func main() {
 			fmt.Fprintf(&sb, " %d:%d", t, stairs[t])
 		}
 		fmt.Printf("%-5s maxreg=%-3d feasfloor=%-3d def=%-3d maxTLP=%d optTLP=%d stairs={%s }\n",
-			p.Abbr, a.MaxReg, core.FeasibleFloor(app.Kernel, a.MaxReg), a.DefaultReg, a.MaxTLP, a.OptTLP, sb.String())
+			p.Abbr, a.MaxReg, core.FeasibleFloor(s.App(p).Kernel, a.MaxReg), a.DefaultReg, a.MaxTLP, a.OptTLP, sb.String())
 		for i, st := range runs {
 			fmt.Printf("        tlp=%d cycles=%-9d ipc=%.2f l1=%.3f congest=%-8d local=%d\n",
 				i+1, st.Cycles, st.IPC(), st.L1HitRate(), st.StallCongestion, st.LocalOps())
 		}
 
 		if *modes {
-			d, err := core.OptimizeCtx(ctx, app, core.Options{Arch: arch, Analysis: a, OptTLP: opt, SpillShared: true, Costs: costs})
+			_, d, err := s.Mode(p, core.ModeCRAT)
 			check(err)
 			for _, c := range d.Candidates {
 				fmt.Printf("        cand reg=%-3d tlp=%d locals=%d shm=%d others=%d tpsc=%.2f\n",
@@ -92,7 +87,7 @@ func main() {
 			fmt.Printf("        chosen: reg=%d tlp=%d\n", d.Chosen.Reg, d.Chosen.TLP)
 			var base int64
 			for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-				st, dd, err := core.RunModeCtx(ctx, app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt, Costs: costs})
+				st, dd, err := s.Mode(p, m)
 				check(err)
 				if m == core.ModeOptTLP {
 					base = st.Cycles

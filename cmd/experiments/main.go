@@ -107,6 +107,12 @@ func main() {
 	if *passTimes {
 		harness.PassTimingTable().Render(os.Stdout)
 	}
+	if rep != nil {
+		// On stderr, so the rendered tables (the golden output) stay as
+		// they are.
+		fmt.Fprintf(os.Stderr, "simulations: %d run, %d memo hits, %d checkpoint hits\n",
+			rep.SimRuns, rep.SimMemoHits, rep.CkptHits)
+	}
 	if rep != nil && *ckptDir != "" {
 		fmt.Printf("checkpoint: %d result(s) persisted in %s (%d inherited via -resume, %d served from checkpoint)\n",
 			rep.Persisted, *ckptDir, rep.Loaded, rep.CkptHits)
@@ -124,6 +130,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if ctx.Err() != nil {
+		return // an interrupted run is not done
 	}
 	fmt.Printf("done in %s\n", time.Since(start).Round(time.Second))
 }

@@ -45,7 +45,7 @@ func main() {
 	fmt.Println()
 
 	// OptTLP through profiling (paper §4.1).
-	opt, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
+	opt, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1, core.SimulateKernelCtx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,11 @@ func main() {
 	// Compare the four configurations (paper Figure 13).
 	var base int64
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		st, dd, err := core.RunModeCtx(context.Background(), app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt})
+		dd, err := core.CompileModeCtx(context.Background(), app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt})
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := core.SimulateKernelCtx(context.Background(), app, arch, dd.Chosen.Kernel(), dd.Chosen.UsedRegs(), m.LaunchTLP(dd))
 		if err != nil {
 			log.Fatal(err)
 		}

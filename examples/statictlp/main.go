@@ -41,7 +41,7 @@ func main() {
 
 		// Profiling: simulate every TLP.
 		start := time.Now()
-		profiled, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1)
+		profiled, runs, err := core.ProfileOptTLPNCtx(context.Background(), app, arch, a, 1, core.SimulateKernelCtx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 
 		// Static: one TLP=1 run feeds the GTO-mimicking model.
 		start = time.Now()
-		in, err := core.MeasureStaticInputs(context.Background(), app, arch, a)
+		in, err := core.MeasureStaticInputs(context.Background(), app, arch, a, core.SimulateKernelCtx)
 		if err != nil {
 			log.Fatal(err)
 		}

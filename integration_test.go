@@ -32,7 +32,7 @@ func profiledOptions(t *testing.T, app core.App, arch gpusim.Config) core.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := core.ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	opt, _, err := core.ProfileOptTLPNCtx(t.Context(), app, arch, a, 1, core.SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	// lose to MaxTLP, beyond a small tolerance.
 	cycles := map[core.Mode]int64{}
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		st, _, err := core.RunModeCtx(t.Context(), app, m, opts)
+		d, err := core.CompileModeCtx(t.Context(), app, m, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		st, err := core.SimulateKernelCtx(t.Context(), app, arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), m.LaunchTLP(d))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}

@@ -248,7 +248,7 @@ func TestProfileOptTLPWithinRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	opt, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1, SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func profiledOptions(t *testing.T, app App, arch gpusim.Config) Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	opt, _, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1, SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +347,14 @@ func TestOptimizeStaticCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1)
+	_, runs, err := ProfileOptTLPNCtx(t.Context(), app, arch, a, 1, SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != a.MaxTLP || a.MaxTLP <= 1 {
 		t.Fatalf("profiling ran %d simulations for MaxTLP %d; want MaxTLP > 1 of them", len(runs), a.MaxTLP)
 	}
-	in, err := MeasureStaticInputs(t.Context(), app, arch, a)
+	in, err := MeasureStaticInputs(t.Context(), app, arch, a, SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,11 @@ func TestRunModes(t *testing.T) {
 	var results [4]gpusim.Stats
 	var decisions [4]*Decision
 	for i, m := range []Mode{ModeMaxTLP, ModeOptTLP, ModeCRATLocal, ModeCRAT} {
-		st, d, err := RunModeCtx(t.Context(), app, m, opts)
+		d, err := CompileModeCtx(t.Context(), app, m, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		st, err := SimulateKernelCtx(t.Context(), app, arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), m.LaunchTLP(d))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -455,7 +459,7 @@ func TestMeasureStaticInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := MeasureStaticInputs(context.Background(), app, arch, a)
+	in, err := MeasureStaticInputs(context.Background(), app, arch, a, SimulateKernelCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +537,7 @@ func TestInvolvedBlocksBounds(t *testing.T) {
 
 func TestRunModeUnknown(t *testing.T) {
 	arch := gpusim.FermiConfig()
-	if _, _, err := RunModeCtx(t.Context(), testApp(), Mode(99), Options{Arch: arch}); err == nil {
-		t.Error("RunModeCtx accepted an unknown mode")
+	if _, err := CompileModeCtx(t.Context(), testApp(), Mode(99), Options{Arch: arch}); err == nil {
+		t.Error("CompileModeCtx accepted an unknown mode")
 	}
 }

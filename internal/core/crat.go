@@ -195,10 +195,9 @@ type Decision struct {
 // OptimizeCtx runs the full CRAT pipeline on one app under a context:
 // analysis, pruning at Options.OptTLP, per-candidate register allocation
 // and spilling optimization, and TPSC selection. With Options.Costs
-// supplied (and Oracle off) the pipeline runs no simulations at all — the
-// checkpoint/resume path relies on that to rebuild decisions
-// deterministically from persisted stats; the Oracle sweep observes
-// cancellation and wall-clock deadlines.
+// supplied (and Oracle off) the pipeline runs no simulations at all, so a
+// resumed harness rebuilds every decision deterministically; the Oracle
+// sweep observes cancellation and wall-clock deadlines.
 func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) {
 	if err := ptx.Verify(app.Kernel, "input"); err != nil {
 		return nil, err
@@ -310,22 +309,11 @@ func (o Options) backendNames() []string {
 	return []string{"crat-local"}
 }
 
-// modePlan is the compile-only product of planModeCtx: the decision plus
-// the exact launch parameters RunModeCtx hands to the simulator.
-type modePlan struct {
-	d      *Decision
-	kernel *ptx.Kernel
-	regs   int
-	tlp    int // TLPLimit for the simulator (0 = hardware maximum)
-}
-
-// planModeCtx performs everything RunModeCtx does except the final
-// simulation: analysis, allocation, and (for the CRAT modes) the full
-// optimization pipeline. With Options.Costs supplied it is purely
-// deterministic compilation — no simulator cycles — which is what lets
-// checkpoint resume rebuild a Decision byte-identically from persisted
-// stats.
-func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePlan, error) {
+// CompileModeCtx builds the Decision for one comparison mode: analysis,
+// allocation, and (for the CRAT modes) the full optimization pipeline.
+// With Options.Costs supplied it runs no simulations; callers simulate the
+// chosen kernel at mode.LaunchTLP(d).
+func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Decision, error) {
 	switch mode {
 	case ModeMaxTLP, ModeOptTLP:
 		if err := ptx.Verify(app.Kernel, "input"); err != nil {
@@ -341,14 +329,10 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 		if err != nil {
 			return nil, err
 		}
-		tlp := 0 // hardware maximum
-		if mode == ModeOptTLP {
-			tlp = a.OptTLP
-		}
 		d := &Decision{App: app, Arch: opts.Arch, Analysis: a}
-		d.Chosen = Candidate{Reg: a.DefaultReg, TLP: tlp, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}
-		if tlp == 0 {
-			d.Chosen.TLP = a.MaxTLP
+		d.Chosen = Candidate{Reg: a.DefaultReg, TLP: a.MaxTLP, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}
+		if mode == ModeOptTLP {
+			d.Chosen.TLP = a.OptTLP
 		}
 		if opts.VerifyEquivalence {
 			// DefaultReg allocation can spill too; the baseline modes get
@@ -357,43 +341,27 @@ func planModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*modePl
 				return nil, err
 			}
 		}
-		return &modePlan{d: d, kernel: d.Chosen.Kernel(), regs: d.Chosen.UsedRegs(), tlp: tlp}, nil
+		return d, nil
 	case ModeCRATLocal, ModeCRAT:
 		o := opts
 		o.SpillShared = mode == ModeCRAT
-		d, err := OptimizeCtx(ctx, app, o)
-		if err != nil {
-			return nil, err
-		}
-		return &modePlan{d: d, kernel: d.Chosen.Kernel(), regs: d.Chosen.UsedRegs(), tlp: d.Chosen.TLP}, nil
+		return OptimizeCtx(ctx, app, o)
 	}
 	return nil, fmt.Errorf("core: unknown mode %d", mode)
 }
 
-// CompileModeCtx builds the Decision for one comparison mode without the
-// final simulation. Callers that already hold the mode's simulated stats
-// (checkpoint resume) use it to reconstitute the full decision
-// deterministically; Options.Costs should be set so no simulations run.
-func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Decision, error) {
-	pl, err := planModeCtx(ctx, app, mode, opts)
-	if err != nil {
-		return nil, err
+// LaunchTLP returns the TLP limit the simulator runs the mode's decision
+// at (0 = hardware maximum). The baseline modes throttle by mode alone, so
+// a degraded fallback keeps the mode's limit; the CRAT modes run the
+// chosen candidate's TLP.
+func (m Mode) LaunchTLP(d *Decision) int {
+	switch m {
+	case ModeMaxTLP:
+		return 0
+	case ModeOptTLP:
+		return d.Analysis.OptTLP
 	}
-	return pl.d, nil
-}
-
-// RunModeCtx builds and simulates the kernel for one comparison mode,
-// returning the stats and the Decision holding the effective (reg, TLP)
-// configuration. The final simulation observes cancellation and deadlines;
-// on a simulation fault the compiled Decision is still returned alongside
-// the error.
-func RunModeCtx(ctx context.Context, app App, mode Mode, opts Options) (gpusim.Stats, *Decision, error) {
-	pl, err := planModeCtx(ctx, app, mode, opts)
-	if err != nil {
-		return gpusim.Stats{}, nil, err
-	}
-	st, err := SimulateKernelCtx(ctx, app, opts.Arch, pl.kernel, pl.regs, pl.tlp)
-	return st, pl.d, err
+	return d.Chosen.TLP
 }
 
 // RegisterUtilization returns the fraction of the register file a

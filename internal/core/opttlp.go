@@ -34,6 +34,11 @@ func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.
 	return sim.RunCtx(ctx)
 }
 
+// Simulate runs one launch of an app's kernel variant. SimulateKernelCtx
+// is the direct one; the experiment harness passes a memoized,
+// checkpointed one.
+type Simulate func(ctx context.Context, app App, arch gpusim.Config, k *ptx.Kernel, regsPerThread, tlpLimit int) (gpusim.Stats, error)
+
 // ProfileOptTLPNCtx determines the optimal TLP by exhaustive profiling
 // (paper §4.1 / §7.2 "OptTLP is determined offline by exhaustively testing
 // all the possible TLPs"): the kernel is allocated at the default register
@@ -41,15 +46,15 @@ func SimulateKernelCtx(ctx context.Context, app App, arch gpusim.Config, k *ptx.
 // cycles wins. The pipeline does not call it: callers pass the result as
 // Options.OptTLP.
 //
-// The per-TLP simulations fan out across up to `workers` goroutines (0 =
-// one per CPU). Each TLP point is an independent simulation over its own
+// Every simulation goes through sim, fanned out across up to `workers`
+// goroutines (0 = one per CPU). Each TLP point is an independent simulation over its own
 // Memory, so the fan-out is embarrassingly parallel; results are reduced
 // in ascending TLP order afterwards, which makes the winner — and on
 // failure, the reported error (lowest failing TLP) — identical to the
 // serial sweep. A canceled or timed-out sweep returns the first structured
 // simulator fault (lowest TLP first), or the bare context error when
 // cancellation landed between simulations.
-func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Analysis, workers int) (int, []gpusim.Stats, error) {
+func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Analysis, workers int, sim Simulate) (int, []gpusim.Stats, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: default allocation of %s: %w", app.Name, err)
@@ -57,7 +62,7 @@ func ProfileOptTLPNCtx(ctx context.Context, app App, arch gpusim.Config, a *Anal
 	all := make([]gpusim.Stats, a.MaxTLP)
 	errs := make([]error, a.MaxTLP)
 	poolErr := pool.RunCtx(ctx, workers, a.MaxTLP, func(i int) {
-		all[i], errs[i] = SimulateKernelCtx(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, i+1)
+		all[i], errs[i] = sim(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, i+1)
 	})
 	for _, e := range errs {
 		if e != nil {
@@ -85,14 +90,15 @@ type StaticModelInput struct {
 	BlockFootprint float64 // bytes of L1 footprint per block (cold misses)
 }
 
-// MeasureStaticInputs runs the app once at TLP=1 under ctx and derives the
-// model inputs. This is the only dynamic information CRAT-static consumes.
-func MeasureStaticInputs(ctx context.Context, app App, arch gpusim.Config, a *Analysis) (StaticModelInput, error) {
+// MeasureStaticInputs runs the app once at TLP=1 through sim under ctx and
+// derives the model inputs. This is the only dynamic information
+// CRAT-static consumes.
+func MeasureStaticInputs(ctx context.Context, app App, arch gpusim.Config, a *Analysis, sim Simulate) (StaticModelInput, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
 	if err != nil {
 		return StaticModelInput{}, err
 	}
-	st, err := SimulateKernelCtx(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, 1)
+	st, err := sim(ctx, app, arch, alloc.Kernel, alloc.UsedRegs, 1)
 	if err != nil {
 		return StaticModelInput{}, err
 	}

@@ -26,6 +26,12 @@ func ablationApps() []workloads.Profile {
 // OptTLP: GTO is the paper's baseline scheduler (Table 2) and underpins the
 // static OptTLP estimator.
 func (s *Session) AblationScheduler() (*Table, error) {
+	return s.ablationScheduler(ablationApps()), nil
+}
+
+// ablationScheduler builds the scheduler ablation over the given apps
+// (the chaos tests run it on a subset).
+func (s *Session) ablationScheduler(apps []workloads.Profile) *Table {
 	t := &Table{
 		ID:      "abl-sched",
 		Title:   "Ablation: GTO vs LRR warp scheduling",
@@ -33,7 +39,7 @@ func (s *Session) AblationScheduler() (*Table, error) {
 	}
 	lrrArch := s.Arch
 	lrrArch.Scheduler = gpusim.SchedLRR
-	s.forApps(t, ablationApps(), func(p workloads.Profile) (func(), error) {
+	s.forApps(t, apps, func(p workloads.Profile) (func(), error) {
 		a, _, err := s.Analysis(p)
 		if err != nil {
 			return nil, err
@@ -47,7 +53,7 @@ func (s *Session) AblationScheduler() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lrr, err := core.SimulateKernelCtx(s.Context(), app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
+		lrr, err := s.simulate(s.Context(), app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +62,7 @@ func (s *Session) AblationScheduler() (*Table, error) {
 				f(float64(gto.Cycles)/float64(lrr.Cycles)))
 		}, nil
 	})
-	return t, nil
+	return t
 }
 
 // AblationSpillCost compares the loop-depth-weighted spill-cost heuristic
@@ -76,7 +82,7 @@ func (s *Session) AblationSpillCost() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stU, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
+		stU, _, err := s.runMode(s.App(p), core.ModeCRAT, core.Options{
 			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
 			UnweightedSpillCost: true, UnweightedGain: true,
 		})
@@ -112,7 +118,7 @@ func (s *Session) AblationSubstackSplit() (*Table, error) {
 		}
 		row := []string{p.Abbr}
 		for _, split := range []spillopt.Split{spillopt.SplitByType, spillopt.SplitWhole, spillopt.SplitPerVariable} {
-			st, _, err := core.RunModeCtx(s.Context(), s.App(p), core.ModeCRAT, core.Options{
+			st, _, err := s.runMode(s.App(p), core.ModeCRAT, core.Options{
 				Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs, Split: split,
 			})
 			if err != nil {
@@ -180,10 +186,12 @@ func (s *Session) AblationTPSC() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stT, err := core.SimulateKernelCtx(s.Context(), s.App(p), s.Arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
+		stT, err := s.simulate(s.Context(), s.App(p), s.Arch, tpsc.Chosen.Kernel(), tpsc.Chosen.UsedRegs(), tpsc.Chosen.TLP)
 		if err != nil {
 			return nil, err
 		}
+		// The oracle sweep simulates inside OptimizeCtx, past the session
+		// memo.
 		oOpts := opts
 		oOpts.Oracle = true
 		oracle, err := core.OptimizeCtx(s.Context(), s.App(p), oOpts)
@@ -226,7 +234,7 @@ func (s *Session) AblationBypass() (*Table, error) {
 				in.Bypass = true
 			}
 		}
-		st, err := core.SimulateKernelCtx(s.Context(), s.App(p), s.Arch, k, d.Chosen.UsedRegs(), d.Chosen.TLP)
+		st, err := s.simulate(s.Context(), s.App(p), s.Arch, k, d.Chosen.UsedRegs(), d.Chosen.TLP)
 		if err != nil {
 			return nil, err
 		}

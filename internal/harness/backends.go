@@ -11,10 +11,9 @@ import (
 
 // Backend plumbing: the head-to-head experiment evaluates every registered
 // optimization backend (internal/backend) on every workload under the
-// session's shared analyses, caches, and checkpoint store. The crat and
-// crat-local backends delegate to the equivalent comparison modes so they
-// share simulations (and checkpoint entries) with the paper figures; new
-// backends get their own "backend/<app>/<name>" checkpoint keys.
+// session's shared analyses, caches, and simulation memo. The crat and
+// crat-local backends delegate to the equivalent comparison modes, so they
+// share their evaluations with the paper figures.
 
 // SetBackends restricts the backend set the head-to-head experiment
 // sweeps (nil or empty = every registered backend). Order is preserved:
@@ -40,9 +39,8 @@ func (s *Session) BackendNames() []string {
 // context: compile with only that backend enabled, simulate the chosen
 // candidate at its TLP. The crat and crat-local backends are
 // definitionally the ModeCRAT / ModeCRATLocal pipelines, so they share
-// those modes' caches and checkpoints; other backends are checkpointed
-// under "backend/<app>/<name>" and rebuilt deterministically on resume,
-// exactly like modes.
+// those modes' evaluations; other backends are memoized under
+// "<app>/backend/<name>".
 func (s *Session) Backend(p workloads.Profile, name string) (gpusim.Stats, *core.Decision, error) {
 	switch name {
 	case "crat":
@@ -50,14 +48,14 @@ func (s *Session) Backend(p workloads.Profile, name string) (gpusim.Stats, *core
 	case "crat-local":
 		return s.Mode(p, core.ModeCRATLocal)
 	}
-	return s.evaluate(p, core.ModeCRAT, []string{name}, p.Abbr+"/backend/"+name, "backend/"+p.Abbr+"/"+name)
+	return s.evaluate(p, core.ModeCRAT, []string{name}, p.Abbr+"/backend/"+name)
 }
 
 // UnionWinner compiles the app once with every enabled backend competing
 // under one TPSC selection and returns the winning backend's name. With
 // the session's profiled OptTLP and measured costs pinned this is pure
 // deterministic compilation — no simulations — so it is cached in memory
-// but never checkpointed.
+// only.
 func (s *Session) UnionWinner(p workloads.Profile) (string, error) {
 	ctx := s.Context()
 	w, _, err := s.unionWin.Do(ctx, p.Abbr, func() (string, error) {

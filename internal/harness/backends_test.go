@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crat/internal/backend"
+	"crat/internal/core"
 	"crat/internal/gpusim"
 )
 
@@ -46,9 +47,9 @@ func TestBackendHeadToHeadDeterministic(t *testing.T) {
 }
 
 // TestBackendDelegatesToModes requires the crat and crat-local backends
-// to share the comparison modes' caches (one simulation, two names) and
-// every backend evaluation to attribute its decision to the right
-// backend.
+// to share the comparison modes' caches (one simulation, two names),
+// every backend's launch to be simulated exactly once, and every backend
+// evaluation to attribute its decision to the right backend.
 func TestBackendDelegatesToModes(t *testing.T) {
 	s, err := NewSession(gpusim.FermiConfig())
 	if err != nil {
@@ -56,6 +57,7 @@ func TestBackendDelegatesToModes(t *testing.T) {
 	}
 	s.SetWorkers(1)
 	p := concApps()[0]
+	keys := make(map[string]string)
 	for _, name := range backend.Names() {
 		_, d, err := s.Backend(p, name)
 		if err != nil {
@@ -64,15 +66,20 @@ func TestBackendDelegatesToModes(t *testing.T) {
 		if d.Backend != name {
 			t.Fatalf("Backend(%s): decision attributed to %q", name, d.Backend)
 		}
+		if keys[name], err = simKey(s.App(p), s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), d.Chosen.TLP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, m := range map[string]core.Mode{"crat": core.ModeCRAT, "crat-local": core.ModeCRATLocal} {
+		_, dm, _ := s.Mode(p, m)
+		if _, d, _ := s.Backend(p, name); d != dm {
+			t.Fatalf("%s did not delegate to the %s mode cache", name, m)
+		}
 	}
 	counts := s.computeCounts()
-	if counts["mode/"+p.Abbr+"/CRAT"] != 1 || counts["mode/"+p.Abbr+"/CRAT-local"] != 1 {
-		t.Fatalf("crat/crat-local did not delegate to the mode caches: %v", counts)
-	}
-	if counts["backend/"+p.Abbr+"/regdem"] != 1 {
-		t.Fatalf("regdem not computed exactly once: %v", counts)
-	}
-	if counts["backend/"+p.Abbr+"/crat"] != 0 {
-		t.Fatalf("crat unexpectedly computed under a backend key: %v", counts)
+	for name, key := range keys {
+		if counts[key] != 1 {
+			t.Fatalf("%s launch simulated %d times, want 1: %v", name, counts[key], counts)
+		}
 	}
 }

@@ -13,14 +13,16 @@ import (
 	"crat/internal/checkpoint"
 	"crat/internal/core"
 	"crat/internal/gpusim"
+	"crat/internal/regalloc"
 	"crat/internal/workloads"
 )
 
 // chaosSweep renders the full app x mode comparison through the parallel
 // forApps runner — the same shape as the headline figures — so a chaos
 // round exercises analyses, mode evaluations, speedups, emit ordering,
-// and fault rows all at once.
-func chaosSweep(s *Session, apps []workloads.Profile) *Table {
+// and fault rows all at once. The scheduler ablation follows: a runner
+// whose own launches (under LRR) no mode shares.
+func chaosSweep(s *Session, apps []workloads.Profile) string {
 	tab := &Table{
 		ID:      "chaos",
 		Title:   "chaos sweep",
@@ -48,13 +50,9 @@ func chaosSweep(s *Session, apps []workloads.Profile) *Table {
 				fmt.Sprint(base.Cycles), fmt.Sprint(crat.Cycles), f(sp))
 		}, nil
 	})
-	return tab
-}
-
-// render returns the table as bytes for the identity comparison.
-func renderString(tab *Table) string {
 	var sb strings.Builder
 	tab.Render(&sb)
+	s.ablationScheduler(apps).Render(&sb)
 	return sb.String()
 }
 
@@ -73,9 +71,25 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden.SetWorkers(1)
-	want := renderString(chaosSweep(golden, apps))
+	want := chaosSweep(golden, apps)
 	if strings.Contains(want, "ERROR") {
 		t.Fatalf("golden run degraded:\n%s", want)
+	}
+	lrrKeys := make(map[string]bool)
+	lrrArch := golden.Arch
+	lrrArch.Scheduler = gpusim.SchedLRR
+	for _, p := range apps {
+		a, _, _ := golden.Analysis(p)
+		app := golden.App(p)
+		alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := simKey(app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lrrKeys[key] = true
 	}
 
 	dir := t.TempDir()
@@ -101,7 +115,7 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 		// Cancel at a random point mid-sweep; the round's table will carry
 		// fault rows, but everything finished before the cut is journaled.
 		delay := time.Duration(10+rng.Intn(400)) * time.Millisecond
-		done := make(chan *Table, 1)
+		done := make(chan string, 1)
 		go func() { done <- chaosSweep(s, apps) }()
 		time.Sleep(delay)
 		cancel()
@@ -125,7 +139,7 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 	}
 	final.SetWorkers(4)
 	final.SetCheckpoint(st)
-	got := renderString(chaosSweep(final, apps))
+	got := chaosSweep(final, apps)
 
 	if got != want {
 		t.Errorf("resumed sweep is not byte-identical to the serial run:\n--- serial ---\n%s--- resumed ---\n%s", want, got)
@@ -136,11 +150,23 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 			t.Errorf("checkpointed key %s re-simulated %d time(s)", k, counts[k])
 		}
 	}
-	if len(preKeys) > 0 && final.CheckpointHitCount() == 0 {
+	// The LRR launches are the scheduler ablation's own: a resume must
+	// serve those from the journal too.
+	lrr := 0
+	for _, k := range preKeys {
+		if lrrKeys[k] {
+			lrr++
+		}
+	}
+	if lrr == 0 {
+		t.Errorf("no scheduler-ablation launch was journaled before the final resume")
+	}
+	_, _, ckptHits := final.SimCounts()
+	if len(preKeys) > 0 && ckptHits == 0 {
 		t.Errorf("%d checkpointed keys but zero checkpoint hits", len(preKeys))
 	}
 	t.Logf("final: %d key(s) inherited, %d checkpoint hit(s), %d compute(s)",
-		len(preKeys), final.CheckpointHitCount(), len(counts))
+		len(preKeys), ckptHits, len(counts))
 
 	// Goroutine-leak check (no external deps): all workers and waiters must
 	// have drained once the sweeps returned.

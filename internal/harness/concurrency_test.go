@@ -9,6 +9,7 @@ import (
 
 	"crat/internal/core"
 	"crat/internal/gpusim"
+	"crat/internal/regalloc"
 	"crat/internal/workloads"
 )
 
@@ -100,9 +101,9 @@ func TestSessionConcurrentSpeedup(t *testing.T) {
 	}
 }
 
-// TestSessionSimulationDedup asserts the singleflight property: no analysis
-// or mode evaluation is ever computed twice, no matter how many goroutines
-// request it concurrently.
+// TestSessionSimulationDedup asserts the singleflight property: no launch
+// is ever simulated twice, no matter how many goroutines request it
+// concurrently.
 func TestSessionSimulationDedup(t *testing.T) {
 	apps := concApps()
 	s, err := NewSession(gpusim.FermiConfig())
@@ -130,19 +131,58 @@ func TestSessionSimulationDedup(t *testing.T) {
 			t.Errorf("key %s computed %d times, want exactly once", key, n)
 		}
 	}
-	// Sanity: the counters actually saw the work.
+	// Sanity: the counters actually saw the work, the profiling sweep and
+	// every mode's launch.
 	counts := s.computeCounts()
 	for _, p := range apps {
-		if counts["analysis/"+p.Abbr] != 1 {
-			t.Errorf("analysis/%s computed %d times", p.Abbr, counts["analysis/"+p.Abbr])
+		for _, key := range sweepKeys(t, s, p) {
+			if counts[key] != 1 {
+				t.Errorf("%s sweep launch %s computed %d times", p.Abbr, key, counts[key])
+			}
 		}
 		for _, m := range concModes {
-			key := "mode/" + p.Abbr + "/" + m.String()
-			if counts[key] != 1 {
-				t.Errorf("%s computed %d times", key, counts[key])
+			if key := modeKey(t, s, p, m); counts[key] != 1 {
+				t.Errorf("%s/%s launch computed %d times", p.Abbr, m, counts[key])
 			}
 		}
 	}
+}
+
+// sweepKeys returns the simulation keys of the app's profiling sweep.
+func sweepKeys(t *testing.T, s *Session, p workloads.Profile) []string {
+	t.Helper()
+	a, _, err := s.Analysis(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := s.App(p)
+	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for tlp := 1; tlp <= a.MaxTLP; tlp++ {
+		key, err := simKey(app, s.Arch, alloc.Kernel, alloc.UsedRegs, tlp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	return keys
+}
+
+// modeKey returns the simulation key of the app's launch in mode.
+func modeKey(t *testing.T, s *Session, p workloads.Profile, m core.Mode) string {
+	t.Helper()
+	_, d, err := s.Mode(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := simKey(s.App(p), s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), m.LaunchTLP(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 // TestForAppsMatchesSerial renders the same table body through the parallel

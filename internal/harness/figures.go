@@ -161,7 +161,7 @@ func (s *Session) simulatePoint(app core.App, reg, tlp int) (gpusim.Stats, error
 	if err != nil {
 		return gpusim.Stats{}, err
 	}
-	return core.SimulateKernelCtx(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, tlp)
+	return s.simulate(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, tlp)
 }
 
 // Figure3 details the selected design points for CFD: performance, cache
@@ -275,7 +275,7 @@ func (s *Session) Figure6() (*Table, error) {
 			errs[i] = err
 			return
 		}
-		st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, pts[i].tlp)
+		st, err := s.simulate(s.Context(), app, s.Arch, alloc.Kernel, alloc.UsedRegs, pts[i].tlp)
 		if err != nil {
 			errs[i] = err
 			return
@@ -395,7 +395,7 @@ func (s *Session) Figure8() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, res.Alloc.Kernel, res.Alloc.UsedRegs, tlp)
+		st, err := s.simulate(s.Context(), app, s.Arch, res.Alloc.Kernel, res.Alloc.UsedRegs, tlp)
 		if err != nil {
 			return nil, err
 		}

@@ -11,12 +11,12 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"crat/internal/checkpoint"
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/pool"
+	"crat/internal/ptx"
 	"crat/internal/workloads"
 )
 
@@ -84,8 +84,9 @@ func Geomean(vs []float64) float64 {
 	return math.Exp(sum / float64(len(vs)))
 }
 
-// Session caches per-app analyses, profiling runs, and mode evaluations so
-// the figures that share inputs (13-16, energy) do not re-simulate.
+// Session caches per-app analyses, mode evaluations, and every simulated
+// launch, so the figures that share inputs (13-16, energy) do not
+// re-simulate.
 //
 // A Session is safe for concurrent use: every cache is a pool.Memo, so when
 // several goroutines request the same key the first computes it and the
@@ -95,32 +96,33 @@ type Session struct {
 	Arch  gpusim.Config
 	Costs gpusim.Costs
 
-	mu       sync.Mutex
-	ctx      context.Context // base context; nil = context.Background()
-	workers  int             // 0 = pool.DefaultWorkers()
-	verify   bool            // run the semantic oracle on every compiled mode
-	ckpt     *checkpoint.Store
-	apps     *pool.Memo[string, core.App]
+	mu      sync.Mutex
+	ctx     context.Context // base context; nil = context.Background()
+	workers int             // 0 = pool.DefaultWorkers()
+	verify  bool            // run the semantic oracle on every compiled mode
+	ckpt    *checkpoint.Store
+	apps    *pool.Memo[string, core.App]
+	// sims is the one simulation memo: every launch the session simulates,
+	// keyed by simKey and checkpointed under that same key.
+	sims *pool.Memo[string, gpusim.Stats]
+	// analyses, evals and unionWin hold compile results built on sims: the
+	// profiled analysis per app, every mode evaluation ("<app>/<mode>") and
+	// single-backend run ("<app>/backend/<name>"), and the union-selection
+	// winner per app. They are rebuilt, never checkpointed; evals also
+	// keeps a degradation note from repeating.
 	analyses *pool.Memo[string, analysisResult]
-	// evals caches every compile-and-simulate evaluation: the comparison
-	// modes ("<app>/<mode>") and the single-backend runs
-	// ("<app>/backend/<name>").
 	evals    *pool.Memo[string, modeResult]
-	speedups *pool.Memo[string, float64]
-	// unionWin caches the compile-only union-selection winner per app.
+	unionWin *pool.Memo[string, string]
 	// backendNames is the enabled backend set (empty = all registered).
-	unionWin     *pool.Memo[string, string]
 	backendNames []string
-	// computes counts cache-miss computations by key; the concurrency tests
-	// assert every key was simulated exactly once, and the chaos tests that
-	// checkpointed keys are never simulated at all.
+	// computes counts simulations actually run, by key; the concurrency
+	// tests assert every key was simulated exactly once, and the chaos
+	// tests that checkpointed keys are never simulated at all.
 	computes map[string]int
-	// ckptHits counts results served from the checkpoint store by key.
-	ckptHits map[string]int
+	// memoHits and ckptHits count simulations served from sims and from
+	// the checkpoint store.
+	memoHits, ckptHits int
 
-	// ProfileWall accumulates profiling wall-clock for the overhead report.
-	// Guarded by mu while experiments run; read it only after they finish.
-	ProfileWall time.Duration
 	// Faults collects every per-app and per-experiment failure captured by
 	// the graceful-degradation harness (see FaultSummary). Guarded by mu.
 	Faults []FaultRecord
@@ -147,12 +149,11 @@ func NewSession(arch gpusim.Config) (*Session, error) {
 		Arch:     arch,
 		Costs:    costs,
 		apps:     pool.NewMemo[string, core.App](),
+		sims:     pool.NewMemo[string, gpusim.Stats](),
 		analyses: pool.NewMemo[string, analysisResult](),
 		evals:    pool.NewMemo[string, modeResult](),
-		speedups: pool.NewMemo[string, float64](),
 		unionWin: pool.NewMemo[string, string](),
 		computes: make(map[string]int),
-		ckptHits: make(map[string]int),
 	}, nil
 }
 
@@ -177,11 +178,10 @@ func (s *Session) Context() context.Context {
 	return ctx
 }
 
-// SetCheckpoint attaches a durable result store: completed analyses, mode
-// evaluations, and speedups are persisted to it, and consulted before
-// simulating. The store must have been opened against this session's
-// configuration hash (see ConfigHash) — the manifest check in
-// checkpoint.Open enforces that.
+// SetCheckpoint attaches a durable result store: every simulated launch is
+// persisted to it, and consulted before simulating. The store must have
+// been opened against this session's configuration hash (see ConfigHash)
+// — the manifest check in checkpoint.Open enforces that.
 func (s *Session) SetCheckpoint(st *checkpoint.Store) {
 	s.mu.Lock()
 	s.ckpt = st
@@ -211,14 +211,21 @@ func (s *Session) Checkpoint() *checkpoint.Store {
 	return s.ckpt
 }
 
+// simSchema names the checkpoint record format: the simKey fields and the
+// gpusim.Stats payload. Change it whenever either changes, so that a
+// journal of older records fails -resume with checkpoint.ErrStale.
+const simSchema = "sim/v1"
+
 // ConfigHash fingerprints everything the session's cached results depend
-// on: the architecture configuration and the microbenchmarked costs. A
-// checkpoint written under a different hash must not be resumed.
+// on: the record schema, the architecture configuration and the
+// microbenchmarked costs. A checkpoint written under a different hash must
+// not be resumed.
 func (s *Session) ConfigHash() string {
 	h, err := checkpoint.Hash(struct {
-		Arch  gpusim.Config
-		Costs gpusim.Costs
-	}{s.Arch, s.Costs})
+		Schema string
+		Arch   gpusim.Config
+		Costs  gpusim.Costs
+	}{simSchema, s.Arch, s.Costs})
 	if err != nil {
 		// gpusim.Config and Costs are plain data; Marshal cannot fail on
 		// them. Degrade to a constant that still namespaces by arch.
@@ -227,65 +234,16 @@ func (s *Session) ConfigHash() string {
 	return h
 }
 
-// noteCkptHit records that key was served from the checkpoint store.
-func (s *Session) noteCkptHit(key string) {
-	s.mu.Lock()
-	s.ckptHits[key]++
-	s.mu.Unlock()
-}
-
-// CheckpointHits snapshots the per-key checkpoint-hit counts.
-func (s *Session) CheckpointHits() map[string]int {
+// SimCounts reports how the session's simulations were served: run on
+// the simulator, answered by the memo, and restored from the checkpoint
+// store.
+func (s *Session) SimCounts() (run, memoHits, ckptHits int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.ckptHits))
-	for k, v := range s.ckptHits {
-		out[k] = v
+	for _, v := range s.computes {
+		run += v
 	}
-	return out
-}
-
-// CheckpointHitCount totals the results served from the checkpoint store.
-func (s *Session) CheckpointHitCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, v := range s.ckptHits {
-		n += v
-	}
-	return n
-}
-
-// ckptGet decodes the entry under key into out, counting a hit.
-func (s *Session) ckptGet(key string, out any) bool {
-	st := s.Checkpoint()
-	if st == nil {
-		return false
-	}
-	ok, err := st.Get(key, out)
-	if err != nil {
-		// A malformed entry is treated as a miss: recomputing is always
-		// safe, and the rewrite will repair the journal.
-		s.recordFault("checkpoint", fmt.Errorf("ignoring entry %q: %w", key, err))
-		return false
-	}
-	if ok {
-		s.noteCkptHit(key)
-	}
-	return ok
-}
-
-// ckptPut persists a completed result. Persistence failures degrade to
-// session faults rather than failing the experiment: the computed result
-// is still correct, the sweep just loses durability for that key.
-func (s *Session) ckptPut(key string, v any) {
-	st := s.Checkpoint()
-	if st == nil {
-		return
-	}
-	if err := st.Put(key, v); err != nil {
-		s.recordFault("checkpoint", fmt.Errorf("persisting %q: %w", key, err))
-	}
+	return run, s.memoHits, s.ckptHits
 }
 
 // SetWorkers bounds the goroutines the session fans experiments across.
@@ -310,15 +268,7 @@ func (s *Session) Workers() int {
 	return n
 }
 
-// noteCompute records that key's value was actually computed (not served
-// from cache): the dedup tests read these counts.
-func (s *Session) noteCompute(key string) {
-	s.mu.Lock()
-	s.computes[key]++
-	s.mu.Unlock()
-}
-
-// computeCounts snapshots the per-key computation counts.
+// computeCounts snapshots the per-key simulation counts.
 func (s *Session) computeCounts() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,20 +279,90 @@ func (s *Session) computeCounts() map[string]int {
 	return out
 }
 
-// analysisEntry is the checkpoint payload for one app's analysis: the
-// profiled OptTLP and the per-TLP profiling runs. The Analysis struct
-// itself is recomputed — core.Analyze is deterministic compilation, no
-// simulator cycles — so only the simulated artifacts persist.
-type analysisEntry struct {
-	OptTLP int            `json:"optTLP"`
-	Runs   []gpusim.Stats `json:"runs"`
+// simKey is the content key of one launch, "sim/" plus the hash of
+// everything the simulator reads: the app's name (Session.App treats it
+// as the input's identity; AppWithInput names carry the input), grid and
+// block, the architecture, the register count and TLP limit, and the
+// kernel — its printed text plus the spill tags the printer omits, which
+// feed the spill statistics.
+func simKey(app core.App, arch gpusim.Config, k *ptx.Kernel, regs, tlp int) (string, error) {
+	meta := make([]ptx.InstMeta, len(k.Insts))
+	for i := range k.Insts {
+		meta[i] = k.Insts[i].Meta
+	}
+	h, err := checkpoint.Hash(struct {
+		App         string
+		Grid, Block int
+		Arch        gpusim.Config
+		Regs, TLP   int
+		Kernel      string
+		Meta        []ptx.InstMeta
+	}{app.Name, app.Grid, app.Block, arch, regs, tlp, ptx.Print(k), meta})
+	return "sim/" + h, err
 }
 
-// modeEntry is the checkpoint payload for one (app, mode) evaluation. The
-// Decision is rebuilt by core.CompileModeCtx (deterministic given OptTLP
-// and Costs); only the simulated stats persist.
-type modeEntry struct {
-	Stats gpusim.Stats `json:"stats"`
+// simulate is the session's one simulation path, a core.Simulate: each
+// distinct launch is simulated once per session and journaled under its
+// simKey, so a resumed run re-simulates no launch it already journaled.
+func (s *Session) simulate(ctx context.Context, app core.App, arch gpusim.Config, k *ptx.Kernel, regs, tlp int) (gpusim.Stats, error) {
+	key, err := simKey(app, arch, k, regs, tlp)
+	if err != nil {
+		return gpusim.Stats{}, err
+	}
+	st, memoized, err := s.sims.Do(ctx, key, func() (gpusim.Stats, error) {
+		var st gpusim.Stats
+		if s.ckptGet(key, &st) {
+			return st, nil
+		}
+		s.mu.Lock()
+		s.computes[key]++
+		s.mu.Unlock()
+		st, err := core.SimulateKernelCtx(ctx, app, arch, k, regs, tlp)
+		if err == nil {
+			s.ckptPut(key, st)
+		}
+		return st, err
+	})
+	if memoized {
+		s.mu.Lock()
+		s.memoHits++
+		s.mu.Unlock()
+	}
+	return st, err
+}
+
+// ckptGet decodes the entry under key into out, counting a hit.
+func (s *Session) ckptGet(key string, out any) bool {
+	st := s.Checkpoint()
+	if st == nil {
+		return false
+	}
+	ok, err := st.Get(key, out)
+	if err != nil {
+		// A malformed entry is treated as a miss: recomputing is always
+		// safe, and the rewrite will repair the journal.
+		s.recordFault("checkpoint", fmt.Errorf("ignoring entry %q: %w", key, err))
+		return false
+	}
+	if ok {
+		s.mu.Lock()
+		s.ckptHits++
+		s.mu.Unlock()
+	}
+	return ok
+}
+
+// ckptPut persists a completed result. Persistence failures degrade to
+// session faults rather than failing the experiment: the computed result
+// is still correct, the sweep just loses durability for that key.
+func (s *Session) ckptPut(key string, v any) {
+	st := s.Checkpoint()
+	if st == nil {
+		return
+	}
+	if err := st.Put(key, v); err != nil {
+		s.recordFault("checkpoint", fmt.Errorf("persisting %q: %w", key, err))
+	}
 }
 
 // App returns the materialized app for a profile, cached. Building an app
@@ -353,35 +373,20 @@ func (s *Session) App(p workloads.Profile) core.App {
 }
 
 // Analysis returns the app's analysis with OptTLP profiled, plus the per-TLP
-// profiling runs (cached), under the session context. A checkpointed result
-// restores the profiled OptTLP and runs without simulating; otherwise the
-// profiling sweep runs and the result is persisted.
+// profiling runs (cached), under the session context.
 func (s *Session) Analysis(p workloads.Profile) (*core.Analysis, []gpusim.Stats, error) {
 	ctx := s.Context()
-	key := "analysis/" + p.Abbr
 	r, _, err := s.analyses.Do(ctx, p.Abbr, func() (analysisResult, error) {
 		app := s.App(p)
 		a, err := core.Analyze(app, s.Arch)
 		if err != nil {
 			return analysisResult{}, err
 		}
-		var e analysisEntry
-		if s.ckptGet(key, &e) {
-			a.OptTLP = e.OptTLP
-			return analysisResult{a: a, runs: e.Runs}, nil
-		}
-		s.noteCompute(key)
-		start := time.Now()
-		opt, runs, err := core.ProfileOptTLPNCtx(ctx, app, s.Arch, a, s.Workers())
+		opt, runs, err := core.ProfileOptTLPNCtx(ctx, app, s.Arch, a, s.Workers(), s.simulate)
 		if err != nil {
 			return analysisResult{}, err
 		}
-		elapsed := time.Since(start)
-		s.mu.Lock()
-		s.ProfileWall += elapsed
-		s.mu.Unlock()
 		a.OptTLP = opt
-		s.ckptPut(key, analysisEntry{OptTLP: opt, Runs: runs})
 		return analysisResult{a: a, runs: runs}, nil
 	})
 	return r.a, r.runs, err
@@ -391,69 +396,51 @@ func (s *Session) Analysis(p workloads.Profile) (*core.Analysis, []gpusim.Stats,
 // session context. The OptTLP comes from the session's profiled analysis,
 // so modes share it.
 func (s *Session) Mode(p workloads.Profile, mode core.Mode) (gpusim.Stats, *core.Decision, error) {
-	key := p.Abbr + "/" + mode.String()
-	return s.evaluate(p, mode, nil, key, "mode/"+key)
+	return s.evaluate(p, mode, nil, p.Abbr+"/"+mode.String())
 }
 
 // evaluate compiles the app in mode, with backends enabled (nil = the
 // mode's own), at the session's profiled OptTLP and measured costs, then
-// simulates the chosen kernel. The result is memoized under key and
-// checkpointed under ckey. A checkpointed result restores the simulated
-// stats and deterministically recompiles the Decision (core.CompileModeCtx
-// runs zero simulations when Costs are supplied).
-func (s *Session) evaluate(p workloads.Profile, mode core.Mode, backends []string, key, ckey string) (gpusim.Stats, *core.Decision, error) {
-	ctx := s.Context()
-	r, _, err := s.evals.Do(ctx, key, func() (modeResult, error) {
+// simulates the chosen kernel. The result is memoized under key.
+func (s *Session) evaluate(p workloads.Profile, mode core.Mode, backends []string, key string) (gpusim.Stats, *core.Decision, error) {
+	r, _, err := s.evals.Do(s.Context(), key, func() (modeResult, error) {
 		a, _, err := s.Analysis(p)
 		if err != nil {
 			return modeResult{}, err
 		}
-		opts := core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
-			Backends: backends, VerifyEquivalence: s.verifyOn()}
-		var e modeEntry
-		if s.ckptGet(ckey, &e) {
-			d, err := core.CompileModeCtx(ctx, s.App(p), mode, opts)
-			if err != nil {
-				return modeResult{}, err
-			}
-			s.noteDegradation(key, d)
-			return modeResult{stats: e.Stats, decision: d}, nil
-		}
-		s.noteCompute(ckey)
-		st, d, err := core.RunModeCtx(ctx, s.App(p), mode, opts)
+		st, d, err := s.runMode(s.App(p), mode, core.Options{Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
+			Backends: backends, VerifyEquivalence: s.verifyOn()})
 		if err != nil {
 			return modeResult{}, err
 		}
 		s.noteDegradation(key, d)
-		s.ckptPut(ckey, modeEntry{Stats: st})
 		return modeResult{stats: st, decision: d}, nil
 	})
 	return r.stats, r.decision, err
 }
 
-// Speedup returns mode-vs-OptTLP speedup for the app under the session
-// context, cached and checkpointed like Mode: a persisted ratio
-// short-circuits both mode evaluations.
+// runMode compiles app in mode under opts and simulates the chosen kernel
+// through the session's simulation memo.
+func (s *Session) runMode(app core.App, mode core.Mode, opts core.Options) (gpusim.Stats, *core.Decision, error) {
+	ctx := s.Context()
+	d, err := core.CompileModeCtx(ctx, app, mode, opts)
+	if err != nil {
+		return gpusim.Stats{}, nil, err
+	}
+	st, err := s.simulate(ctx, app, opts.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), mode.LaunchTLP(d))
+	return st, d, err
+}
+
+// Speedup returns the app's speedup in mode over the OptTLP baseline, the
+// ratio of two memoized Modes, under the session context.
 func (s *Session) Speedup(p workloads.Profile, mode core.Mode) (float64, error) {
-	key := p.Abbr + "/" + mode.String()
-	ckey := "speedup/" + key
-	v, _, err := s.speedups.Do(s.Context(), key, func() (float64, error) {
-		var v float64
-		if s.ckptGet(ckey, &v) {
-			return v, nil
-		}
-		s.noteCompute(ckey)
-		base, _, err := s.Mode(p, core.ModeOptTLP)
-		if err != nil {
-			return 0, err
-		}
-		st, _, err := s.Mode(p, mode)
-		if err != nil {
-			return 0, err
-		}
-		v = float64(base.Cycles) / float64(st.Cycles)
-		s.ckptPut(ckey, v)
-		return v, nil
-	})
-	return v, err
+	base, _, err := s.Mode(p, core.ModeOptTLP)
+	if err != nil {
+		return 0, err
+	}
+	st, _, err := s.Mode(p, mode)
+	if err != nil {
+		return 0, err
+	}
+	return float64(base.Cycles) / float64(st.Cycles), nil
 }

@@ -104,7 +104,7 @@ func TestSessionCaching(t *testing.T) {
 	if len(runs1) != a1.MaxTLP {
 		t.Errorf("profiled %d TLPs, want %d", len(runs1), a1.MaxTLP)
 	}
-	wall := s.ProfileWall
+	run, _, _ := s.SimCounts()
 	a2, _, err := s.Analysis(p)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSessionCaching(t *testing.T) {
 	if a2 != a1 {
 		t.Error("Analysis not cached (pointer differs)")
 	}
-	if s.ProfileWall != wall {
+	if again, _, _ := s.SimCounts(); again != run {
 		t.Error("cached Analysis re-profiled")
 	}
 

@@ -91,11 +91,13 @@ type RunOptions struct {
 // RunReport summarizes a RunExperimentsCtx invocation for callers that
 // need more than pass/fail (the CLI's survival report, the chaos tests).
 type RunReport struct {
-	Failed    []string // experiment IDs that failed outright
-	Faults    int      // total captured faults across sessions
-	CkptHits  int      // results served from checkpoint stores
-	Persisted int      // entries durable on disk after the run
-	Loaded    int      // entries inherited from a resumed checkpoint
+	Failed      []string // experiment IDs that failed outright
+	Faults      int      // total captured faults across sessions
+	SimRuns     int      // launches run on the simulator
+	SimMemoHits int      // launches served from the session memos
+	CkptHits    int      // launches served from checkpoint stores
+	Persisted   int      // entries durable on disk after the run
+	Loaded      int      // entries inherited from a resumed checkpoint
 }
 
 // RunExperimentsCtx executes the selected experiment IDs ("all" or empty =
@@ -214,7 +216,10 @@ func RunExperimentsCtx(ctx context.Context, ids []string, opts RunOptions, w io.
 			t.Render(w)
 		}
 		rep.Faults += len(s.Faults)
-		rep.CkptHits += s.CheckpointHitCount()
+		run, memoHits, ckptHits := s.SimCounts()
+		rep.SimRuns += run
+		rep.SimMemoHits += memoHits
+		rep.CkptHits += ckptHits
 		if st := s.Checkpoint(); st != nil {
 			// Final durability barrier: after this, every entry counted in
 			// Persisted has survived the fsync'd rename.

@@ -64,17 +64,14 @@ func (s *Session) Figure18() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, _, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, ai, s.Workers())
+			opt, runs, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, ai, s.Workers(), s.simulate)
 			if err != nil {
 				return nil, err
 			}
-			baseSt, _, err := core.RunModeCtx(s.Context(), app, core.ModeOptTLP, core.Options{Arch: s.Arch, Analysis: ai, OptTLP: opt, Costs: s.Costs})
-			if err != nil {
-				return nil, err
-			}
+			baseSt := runs[opt-1] // the OptTLP baseline is the sweep's run at OptTLP
 			// Apply the default-input decision (same kernel; inputs share
 			// the kernel, only the launch differs).
-			st, err := core.SimulateKernelCtx(s.Context(), app, s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), d.Chosen.TLP)
+			st, err := s.simulate(s.Context(), app, s.Arch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), d.Chosen.TLP)
 			if err != nil {
 				return nil, err
 			}
@@ -140,12 +137,12 @@ func (s *Session) Figure20() (*Table, error) {
 			return nil, err
 		}
 		app := s.App(p)
-		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a)
+		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a, s.simulate)
 		if err != nil {
 			return nil, err
 		}
 		optStatic := core.EstimateOptTLP(a, s.Arch, in)
-		stStatic, _, err := core.RunModeCtx(s.Context(), app, core.ModeCRAT, core.Options{Arch: s.Arch, Analysis: a, OptTLP: optStatic, Costs: s.Costs})
+		stStatic, _, err := s.runMode(app, core.ModeCRAT, core.Options{Arch: s.Arch, Analysis: a, OptTLP: optStatic, Costs: s.Costs})
 		if err != nil {
 			return nil, err
 		}
@@ -167,6 +164,8 @@ func (s *Session) Figure20() (*Table, error) {
 
 // Overhead reports the framework overhead (paper §7.7): profiling
 // simulations per app and the wall-clock of profiled vs static OptTLP.
+// It simulates directly, past the session memo: the walls it reports are
+// those of real simulations.
 func (s *Session) Overhead() (*Table, error) {
 	t := &Table{
 		ID:      "overhead",
@@ -181,13 +180,13 @@ func (s *Session) Overhead() (*Table, error) {
 			return nil, err
 		}
 		startP := time.Now()
-		_, runs, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, a, s.Workers())
+		_, runs, err := core.ProfileOptTLPNCtx(s.Context(), app, s.Arch, a, s.Workers(), core.SimulateKernelCtx)
 		if err != nil {
 			return nil, err
 		}
 		profWall := time.Since(startP)
 		startS := time.Now()
-		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a)
+		in, err := core.MeasureStaticInputs(s.Context(), app, s.Arch, a, core.SimulateKernelCtx)
 		if err != nil {
 			return nil, err
 		}

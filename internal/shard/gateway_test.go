@@ -221,6 +221,7 @@ func TestGatewayChaosE2E(t *testing.T) {
 	// whereas a warm hit through the gateway can beat it.
 	cancelOpts.Seed = loadOpts.Seed + 1
 	cancelOpts.Requests = 12
+	cancelOpts.Kernels = cancelOpts.Requests
 	cancelOpts.CancelFrac = 0.25
 	cancelOpts.CancelAfter = time.Millisecond
 	cancelOpts.CaptureDecisions = false
