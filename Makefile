@@ -1,8 +1,10 @@
-# Developer entry points. `make ci` is the full local gate: vet, build,
-# race-enabled tests (including the concurrent-session harness tests and
-# the quick cratbench rot guard in ./bench), a short fuzz smoke over the PTX
-# parsers, and the end-to-end smokes. `make bench` runs the benchmark
-# (bench/README.md); its timings are advisory, so it stays out of `ci`.
+# Developer entry points. `make ci` is the full local gate, 9 targets:
+# vet, build, race-enabled tests (including the concurrent-session harness
+# tests and the quick cratbench rot guard in ./bench), a short fuzz smoke
+# over the PTX parsers, the checkpoint, oracle and service smokes, the
+# chaos matrix (the one process-level fleet chaos run), and the golden
+# diff. `make bench` runs the benchmark (bench/README.md); its timings
+# are advisory, so it stays out of `ci`.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -11,7 +13,6 @@ SMOKEDIR := /tmp/crat-checkpoint-smoke
 ORACLEDIR := /tmp/crat-oracle-smoke
 GOLDENDIR := /tmp/crat-golden-diff
 SVCDIR := /tmp/crat-service-smoke
-SHARDDIR := /tmp/crat-shard-smoke
 CHAOSDIR := /tmp/crat-chaos-smoke
 GOLDEN_SIMS := 420
 
@@ -22,7 +23,7 @@ GOLDEN_SIMS := 420
 # tracks the width of the masked durations).
 NORM = sed -E -e '/^done in /d' -e 's/[0-9]+(\.[0-9]+)?(µs|ms|m?s)\b/DUR/g' -e 's/ +/ /g' -e 's/ +$$//'
 
-.PHONY: all build vet test race bench checkpoint-smoke fuzz-smoke oracle-smoke service-smoke shard-smoke chaos-smoke golden-diff golden-regen ci
+.PHONY: all build vet test race bench checkpoint-smoke fuzz-smoke oracle-smoke service-smoke chaos-smoke golden-diff golden-regen ci
 
 all: build
 
@@ -146,48 +147,19 @@ service-smoke:
 	grep -q 'drained cleanly; journal flushed' $(SVCDIR)/cratd2.log
 	@echo "service-smoke: clean drain under load; restart served the corpus with zero recompiles"
 
-# Shard smoke: the multi-replica fleet's chaos acceptance run end to end.
-# A single-replica fleet (cratd behind cratgw) produces the baseline
-# Decision digests; then a 3-replica fleet runs the same corpus while a
-# random replica is SIGKILLed mid-load and restarted on its original
-# address. The run must see zero client-visible failures, the gateway's
-# failover counter must have advanced, the chaos digests must be
-# byte-identical to the baseline regardless of which replica answered,
-# and every process (gateway + all replicas) must drain cleanly on stop.
-# The kill strikes 20ms in: the whole corpus is answered in well under a
-# second, so a later kill would land after the load and test no failover.
-shard-smoke:
-	rm -rf $(SHARDDIR) && mkdir -p $(SHARDDIR)
-	$(GO) build -o $(SHARDDIR)/cratd ./cmd/cratd
-	$(GO) build -o $(SHARDDIR)/cratgw ./cmd/cratgw
-	$(GO) build -o $(SHARDDIR)/cratload ./cmd/cratload
-	set -e; \
-	$(SHARDDIR)/cratload -replicas 1 -cratd-bin $(SHARDDIR)/cratd -cratgw-bin $(SHARDDIR)/cratgw \
-		-fleet-dir $(SHARDDIR)/base -n 96 -kernels 24 -seed 7 -c 4 \
-		-decisions-out $(SHARDDIR)/base-decisions.txt > $(SHARDDIR)/base.txt 2>&1; \
-	$(SHARDDIR)/cratload -replicas 3 -cratd-bin $(SHARDDIR)/cratd -cratgw-bin $(SHARDDIR)/cratgw \
-		-fleet-dir $(SHARDDIR)/fleet -n 96 -kernels 24 -seed 7 -c 4 \
-		-chaos -chaos-delay 20ms -hedge-after 250ms \
-		-decisions-out $(SHARDDIR)/fleet-decisions.txt > $(SHARDDIR)/chaos.txt 2>&1; \
-	diff $(SHARDDIR)/base-decisions.txt $(SHARDDIR)/fleet-decisions.txt; \
-	grep -q 'CHAOS: SIGKILLed replica' $(SHARDDIR)/chaos.txt; \
-	grep -q 'CHAOS: restarted replica' $(SHARDDIR)/chaos.txt; \
-	FAILOVERS=$$(awk '/^gateway:/ { for (i = 1; i < NF; i++) if ($$i == "failovers") print $$(i+1) + 0 }' $(SHARDDIR)/chaos.txt); \
-	[ -n "$$FAILOVERS" ] && [ "$$FAILOVERS" -ge 1 ] || { echo "shard-smoke: gateway recorded no failovers despite the kill"; cat $(SHARDDIR)/chaos.txt; exit 1; }; \
-	for f in cratgw cratd-0 cratd-1 cratd-2; do \
-		grep -q 'drained cleanly' $(SHARDDIR)/fleet/$$f.log || { echo "shard-smoke: $$f did not drain cleanly"; exit 1; }; \
-	done; \
-	grep -q 'drained cleanly' $(SHARDDIR)/base/cratgw.log
-	@echo "shard-smoke: chaos kill absorbed with zero client-visible failures; Decisions byte-identical to the single-replica baseline"
-
-# Chaos matrix smoke: every fault kind x lifecycle phase, each cell a
-# fresh 2-replica fleet under load with deterministic fault injection
-# (internal/faultinject) — SIGKILL, torn journal, ENOSPC, fsync failure,
-# connection resets, latency spikes — crossed with during-load,
-# during-drain (SIGTERM mid-load), and during-restart. Every cell must
-# show zero client-visible failures and Decision digests byte-identical
-# to a fault-free baseline; torn-journal cells must report a salvage and
-# conn-reset cells at least one failover. See DESIGN.md §16.
+# Chaos matrix smoke, the one process-level chaos run: every fault kind
+# x lifecycle phase, each cell a fresh 2-replica fleet under load with
+# deterministic fault injection (internal/faultinject) — SIGKILL, torn
+# journal, ENOSPC, fsync failure, connection resets, latency spikes —
+# crossed with during-load (a killed victim stays down until the gateway
+# fails over), during-drain (SIGTERM) and during-restart (kill, restart
+# at once). The disruption starts once the gateway has completed part of
+# the first round, and the corpus repeats in rounds until the victim is
+# back in the ring plus one more. Every round must show zero
+# client-visible failures and Decision digests byte-identical to a
+# fault-free single-replica baseline, and every fleet must drain cleanly;
+# a cell also fails if its disruption found no request in flight or no
+# round ran after the victim was back. See DESIGN.md §16.
 chaos-smoke:
 	rm -rf $(CHAOSDIR) && mkdir -p $(CHAOSDIR)
 	$(GO) build -o $(CHAOSDIR)/cratd ./cmd/cratd
@@ -220,4 +192,4 @@ golden-diff:
 golden-regen:
 	$(GO) run ./cmd/experiments -run all > experiments_output.txt
 
-ci: vet build race checkpoint-smoke fuzz-smoke oracle-smoke service-smoke shard-smoke chaos-smoke golden-diff
+ci: vet build race checkpoint-smoke fuzz-smoke oracle-smoke service-smoke chaos-smoke golden-diff

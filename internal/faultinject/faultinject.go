@@ -16,7 +16,7 @@
 //
 // Consumers: internal/checkpoint (OpenFS takes an FS), cmd/cratd
 // (-fault wires a scenario under the persistent cache), cmd/cratgw
-// (-fault wraps the proxy transport), and internal/shard's chaos matrix
+// (-fault wraps the proxy transport), and cratload's chaos matrix
 // (spawns fleets with per-process fault specs). See DESIGN.md §16.
 package faultinject
 

@@ -47,10 +47,8 @@ type LoadOptions struct {
 	// content fields, keyed by corpus index, in LoadReport.Decisions.
 	// Two runs over the same corpus must produce identical digest lists
 	// no matter which replica (or cache tier) served each request — the
-	// shard-smoke byte-identical check diffs exactly these.
+	// chaos matrix's byte-identical check compares exactly these.
 	CaptureDecisions bool
-	// Clock is injectable for deterministic retry tests (default system).
-	Clock retry.Clock
 }
 
 func (o LoadOptions) withDefaults() LoadOptions {
@@ -161,7 +159,6 @@ func RunLoad(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport
 		MaxAttempts: opts.Retries + 1,
 		BaseDelay:   100 * time.Millisecond,
 		MaxDelay:    time.Second,
-		Clock:       opts.Clock,
 	}
 
 	start := time.Now()

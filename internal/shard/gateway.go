@@ -10,8 +10,11 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"crat/internal/buildinfo"
@@ -475,6 +478,8 @@ func (g *Gateway) candidatesFor(key string) []*replica {
 func (g *Gateway) route(ctx context.Context, key string, body []byte) attemptResult {
 	candidates := g.candidatesFor(key)
 	var last attemptResult
+	var failed []string // one note per failed attempt, logged if the budget runs out
+	var down []*replica // candidates that refused the connection or answered 503
 	tried := false
 	ci := 0
 	for attempt := 0; attempt < g.cfg.Retry.Attempts(); attempt++ {
@@ -485,14 +490,20 @@ func (g *Gateway) route(ctx context.Context, key string, body []byte) attemptRes
 			last.err = cmpErr(last.err, ctx.Err())
 			return last
 		}
-		rep := g.nextAllowed(candidates, &ci)
+		rep := g.nextAllowed(candidates, &ci, nil)
 		if rep == nil && ci >= len(candidates) {
 			// The candidate list is spent but attempt budget remains: wrap
 			// back to the front of the ring. A transient failure on each of
 			// two replicas must not 502 a request the third attempt (with
-			// backoff) would have served.
+			// backoff) would have served. The wrap passes over replicas
+			// that refused the connection or answered 503 during this
+			// request — down or draining, they will not serve the retry —
+			// unless no other candidate is left.
 			ci = 0
-			rep = g.nextAllowed(candidates, &ci)
+			if rep = g.nextAllowed(candidates, &ci, down); rep == nil {
+				ci = 0
+				rep = g.nextAllowed(candidates, &ci, nil)
+			}
 		}
 		if rep == nil {
 			// Every candidate's breaker refuses: answer 503 now (status 0
@@ -516,6 +527,7 @@ func (g *Gateway) route(ctx context.Context, key string, body []byte) attemptRes
 		case outcomeFinal:
 			return res
 		case outcomeShed:
+			failed = append(failed, res.note())
 			// Same replica again after its own hint (or backoff): the key's
 			// warm cache lives there, and shedding means alive-but-busy.
 			g.stats.Retries.Add(1)
@@ -528,6 +540,10 @@ func (g *Gateway) route(ctx context.Context, key string, body []byte) attemptRes
 				return last
 			}
 		case outcomeFailover:
+			failed = append(failed, res.note())
+			if res.status == http.StatusServiceUnavailable || errors.Is(res.err, syscall.ECONNREFUSED) {
+				down = append(down, res.replica)
+			}
 			g.stats.Failovers.Add(1)
 			ci++
 			if err := g.cfg.Retry.Sleep(ctx, g.cfg.Retry.Delay(attempt)); err != nil {
@@ -537,18 +553,19 @@ func (g *Gateway) route(ctx context.Context, key string, body []byte) attemptRes
 		}
 	}
 	g.stats.Exhausted.Add(1)
+	g.logf("attempt budget spent: %s", strings.Join(failed, "; "))
 	return last
 }
 
-// nextAllowed advances *ci past breaker-refusing candidates and returns
-// the first admitted one (nil when the list is spent).
-func (g *Gateway) nextAllowed(candidates []*replica, ci *int) *replica {
-	for *ci < len(candidates) {
+// nextAllowed advances *ci past the candidates in skip and those whose
+// breaker refuses, and returns the first admitted one (nil when the list
+// is spent).
+func (g *Gateway) nextAllowed(candidates []*replica, ci *int, skip []*replica) *replica {
+	for ; *ci < len(candidates); *ci++ {
 		rep := candidates[*ci]
-		if rep.breaker.Allow() {
+		if !slices.Contains(skip, rep) && rep.breaker.Allow() {
 			return rep
 		}
-		*ci++
 	}
 	return nil
 }
@@ -629,7 +646,7 @@ func (g *Gateway) forwardHedged(ctx context.Context, primary *replica, candidate
 			hedged = true
 			// Hedge onto the next breaker-admitted failover candidate.
 			hi := nextIdx + 1
-			if hedge = g.nextAllowed(candidates, &hi); hedge != nil && hedge != primary {
+			if hedge = g.nextAllowed(candidates, &hi, nil); hedge != nil && hedge != primary {
 				g.stats.Hedges.Add(1)
 				launch(hedge)
 				inFlight++
@@ -661,6 +678,14 @@ func (g *Gateway) forwardHedged(ctx context.Context, primary *replica, candidate
 		}
 	}
 	return failed
+}
+
+// note renders a failed attempt for the log.
+func (r attemptResult) note() string {
+	if r.err != nil {
+		return fmt.Sprintf("%s: %v", r.replica.url, r.err)
+	}
+	return fmt.Sprintf("%s: status %d", r.replica.url, r.status)
 }
 
 type outcome int

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,7 +175,11 @@ func TestGatewayChaosE2E(t *testing.T) {
 	waitFor(t, "some load completed before the kill", func() bool {
 		return g.Stats().Completed.Load() >= 8
 	})
+	completedAtKill := g.Stats().Completed.Load()
 	reps[victim].kill()
+	if completedAtKill >= requests {
+		t.Fatalf("the kill landed after the load: %d of %d requests already completed", completedAtKill, requests)
+	}
 	rep := <-loadDone
 	if rep == nil {
 		t.Fatal("no load report")
@@ -216,24 +221,47 @@ func TestGatewayChaosE2E(t *testing.T) {
 
 	// Cancel machinery through the gateway (the service-smoke cancel
 	// injection): aborted clients are counted, never turned into errors.
+	// A pass-pipeline gate holds every compile until the gateway has seen
+	// both injected cancels, so each cancel lands on a live compile.
+	hold := make(chan struct{})
+	passes.SetGlobalWrap(func(p passes.Pass) passes.Pass {
+		return passes.After(p, func(*ptx.Kernel, *passes.AnalysisManager) error {
+			<-hold
+			return nil
+		})
+	})
+	defer passes.SetGlobalWrap(nil)
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // a failed wait must not leave compiles parked
 	cancelOpts := loadOpts
-	// Never-seen kernels: a cold compile always outlives the 1ms cancel,
-	// whereas a warm hit through the gateway can beat it.
-	cancelOpts.Seed = loadOpts.Seed + 1
-	cancelOpts.Requests = 12
+	cancelOpts.Seed = loadOpts.Seed + kernels // never-seen kernels: every request compiles
+	cancelOpts.Requests = 4
 	cancelOpts.Kernels = cancelOpts.Requests
-	cancelOpts.CancelFrac = 0.25
-	cancelOpts.CancelAfter = time.Millisecond
+	cancelOpts.Concurrency = cancelOpts.Requests // all in flight at once
+	cancelOpts.CancelFrac = 0.5
+	cancelOpts.CancelAfter = 200 * time.Millisecond
 	cancelOpts.CaptureDecisions = false
-	crep, err := server.RunLoad(context.Background(), ts.URL, cancelOpts)
-	if err != nil {
-		t.Fatalf("cancel-injection load: %v", err)
+	cancelDone := make(chan *server.LoadReport, 1)
+	go func() {
+		crep, err := server.RunLoad(context.Background(), ts.URL, cancelOpts)
+		if err != nil {
+			t.Errorf("cancel-injection load: %v", err)
+		}
+		cancelDone <- crep
+	}()
+	waitFor(t, "both injected cancels seen by the gateway", func() bool {
+		return g.Stats().ClientCanceled.Load() >= 2
+	})
+	release()
+	crep := <-cancelDone
+	if crep == nil {
+		t.Fatal("no cancel-injection report")
 	}
 	if crep.Failed > 0 {
 		t.Errorf("cancel-injection run had %d hard failures", crep.Failed)
 	}
-	if crep.Canceled == 0 {
-		t.Error("cancel injection produced no canceled requests")
+	if crep.Canceled != 2 || crep.OK != 2 {
+		t.Errorf("cancel-injection run: canceled %d, ok %d; want 2 and 2", crep.Canceled, crep.OK)
 	}
 }
 
@@ -418,6 +446,59 @@ func TestGatewayShedRetrySameReplica(t *testing.T) {
 	}
 	if got := g.Stats().Retries.Load(); got != 1 {
 		t.Errorf("retries = %d, want 1", got)
+	}
+}
+
+// TestGatewayWrapSkipsDownReplica: once the candidate list is spent,
+// the attempt loop's wrap passes over the replica that refused the
+// connection and retries the one whose failure was transient.
+func TestGatewayWrapSkipsDownReplica(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	deadURL := dead.URL
+	dead.Close() // connection refused from here on
+	var hits atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/compile" {
+			return
+		}
+		if hits.Add(1) == 1 {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"kernel":"k","reg":4,"tlp":8,"ptx":"x"}`)
+	}))
+	defer flaky.Close()
+
+	g, ts := startGateway(t, GatewayConfig{
+		Replicas: []string{deadURL, flaky.URL},
+		Health:   HealthConfig{Period: time.Hour},
+		Retry:    retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+	})
+	// A request the dead replica owns: dead (refused), flaky (500), then
+	// the wrap must pick flaky again rather than the dead primary.
+	var req server.CompileRequest
+	for i := 0; ; i++ {
+		req = server.CompileRequest{PTX: fmt.Sprintf("kernel-%d", i), Block: 64}
+		key, err := server.RouteKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if primary, _ := g.ring.Primary(key); primary == deadURL {
+			break
+		}
+	}
+	buf, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 from the third attempt on the live replica", resp.StatusCode)
+	}
+	if got := hits.Load(); got != 2 {
+		t.Errorf("live replica hits = %d, want 2 (500, then success)", got)
 	}
 }
 
