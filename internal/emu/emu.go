@@ -179,6 +179,24 @@ type machine struct {
 // accesses under it indicate an uninitialized or corrupted pointer.
 const nullPageBytes = 4096
 
+// programs memoizes, per kernel version, the validated kernel's lowered
+// program, or its validation error: an oracle runs each kernel several
+// times, and validation, like lowering, depends on the kernel alone. An
+// entry dies with its kernel.
+var programs = passes.NewKernelMemo[*vec.Program]()
+
+// validate is ptx.Kernel.Validate; tests count calls through it.
+var validate = (*ptx.Kernel).Validate
+
+func programFor(k *ptx.Kernel) (*vec.Program, error) {
+	return programs.Do(k, func(k *ptx.Kernel) (*vec.Program, error) {
+		if err := validate(k); err != nil {
+			return nil, fmt.Errorf("emu: %w", err)
+		}
+		return vec.ProgramFor(k)
+	})
+}
+
 // Run executes the launch to completion against mem. Global-memory effects
 // are applied in place; the returned Result carries execution counters and,
 // on request, last-store provenance. Failures surface as a *Fault.
@@ -187,10 +205,7 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	if k == nil {
 		return nil, fmt.Errorf("emu: nil kernel")
 	}
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("emu: %w", err)
-	}
-	prog, err := vec.ProgramFor(k)
+	prog, err := programFor(k)
 	if err != nil {
 		return nil, err
 	}

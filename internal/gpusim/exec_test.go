@@ -446,3 +446,24 @@ func TestBypassLoadSkipsL1(t *testing.T) {
 		t.Error("parser dropped the .cg bypass flag")
 	}
 }
+
+// TestSeenSetResets checks that planFor's de-duplication set forgets every
+// key on reset, including when the generation counter wraps, and holds a
+// full plan's worth of keys that share their low bits (line addresses).
+func TestSeenSetResets(t *testing.T) {
+	var s seenSet
+	for _, gen := range []uint32{0, ^uint32(0)} {
+		s.gen = gen
+		s.reset()
+		for i := uint64(0); i < 64; i++ {
+			if !s.add(i * 128) {
+				t.Fatalf("gen %d: key %d reported present in an empty set", gen, i*128)
+			}
+		}
+		for i := uint64(0); i < 64; i++ {
+			if s.add(i * 128) {
+				t.Fatalf("gen %d: key %d reported absent after its insertion", gen, i*128)
+			}
+		}
+	}
+}

@@ -107,6 +107,39 @@ type memPlan struct {
 	bytes     int64
 }
 
+// seenSet de-duplicates one memPlan's line addresses or shared-memory
+// words. It is open-addressed, and a slot counts as occupied only while it
+// carries the current generation, so reset is one increment. A plan inserts
+// at most 32 lanes × 2 words, a quarter of the slots.
+type seenSet struct {
+	gen  uint32
+	keys [256]uint64
+	gens [256]uint32
+}
+
+// reset empties the set.
+func (s *seenSet) reset() {
+	s.gen++
+	if s.gen == 0 {
+		// Wrapped: a stale stamp would read as occupied.
+		clear(s.gens[:])
+		s.gen = 1
+	}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *seenSet) add(key uint64) bool {
+	for i := (key * 0x9e3779b97f4a7c15) >> 56; ; i = (i + 1) & 255 {
+		if s.gens[i] != s.gen {
+			s.gens[i], s.keys[i] = s.gen, key
+			return true
+		}
+		if s.keys[i] == key {
+			return false
+		}
+	}
+}
+
 // warp holds one warp's architectural state in structure-of-arrays form:
 // regs is nRegs consecutive 32-lane planes (register r of lane l lives at
 // regs[r*32+l]), so one vector op touches one contiguous plane per operand
@@ -191,6 +224,9 @@ type Simulator struct {
 	// specScratch materializes special-register sources (one plane per
 	// source slot) without allocating.
 	specScratch [3][32]uint64
+
+	// seen de-duplicates the accesses of the memPlan being built.
+	seen seenSet
 
 	// global is the launch's global memory behind a one-entry page cache.
 	global sem.PageCache
@@ -818,21 +854,19 @@ func (s *Simulator) planFor(w *warp, pc int, u *vec.Op) *memPlan {
 	plan := &w.plan
 	size := uint64(u.Size)
 
+	// An instruction accesses one space, so one set de-duplicates both
+	// lists; lines keep the order they are first seen in, which is the
+	// order accessCached sends them to L2 and DRAM.
+	s.seen.reset()
 	addLine := func(line uint64) {
-		for _, l := range plan.lines {
-			if l == line {
-				return
-			}
+		if s.seen.add(line) {
+			plan.lines = append(plan.lines, line)
 		}
-		plan.lines = append(plan.lines, line)
 	}
 	addWord := func(word uint64) {
-		for _, x := range plan.words {
-			if x == word {
-				return
-			}
+		if s.seen.add(word) {
+			plan.words = append(plan.words, word)
 		}
-		plan.words = append(plan.words, word)
 	}
 
 	var base *[32]uint64

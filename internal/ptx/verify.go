@@ -354,7 +354,7 @@ func (v *verifier) inst(i int) error {
 		return err
 	}
 	for idx, src := range in.Srcs {
-		role := fmt.Sprintf("source %d", idx)
+		role := srcRoles[idx]
 		cls := srcClass(in, idx)
 		if src.Kind == OperandSym && in.Op == OpMov {
 			// mov reg, symbol materializes an array/param address; the
@@ -367,6 +367,10 @@ func (v *verifier) inst(i int) error {
 	}
 	return nil
 }
+
+// srcRoles names the source operands verification errors cite, one per
+// index up to the largest arity, so the success path formats nothing.
+var srcRoles = [...]string{"source 0", "source 1", "source 2"}
 
 // barrierReachability walks the CFG from the entry and rejects barriers in
 // unreachable code: a transformation that orphans a bar.sync has broken the

@@ -121,7 +121,7 @@ func TestVerifyCatchesCorruptions(t *testing.T) {
 					}
 				}
 			},
-			"out of range",
+			"source 0 register 9999 out of range",
 		},
 		{
 			"unknown symbol reference",

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"crat/internal/cfg"
+	"crat/internal/passes"
 	"crat/internal/ptx"
 )
 
@@ -142,23 +143,53 @@ type allocState struct {
 // heuristic, the unconstrained coloring's register count is only a starting
 // point: MaxReg is the smallest budget at which the allocator actually
 // produces a spill-free allocation.
+//
+// A spill-free allocation is decided by its first coloring round, so MaxReg
+// runs color rounds only, on k itself and over one liveness: the round at a
+// budget of 4096, then one round per budget upward from the slots that round
+// used. It builds no physical kernel; usedSlots counts exactly what the
+// physical rewrite would.
 func MaxReg(k *ptx.Kernel) (int, error) {
-	r, err := Allocate(k, Options{Regs: 4096})
+	am := passes.NewAnalysisManager(k)
+	pm := &passes.Manager{}
+	// round colors k under budget and returns the slots used, or spilled
+	// when the round chose spills.
+	round := func(budget int) (used int, spilled bool, err error) {
+		st := &allocState{opts: Options{Regs: budget}, k: k}
+		cp := &colorPass{st: st}
+		if err := pm.Run(am, cp); err != nil {
+			return 0, false, err
+		}
+		return usedSlots(k, cp.assignment), len(cp.spills) > 0, nil
+	}
+	unconstrained, _, err := round(4096)
 	if err != nil {
 		return 0, err
 	}
-	for budget := r.UsedRegs; ; budget++ {
-		res, err := Allocate(k, Options{Regs: budget})
-		if err == nil && len(res.Spills) == 0 {
-			return res.UsedRegs, nil
+	for budget := unconstrained; ; budget++ {
+		used, spilled, err := round(budget)
+		if err == nil && !spilled {
+			return used, nil
 		}
-		if budget > r.UsedRegs+64 {
+		if budget > unconstrained+64 {
 			// Defensive bound; the unconstrained coloring fits in
-			// r.UsedRegs slots, so a spill-free packing close above it
+			// unconstrained slots, so a spill-free packing close above it
 			// must exist.
-			return 0, fmt.Errorf("regalloc: no spill-free budget near %d", r.UsedRegs)
+			return 0, fmt.Errorf("regalloc: no spill-free budget near %d", unconstrained)
 		}
 	}
+}
+
+// usedSlots returns the 32-bit slots an assignment occupies, counted as
+// rewritePhysical counts them: one past the highest slot any colored
+// 32-bit register reaches, two for a 64-bit one. Predicates and registers
+// no instruction references are never colored, so they count nothing.
+func usedSlots(k *ptx.Kernel, assignment map[ptx.Reg]int) int {
+	used := 0
+	for r, slot := range assignment {
+		used = max(used, slot+k.RegType(r).Class().Slots())
+	}
+	return used
 }
 
 // color runs one build-simplify-select round over the cached liveness. It

@@ -22,6 +22,11 @@ import (
 // would cost more than the arithmetic it wraps.
 type Fn func(d, a, b, c *[32]uint64, mask uint64)
 
+// fullWarp is the mask of a warp whose 32 lanes all execute. The kernels
+// most frequent in both engines' profiles test for it and run a plain lane
+// loop instead of scanning the mask bit by bit.
+const fullWarp = 1<<32 - 1
+
 // zeroPlane backs absent source slots: reads yield 0, the value sem's
 // formulas take for a missing operand.
 var zeroPlane [32]uint64
@@ -82,6 +87,17 @@ func vecGeneric(op ptx.Opcode, t ptx.Type) Fn {
 // dominate is already gone).
 func vecSetp(cmp ptx.CmpOp, t ptx.Type) Fn {
 	return func(d, a, b, c *[32]uint64, mask uint64) {
+		if mask == fullWarp {
+			for l := range d {
+				ok, _ := sem.Compare(cmp, t, a[l], b[l])
+				v := uint64(0)
+				if ok {
+					v = 1
+				}
+				d[l] = v
+			}
+			return
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			ok, _ := sem.Compare(cmp, t, a[l], b[l])
@@ -123,6 +139,12 @@ func vecCvtSem(to, from ptx.Type) Fn {
 func vecCvtInt(to, from ptx.Type) Fn {
 	if from.IsSigned() {
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = sem.Truncate(uint64(sem.SignExtend(a[l], from)), to)
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = sem.Truncate(uint64(sem.SignExtend(a[l], from)), to)
@@ -130,6 +152,12 @@ func vecCvtInt(to, from ptx.Type) Fn {
 		}
 	}
 	return func(d, a, b, c *[32]uint64, mask uint64) {
+		if mask == fullWarp {
+			for l := range d {
+				d[l] = sem.Truncate(sem.Truncate(a[l], from), to)
+			}
+			return
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			d[l] = sem.Truncate(sem.Truncate(a[l], from), to)
@@ -145,6 +173,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 	switch op {
 	case ptx.OpAdd:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = (a[l] + b[l]) & m32
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = (a[l] + b[l]) & m32
@@ -159,6 +193,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 		}
 	case ptx.OpMul:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = (a[l] * b[l]) & m32
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = (a[l] * b[l]) & m32
@@ -283,6 +323,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 		}
 	case ptx.OpAnd:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = (a[l] & b[l]) & m32
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = (a[l] & b[l]) & m32
@@ -311,6 +357,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 		}
 	case ptx.OpShl:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = (a[l] << min(b[l]&m32, 32)) & m32
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = (a[l] << min(b[l]&m32, 32)) & m32
@@ -319,6 +371,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 	case ptx.OpShr:
 		if signed {
 			return func(d, a, b, c *[32]uint64, mask uint64) {
+				if mask == fullWarp {
+					for l := range d {
+						d[l] = uint64(int64(int32(a[l]))>>min(b[l]&m32, 32)) & m32
+					}
+					return
+				}
 				for m := mask; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					d[l] = uint64(int64(int32(a[l]))>>min(b[l]&m32, 32)) & m32
@@ -326,6 +384,12 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 			}
 		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = (a[l] & m32) >> min(b[l]&m32, 32)
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = (a[l] & m32) >> min(b[l]&m32, 32)
@@ -350,6 +414,12 @@ func vecF32(op ptx.Opcode) Fn {
 	switch op {
 	case ptx.OpAdd:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = sem.ArithF32Bits(sem.BitsF32(a[l]) + sem.BitsF32(b[l]))
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = sem.ArithF32Bits(sem.BitsF32(a[l]) + sem.BitsF32(b[l]))
@@ -364,6 +434,12 @@ func vecF32(op ptx.Opcode) Fn {
 		}
 	case ptx.OpMul:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = sem.ArithF32Bits(sem.BitsF32(a[l]) * sem.BitsF32(b[l]))
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = sem.ArithF32Bits(sem.BitsF32(a[l]) * sem.BitsF32(b[l]))
@@ -371,6 +447,12 @@ func vecF32(op ptx.Opcode) Fn {
 		}
 	case ptx.OpMad:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = sem.ArithF32Bits(sem.BitsF32(a[l])*sem.BitsF32(b[l]) + sem.BitsF32(c[l]))
+				}
+				return
+			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = sem.ArithF32Bits(sem.BitsF32(a[l])*sem.BitsF32(b[l]) + sem.BitsF32(c[l]))

@@ -46,8 +46,15 @@ func edgesOf(t ptx.Type) []uint64 {
 	return intEdges
 }
 
+// sentinel pre-fills the destination plane: a kernel must leave every lane
+// outside its mask holding it.
+const sentinel = 0x5e5e5e5e5e5e5e5e
+
 // checkPairs runs fn over every (a, b) pair of edges, 32 lanes per call
 // with c cycling through the edges too, and compares each lane with want.
+// Each batch runs under its prefix mask (the full warp for every batch but
+// the last) and under every other lane of it, and the lanes outside the
+// mask must keep the sentinel.
 func checkPairs(t *testing.T, name string, fn Fn, edges []uint64, want func(a, b, c uint64) uint64) {
 	t.Helper()
 	var a, b, c [32]uint64
@@ -60,11 +67,21 @@ func checkPairs(t *testing.T, name string, fn Fn, edges []uint64, want func(a, b
 			if l != 31 && n != len(edges)*len(edges) {
 				continue
 			}
-			var d [32]uint64
-			fn(&d, &a, &b, &c, ^uint64(0)>>(63-l))
-			for i := 0; i <= l; i++ {
-				if w := want(a[i], b[i], c[i]); d[i] != w {
-					t.Errorf("%s(%#x, %#x, %#x): vec %#x, sem %#x", name, a[i], b[i], c[i], d[i], w)
+			prefix := ^uint64(0) >> (63 - l)
+			for _, mask := range []uint64{prefix, prefix & 0x5555555555555555} {
+				var d [32]uint64
+				for i := range d {
+					d[i] = sentinel
+				}
+				fn(&d, &a, &b, &c, mask)
+				for i := range d {
+					if mask>>i&1 == 0 {
+						if d[i] != sentinel {
+							t.Errorf("%s under mask %#x: lane %d outside the mask was written (%#x)", name, mask, i, d[i])
+						}
+					} else if w := want(a[i], b[i], c[i]); d[i] != w {
+						t.Errorf("%s(%#x, %#x, %#x): vec %#x, sem %#x", name, a[i], b[i], c[i], d[i], w)
+					}
 				}
 			}
 		}
@@ -134,4 +151,16 @@ func TestVecCvtMatchSem(t *testing.T) {
 			check(to, from)
 		}
 	}
+}
+
+// TestVecSelp covers selp, which has no sem formula: a where the predicate
+// plane c is non-zero, b elsewhere.
+func TestVecSelp(t *testing.T) {
+	checkPairs(t, "selp", fnFor(&passes.MicroOp{Op: ptx.OpSelp, Type: ptx.U32}), intEdges,
+		func(a, b, c uint64) uint64 {
+			if c != 0 {
+				return a
+			}
+			return b
+		})
 }
