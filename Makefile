@@ -1,10 +1,10 @@
 # Developer entry points. `make ci` is the full local gate, 9 targets:
-# vet, build, race-enabled tests (including the concurrent-session harness
-# tests and the quick cratbench rot guard in ./bench), a short fuzz smoke
-# over the PTX parsers, the checkpoint, oracle and service smokes, the
-# chaos matrix (the one process-level fleet chaos run), and the golden
-# diff. `make bench` runs the benchmark (bench/README.md); its timings
-# are advisory, so it stays out of `ci`.
+# vet (go vet plus a gofmt check), build, race-enabled tests (including
+# the concurrent-session harness tests and the quick cratbench rot guard
+# in ./bench), a short fuzz smoke over the PTX parsers, the checkpoint,
+# oracle and service smokes, the chaos matrix (the one process-level
+# fleet chaos run), and the golden diff. `make bench` runs the benchmark
+# (bench/README.md); its timings are advisory, so it stays out of `ci`.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -30,8 +30,10 @@ all: build
 build:
 	$(GO) build ./...
 
+# go vet, and fail on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need formatting:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -16,14 +16,6 @@ type PassInfo struct {
 	Desc string
 }
 
-// PipelinePasses lists the pipeline's passes in execution order for the
-// default backend set: pruning, then each registered backend's candidate
-// pipeline (deduplicated — the allocation passes are shared), then
-// selection. It is equivalent to PipelinePassesFor(nil).
-func PipelinePasses() []PassInfo {
-	return PipelinePassesFor(nil)
-}
-
 // PipelinePassesFor lists the passes the pipeline runs for the named
 // backends (nil or empty = every registered backend), in execution order:
 // the shared prune pass, each backend's registered pipeline (passes

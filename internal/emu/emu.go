@@ -1,15 +1,15 @@
-// Package emu is a fast, timing-free functional PTX emulator. It executes a
-// kernel launch warp-by-warp with the same SIMT reconvergence discipline
-// (immediate post-dominator stacks from internal/cfg) as the cycle-level
-// simulator, but with no caches, scoreboards, or scheduling — only
-// architectural state. Both engines run the same lowered program from
-// internal/vec, built once per kernel: a warp's registers are 32-lane
-// planes and an ALU instruction is one vector-kernel call under the
-// execution mask, while memory instructions go lane by lane in ascending
-// order. The differential oracle (internal/oracle) runs kernel variants
-// through it and compares final global memory, so correctness here is
-// judged purely on execution order and the rewrites under test, never on
-// timing.
+// Package emu is a fast, timing-free functional PTX emulator. It runs a
+// kernel launch block by block, each warp until it exits or parks at a
+// barrier, with no caches, scoreboards, or scheduling — only architectural
+// state. Each instruction executes through the functional core it shares
+// with the cycle-level simulator (internal/vec): the same lowered program,
+// SIMT reconvergence (immediate post-dominator stacks from internal/cfg),
+// guard masks, special registers, ld.param and memory bounds rules. The
+// emulator keeps its run loop, barriers, livelock budget, store provenance
+// and Fault type. The differential oracle (internal/oracle) runs kernel
+// variants through it and compares final global memory, so correctness
+// here is judged purely on execution order and the rewrites under test,
+// never on timing.
 package emu
 
 import (
@@ -124,60 +124,29 @@ type Result struct {
 	LastStore map[uint64]Store
 }
 
-// simtEntry mirrors the simulator's divergence stack entries.
-type simtEntry struct {
-	pc   int
-	rpc  int
-	mask uint64
-}
-
-// warpSize is the SIMT width: the lanes of one vec.Fn plane.
-const warpSize = 32
-
-// warp holds one warp's architectural state: regs is nRegs consecutive
-// 32-lane planes (register r of lane l lives at regs[r*32+l]), the layout
-// the vector kernels run over.
+// warp is one warp: its functional state (vec.Warp) plus the run loop's
+// flags.
 type warp struct {
+	vec.Warp
 	id      int
-	regs    []uint64
-	locals  [][]byte // per-lane local frame (zero-length when the kernel has none)
-	stack   []simtEntry
 	done    bool
 	barrier bool
 }
 
-// plane returns register r's 32-lane plane.
-func (w *warp) plane(r ptx.Reg) *[32]uint64 {
-	return (*[32]uint64)(w.regs[int(r)*32:])
-}
-
 // machine is the per-launch execution state. Every block has the same
-// shape, so the register, local and shared buffers are sized once per
-// launch and cleared for each block.
+// shape, so one block's storage is allocated once per launch and cleared
+// for each block.
 type machine struct {
-	launch     Launch
-	kernel     *ptx.Kernel
-	ops        []vec.Op // the shared lowered program
-	global     sem.PageCache
-	paramBlock []byte
-	budget     int64
-
-	blockID     int
-	shared      []byte
-	regArena    []uint64
-	localArena  []byte
-	warps       []*warp
-	liveWarps   int
-	arrived     int
-	specScratch [3][32]uint64 // special-register source planes, one per slot
+	core      vec.Machine // the functional state shared with the simulator
+	block     *vec.Block
+	warps     []*warp
+	liveWarps int
+	arrived   int
+	budget    int64
 
 	res   Result
 	fault *Fault
 }
-
-// nullPageBytes matches the simulator's reserved low global region:
-// accesses under it indicate an uninitialized or corrupted pointer.
-const nullPageBytes = 4096
 
 // programs memoizes, per kernel version, the validated kernel's lowered
 // program, or its validation error: an oracle runs each kernel several
@@ -220,17 +189,18 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 		budget = DefaultMaxWarpInsts
 	}
 	m := &machine{
-		launch:     l,
-		kernel:     k,
-		ops:        prog.Ops,
-		global:     sem.NewPageCache(mem),
-		paramBlock: buildParamBlock(k, l.Params),
-		budget:     budget,
+		core:   vec.NewMachine(k, prog, mem, l.Params, l.Grid, l.Block, 32), // a warp is one full plane
+		budget: budget,
 	}
 	if l.Provenance {
 		m.res.LastStore = make(map[uint64]Store)
 	}
-	m.allocBlock()
+	m.block = m.core.NewBlock(0)
+	for i := 0; i < m.core.Warps(); i++ {
+		w := &warp{id: i}
+		m.core.Bind(&w.Warp, m.block, i)
+		m.warps = append(m.warps, w)
+	}
 
 	// Blocks are independent (no inter-block synchronization in the model),
 	// so they run sequentially and deterministically.
@@ -243,56 +213,14 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	return &m.res, nil
 }
 
-func buildParamBlock(k *ptx.Kernel, vals []uint64) []byte {
-	size := int64(0)
-	for _, p := range k.Params {
-		off, _ := k.ParamOffset(p.Name)
-		end := off + int64(p.Type.Bytes())
-		if end > size {
-			size = end
-		}
-	}
-	out := make([]byte, size)
-	for i, p := range k.Params {
-		off, _ := k.ParamOffset(p.Name)
-		v := vals[i]
-		for b := 0; b < p.Type.Bytes(); b++ {
-			out[off+int64(b)] = byte(v >> (8 * b))
-		}
-	}
-	return out
-}
-
-// allocBlock sizes one block's warps, registers, local frames and shared
-// segment.
-func (m *machine) allocBlock() {
-	nRegs := m.kernel.NumRegs()
-	localSize := int(m.kernel.LocalBytes())
-	nWarps := (m.launch.Block + warpSize - 1) / warpSize
-	m.shared = make([]byte, m.kernel.SharedBytes())
-	m.regArena = make([]uint64, nWarps*nRegs*32)
-	m.localArena = make([]byte, localSize*m.launch.Block)
-	for wi := 0; wi < nWarps; wi++ {
-		w := &warp{id: wi, regs: m.regArena[wi*nRegs*32 : (wi+1)*nRegs*32 : (wi+1)*nRegs*32]}
-		for tid := wi * warpSize; tid < min((wi+1)*warpSize, m.launch.Block); tid++ {
-			w.locals = append(w.locals, m.localArena[tid*localSize:(tid+1)*localSize:(tid+1)*localSize])
-		}
-		m.warps = append(m.warps, w)
-	}
-}
-
 // runBlock resets the block state and drives the block's warps
 // round-robin. Each warp runs until it exits or parks at a barrier; the
 // barrier releases once every live warp arrives, matching the simulator's
 // per-warp arrival semantics (a divergent warp still arrives exactly once).
 func (m *machine) runBlock(id int) {
-	m.blockID = id
-	clear(m.shared)
-	clear(m.regArena)
-	clear(m.localArena)
+	m.block.Clear()
 	for _, w := range m.warps {
-		lanes := min(m.launch.Block-w.id*warpSize, warpSize)
-		w.stack = append(w.stack[:0], simtEntry{pc: 0, rpc: len(m.kernel.Insts), mask: 1<<uint(lanes) - 1})
+		m.core.Start(&w.Warp, id)
 		w.done, w.barrier = false, false
 	}
 	m.liveWarps = len(m.warps)
@@ -328,7 +256,7 @@ func (m *machine) runWarp(w *warp) {
 	for !w.done && !w.barrier {
 		if m.res.WarpInsts >= m.budget {
 			m.fault = &Fault{
-				Kind: FaultLivelock, PC: m.pcOf(w), Block: m.blockID, Warp: w.id, Lane: -1,
+				Kind: FaultLivelock, PC: w.Top().PC, Block: w.CTA, Warp: w.id, Lane: -1,
 				Detail: fmt.Sprintf("exceeded %d warp instructions", m.budget),
 			}
 			return
@@ -340,135 +268,66 @@ func (m *machine) runWarp(w *warp) {
 	}
 }
 
-func (m *machine) pcOf(w *warp) int {
-	if len(w.stack) == 0 {
-		return -1
-	}
-	return w.stack[len(w.stack)-1].pc
-}
-
 // step executes the warp's next instruction for all its executing lanes.
 func (m *machine) step(w *warp) {
-	top := &w.stack[len(w.stack)-1]
-	if top.pc >= len(m.ops) {
-		m.exitLanes(w, top.mask)
-		return
-	}
-	pc := top.pc
-	u := &m.ops[pc]
-
-	// Effective execution mask: active lanes whose guard holds.
-	execMask := top.mask
-	if u.Guard != ptx.NoReg {
-		g := w.plane(u.Guard)
-		gm := uint64(0)
-		for mk := execMask; mk != 0; mk &= mk - 1 {
-			l := bits.TrailingZeros64(mk)
-			if (g[l] != 0) != u.GuardNeg {
-				gm |= 1 << uint(l)
-			}
+	top := w.Top()
+	if top.PC >= len(m.core.Prog.Ops) {
+		if w.Exit(top.Mask) {
+			m.exited(w)
 		}
-		execMask = gm
+		return
 	}
-
+	pc := top.PC
+	u := &m.core.Prog.Ops[pc]
+	mask := w.ExecMask(u)
 	m.res.WarpInsts++
-	m.res.ThreadInsts += int64(bits.OnesCount64(execMask))
+	m.res.ThreadInsts += int64(bits.OnesCount64(mask))
 
-	switch u.Class {
-	case passes.MicroBra:
-		m.execBranch(w, u, top.mask, execMask)
-		return
-	case passes.MicroExit:
-		m.exitLanes(w, top.mask)
-		return
-	case passes.MicroBar:
-		top.pc++
-		m.popReconverged(w)
+	st := m.core.Exec(&w.Warp, u, mask)
+	f := &m.core.Fault
+	if m.res.LastStore != nil && u.Class == passes.MicroMem && !u.Load && u.Space == ptx.SpaceGlobal {
+		if st == vec.Faulted {
+			mask = f.Took(mask)
+		}
+		m.record(w, u, pc, mask)
+	}
+	switch st {
+	case vec.Exited:
+		m.exited(w)
+	case vec.AtBarrier:
 		w.barrier = true
 		m.arrived++
 		m.releaseBarrier()
-		return
-	case passes.MicroNop:
-		top.pc++
-		m.popReconverged(w)
-		return
-	}
-
-	if execMask != 0 {
-		switch u.Class {
-		case passes.MicroBad:
-			// A statically-unsupported instruction carries its evaluation
-			// error; the lowest executing lane raises it.
-			m.fault = &Fault{Kind: FaultExec, PC: pc, Block: m.blockID, Warp: w.id,
-				Lane: bits.TrailingZeros64(execMask), Err: u.Err}
-			return
-		case passes.MicroLdParam:
-			m.execLdParam(w, u, execMask)
-		case passes.MicroMem:
-			if !m.execMemory(w, pc, u, execMask) {
-				return // faulted
-			}
-		default: // passes.MicroALU
-			u.Fn(w.plane(u.Dst), m.srcPlane(w, &u.Src[0], 0, execMask),
-				m.srcPlane(w, &u.Src[1], 1, execMask), m.srcPlane(w, &u.Src[2], 2, execMask), execMask)
-		}
-	}
-
-	top.pc++
-	m.popReconverged(w)
-}
-
-// execBranch implements SIMT divergence with immediate-post-dominator
-// reconvergence, identically to the simulator. Target and reconvergence pcs
-// come pre-resolved in the lowered op.
-func (m *machine) execBranch(w *warp, u *vec.Op, activeMask, takenMask uint64) {
-	top := &w.stack[len(w.stack)-1]
-	target := u.Target
-	switch takenMask {
-	case activeMask:
-		top.pc = target
-	case 0:
-		top.pc++
-	default:
-		pc := top.pc
-		rpc := u.Rpc
-		if rpc < 0 {
-			rpc = len(m.ops)
-		}
-		top.pc = rpc
-		w.stack = append(w.stack,
-			simtEntry{pc: pc + 1, rpc: rpc, mask: activeMask &^ takenMask},
-			simtEntry{pc: target, rpc: rpc, mask: takenMask},
-		)
-	}
-	m.popReconverged(w)
-}
-
-func (m *machine) popReconverged(w *warp) {
-	for len(w.stack) > 1 {
-		top := &w.stack[len(w.stack)-1]
-		if top.pc == top.rpc || top.mask == 0 {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		return
+	case vec.Faulted:
+		// The shared kinds are the first three of FaultKind, in order.
+		m.fault = &Fault{Kind: FaultKind(f.Kind), PC: pc, Block: w.CTA, Warp: w.id, Lane: f.Lane,
+			Space: f.Space, Addr: f.Addr, Size: f.Size, Limit: f.Limit, Err: f.Err}
 	}
 }
 
-func (m *machine) exitLanes(w *warp, mask uint64) {
-	for i := range w.stack {
-		w.stack[i].mask &^= mask
+// record notes the provenance of a global store's lanes, in ascending lane
+// order so the last writer of a byte wins. A store writes no register, so
+// its address and value planes still hold what it stored.
+func (m *machine) record(w *warp, u *vec.Op, pc int, lanes uint64) {
+	size := int(u.Size)
+	for mk := lanes; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros64(mk)
+		addr := u.MemOff
+		if u.MemBase != ptx.NoReg {
+			addr += w.Plane(u.MemBase)[l]
+		}
+		rec := Store{PC: pc, Block: w.CTA, Warp: w.id, Lane: l, Value: m.core.SrcLane(&w.Warp, &u.Src[0], l), Size: size}
+		for b := 0; b < size; b++ {
+			m.res.LastStore[addr+uint64(b)] = rec
+		}
 	}
-	for len(w.stack) > 0 && w.stack[len(w.stack)-1].mask == 0 {
-		w.stack = w.stack[:len(w.stack)-1]
-	}
-	if len(w.stack) == 0 {
-		w.done = true
-		m.liveWarps--
-		m.releaseBarrier()
-		return
-	}
-	m.popReconverged(w)
+}
+
+// exited retires a warp whose every lane has exited.
+func (m *machine) exited(w *warp) {
+	w.done = true
+	m.liveWarps--
+	m.releaseBarrier()
 }
 
 func (m *machine) releaseBarrier() {
@@ -479,156 +338,4 @@ func (m *machine) releaseBarrier() {
 		w.barrier = false
 	}
 	m.arrived = 0
-}
-
-// srcPlane resolves one source slot to a 32-lane plane: registers and
-// broadcast constants are already planes; special registers are
-// materialized into the slot's scratch plane under the mask.
-func (m *machine) srcPlane(w *warp, s *vec.Src, slot int, mask uint64) *[32]uint64 {
-	switch s.Kind {
-	case vec.SrcReg:
-		return w.plane(s.Reg)
-	case vec.SrcSpec:
-		p := &m.specScratch[slot]
-		for mk := mask; mk != 0; mk &= mk - 1 {
-			l := bits.TrailingZeros64(mk)
-			p[l] = uint64(m.special(w, l, s.Spec))
-		}
-		return p
-	}
-	return s.Bcast
-}
-
-// srcLane resolves one source slot for a single lane (a store needs one
-// value per lane, not a whole plane).
-func (m *machine) srcLane(w *warp, s *vec.Src, lane int) uint64 {
-	switch s.Kind {
-	case vec.SrcReg:
-		return w.plane(s.Reg)[lane]
-	case vec.SrcSpec:
-		return uint64(m.special(w, lane, s.Spec))
-	}
-	return s.Bcast[0]
-}
-
-func (m *machine) special(w *warp, lane int, sp ptx.Special) int {
-	tid := w.id*warpSize + lane
-	switch sp {
-	case ptx.SpecTidX:
-		return tid
-	case ptx.SpecNTidX:
-		return m.launch.Block
-	case ptx.SpecCtaIdX:
-		return m.blockID
-	case ptx.SpecNCtaIdX:
-		return m.launch.Grid
-	case ptx.SpecLaneId:
-		return tid % warpSize
-	case ptx.SpecWarpId:
-		return tid / warpSize
-	case ptx.SpecTidY, ptx.SpecTidZ, ptx.SpecCtaIdY, ptx.SpecCtaIdZ:
-		return 0
-	case ptx.SpecNTidY, ptx.SpecNTidZ, ptx.SpecNCtaIdY, ptx.SpecNCtaIdZ:
-		return 1
-	}
-	return 0
-}
-
-// execLdParam loads from the parameter block per lane. Reads past the
-// block yield zero bytes.
-func (m *machine) execLdParam(w *warp, u *vec.Op, execMask uint64) {
-	d := w.plane(u.Dst)
-	var base *[32]uint64
-	if u.MemBase != ptx.NoReg {
-		base = w.plane(u.MemBase)
-	}
-	for mk := execMask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros64(mk)
-		addr := u.MemOff
-		if base != nil {
-			addr += base[l]
-		}
-		v := uint64(0)
-		for b := 0; b < int(u.Size); b++ {
-			if int(addr)+b < len(m.paramBlock) {
-				v |= uint64(m.paramBlock[int(addr)+b]) << (8 * b)
-			}
-		}
-		d[l] = v
-	}
-}
-
-func inBounds(addr uint64, size int, limit int64) bool {
-	return uint64(size) <= uint64(limit) && addr <= uint64(limit)-uint64(size)
-}
-
-// execMemory performs a load or store lane by lane in ascending lane order,
-// with the same bounds rules as the simulator: null-page faults for global,
-// declared-segment bounds for local and shared. The lowest offending lane
-// faults, after the lanes below it have taken effect. The address comes
-// pre-decoded: an optional base register plus a displacement with any
-// symbol base already folded in. Returns false on a fault.
-func (m *machine) execMemory(w *warp, pc int, u *vec.Op, execMask uint64) bool {
-	size := int(u.Size)
-	var base, dst *[32]uint64
-	if u.MemBase != ptx.NoReg {
-		base = w.plane(u.MemBase)
-	}
-	if u.Load {
-		dst = w.plane(u.Dst)
-	}
-	for mk := execMask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros64(mk)
-		addr := u.MemOff
-		if base != nil {
-			addr += base[l]
-		}
-		switch u.Space {
-		case ptx.SpaceGlobal:
-			if addr < nullPageBytes {
-				m.memFault(FaultNullGlobal, w, pc, l, u.Space, addr, size, nullPageBytes)
-				return false
-			}
-			if u.Load {
-				dst[l] = m.global.Read(addr, size)
-				continue
-			}
-			v := m.srcLane(w, &u.Src[0], l)
-			m.global.Write(addr, v, size)
-			if m.res.LastStore != nil {
-				rec := Store{PC: pc, Block: m.blockID, Warp: w.id, Lane: l, Value: v, Size: size}
-				for b := 0; b < size; b++ {
-					m.res.LastStore[addr+uint64(b)] = rec
-				}
-			}
-		case ptx.SpaceLocal:
-			limit := int64(len(w.locals[l]))
-			if !inBounds(addr, size, limit) {
-				m.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
-				return false
-			}
-			if u.Load {
-				dst[l] = sem.ReadLE(w.locals[l][addr:], size)
-			} else {
-				sem.WriteLE(w.locals[l][addr:], m.srcLane(w, &u.Src[0], l), size)
-			}
-		case ptx.SpaceShared:
-			limit := int64(len(m.shared))
-			if !inBounds(addr, size, limit) {
-				m.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
-				return false
-			}
-			if u.Load {
-				dst[l] = sem.ReadLE(m.shared[addr:], size)
-			} else {
-				sem.WriteLE(m.shared[addr:], m.srcLane(w, &u.Src[0], l), size)
-			}
-		}
-	}
-	return true
-}
-
-func (m *machine) memFault(kind FaultKind, w *warp, pc, lane int, space ptx.Space, addr uint64, size int, limit int64) {
-	m.fault = &Fault{Kind: kind, PC: pc, Block: m.blockID, Warp: w.id, Lane: lane,
-		Space: space, Addr: addr, Size: size, Limit: limit}
 }

@@ -22,7 +22,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,38 +244,4 @@ func (s *Scenario) Fired(kind string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fired[kind]
-}
-
-// FiredTotal sums firings across all kinds.
-func (s *Scenario) FiredTotal() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, n := range s.fired {
-		total += n
-	}
-	return total
-}
-
-// Report renders the firing log ("fsync-fail=2 latency=4"), kinds
-// sorted, for operational logs.
-func (s *Scenario) Report() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kinds := make([]string, 0, len(s.fired))
-	for k := range s.fired {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, s.fired[k]))
-	}
-	return strings.Join(parts, " ")
 }

@@ -17,8 +17,8 @@ import (
 // requires byte-identical final global memory and identical instruction
 // counts. Both engines interpret the same shared micro-op stream, so any
 // disagreement means one of them ordered, masked, or rewrote execution
-// differently.
-func crossCheck(t *testing.T, k *ptx.Kernel, grid, block int, setup func(*gpusim.Memory) []uint64) {
+// differently. It returns the simulator's final memory.
+func crossCheck(t *testing.T, k *ptx.Kernel, grid, block int, setup func(*gpusim.Memory) []uint64) *gpusim.Memory {
 	t.Helper()
 
 	simMem := gpusim.NewMemory()
@@ -52,6 +52,7 @@ func crossCheck(t *testing.T, k *ptx.Kernel, grid, block int, setup func(*gpusim
 	if addr, a, b, diff := simMem.DiffFirst(emuMem); diff {
 		t.Fatalf("engines disagree at global[%#x]: sim=%#x emu=%#x", addr, a, b)
 	}
+	return simMem
 }
 
 // TestEmulatorCrossCheck cross-checks every seed workload kernel. The two
@@ -72,6 +73,94 @@ func TestEmulatorCrossCheck(t *testing.T) {
 				Name: "crosscheck", GridScale: float64(grid) / float64(p.Grid), DataScale: 1,
 			})
 			crossCheck(t, app.Kernel, app.Grid, app.Block, app.Setup)
+		})
+	}
+
+	// Hand-built shapes for SIMT rules no seed workload reaches. Both engines
+	// run one copy of these rules (internal/vec), so each case also pins the
+	// value every thread must store to out: agreement alone cannot show a
+	// rule is right.
+	for _, tc := range []struct {
+		name        string
+		build       func() *ptx.Kernel
+		grid, block int
+		params      []uint64 // the values after out
+		want        func(tid uint64) uint64
+		width       int // bytes each thread stores
+	}{
+		{
+			// Lanes 20-31 of each warp exit inside a divergent branch while
+			// lanes 0-19 reach bar.sync, then read the other warp's slot.
+			name:  "exit-in-divergence-at-barrier",
+			build: exitBarrierKernel,
+			grid:  1, block: 64, width: 4,
+			want: func(tid uint64) uint64 {
+				if tid%32 >= 20 {
+					return 0
+				}
+				return (tid ^ 32) + 1
+			},
+		},
+		{
+			// Odd lanes branch, even lanes fall through, and lanes 2k and
+			// 2k+1 store to slot k at the reconvergence point: one joint
+			// store in ascending lane order, so the odd lane's value lands.
+			name:  "same-address-store-at-reconvergence",
+			build: reconvergeStoreKernel,
+			grid:  1, block: 32, width: 4,
+			want: func(slot uint64) uint64 {
+				if slot >= 16 {
+					return 0
+				}
+				return 2000 + 2*slot + 1
+			},
+		},
+		{
+			// Only the lanes whose guard predicate is false store.
+			name:  "negated-guard",
+			build: negatedGuardKernel,
+			grid:  1, block: 32, width: 4,
+			want: func(tid uint64) uint64 {
+				if tid%2 == 0 {
+					return 0
+				}
+				return tid + 1
+			},
+		},
+		{
+			// A 40-thread block is one full warp and an 8-lane tail warp.
+			name:  "specials-in-tail-warp",
+			build: specialsKernel,
+			grid:  3, block: 40, width: 4,
+			want: func(gid uint64) uint64 {
+				cta, tid := gid/40, gid%40
+				return tid%32 + tid/32<<8 + cta<<16 + 3<<24
+			},
+		},
+		{
+			// The param block is out(8) a(4) h(2): 14 bytes. Bytes past its
+			// end read as zero.
+			name:  "ld-param-at-block-end",
+			build: paramEndKernel,
+			grid:  1, block: 32, width: 8,
+			params: []uint64{0x12345678, 0xbeef},
+			want:   func(uint64) uint64 { return 0xbeef<<32 | 0xbeef1234 },
+		},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var out uint64
+			threads := uint64(tc.grid * tc.block)
+			mem := crossCheck(t, tc.build(), tc.grid, tc.block, func(mem *gpusim.Memory) []uint64 {
+				out = mem.Alloc(int64(threads) * int64(tc.width))
+				return append([]uint64{out}, tc.params...)
+			})
+			for i := uint64(0); i < threads; i++ {
+				if got, want := mem.Read(out+i*uint64(tc.width), tc.width), tc.want(i); got != want {
+					t.Fatalf("thread %d stored %#x, want %#x", i, got, want)
+				}
+			}
 		})
 	}
 }
@@ -147,6 +236,23 @@ func TestFaultCrossCheck(t *testing.T) {
 			emuKind: emu.FaultMemOOB,
 		},
 		{
+			// A kernel with no local array has zero-length frames: every
+			// local access is out of bounds.
+			name: "local-oob-without-frame",
+			build: func() *ptx.Kernel {
+				b := ptx.NewBuilder("xlnoframe")
+				b.Param("out", ptx.U64)
+				addr := b.Reg(ptx.U64)
+				v := b.Reg(ptx.U32)
+				b.Mov(ptx.U64, addr, ptx.Imm(0))
+				b.Ld(ptx.SpaceLocal, ptx.U32, v, ptx.MemReg(addr, 0))
+				b.Exit()
+				return b.Kernel()
+			},
+			simKind: gpusim.FaultMemOOB,
+			emuKind: emu.FaultMemOOB,
+		},
+		{
 			name: "exec",
 			build: func() *ptx.Kernel {
 				b := ptx.NewBuilder("xexec")
@@ -200,4 +306,124 @@ func TestFaultCrossCheck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exitBarrierKernel: see the exit-in-divergence-at-barrier case.
+func exitBarrierKernel() *ptx.Kernel {
+	b := ptx.NewBuilder("xexitbar")
+	b.Param("out", ptx.U64)
+	b.SharedArray("stage", 64*4)
+	out := b.Reg(ptx.U64)
+	b.LdParam(ptx.U64, out, "out")
+	tid := b.Reg(ptx.U32)
+	b.MovSpec(tid, ptx.SpecTidX)
+	lane := b.Reg(ptx.U32)
+	b.And(ptx.U32, lane, ptx.R(tid), ptx.Imm(31))
+	p := b.Reg(ptx.Pred)
+	b.Setp(ptx.CmpGe, ptx.U32, p, ptx.R(lane), ptx.Imm(20))
+	b.BraIf(p, false, "DONE")
+	v := b.Reg(ptx.U32)
+	b.Add(ptx.U32, v, ptx.R(tid), ptx.Imm(1))
+	b.St(ptx.SpaceShared, ptx.U32, ptx.MemReg(b.AddrOf(b.Reg(ptx.U64), tid, 4), 0), ptx.R(v))
+	b.Bar()
+	other := b.Reg(ptx.U32)
+	b.Xor(ptx.U32, other, ptx.R(tid), ptx.Imm(32))
+	b.Ld(ptx.SpaceShared, ptx.U32, v, ptx.MemReg(b.AddrOf(b.Reg(ptx.U64), other, 4), 0))
+	b.St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(b.AddrOf(out, tid, 4), 0), ptx.R(v))
+	b.Label("DONE").Exit()
+	return b.Kernel()
+}
+
+// reconvergeStoreKernel: see the same-address-store-at-reconvergence case.
+func reconvergeStoreKernel() *ptx.Kernel {
+	b := ptx.NewBuilder("xreconv")
+	b.Param("out", ptx.U64)
+	out := b.Reg(ptx.U64)
+	b.LdParam(ptx.U64, out, "out")
+	tid := b.Reg(ptx.U32)
+	b.MovSpec(tid, ptx.SpecTidX)
+	odd := b.Reg(ptx.U32)
+	b.And(ptx.U32, odd, ptx.R(tid), ptx.Imm(1))
+	slot := b.Reg(ptx.U32)
+	b.Sub(ptx.U32, slot, ptx.R(tid), ptx.R(odd))
+	addr := b.AddrOf(out, slot, 2)
+	p := b.Reg(ptx.Pred)
+	b.Setp(ptx.CmpNe, ptx.U32, p, ptx.R(odd), ptx.Imm(0))
+	v := b.Reg(ptx.U32)
+	b.BraIf(p, false, "ODD")
+	b.Add(ptx.U32, v, ptx.R(tid), ptx.Imm(1000))
+	b.Bra("JOIN")
+	b.Label("ODD").Add(ptx.U32, v, ptx.R(tid), ptx.Imm(2000))
+	b.Label("JOIN").St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(addr, 0), ptx.R(v))
+	b.Exit()
+	return b.Kernel()
+}
+
+// negatedGuardKernel stores tid+1 under @!p, p = "tid is even".
+func negatedGuardKernel() *ptx.Kernel {
+	b := ptx.NewBuilder("xnegguard")
+	b.Param("out", ptx.U64)
+	out := b.Reg(ptx.U64)
+	b.LdParam(ptx.U64, out, "out")
+	tid := b.Reg(ptx.U32)
+	b.MovSpec(tid, ptx.SpecTidX)
+	odd := b.Reg(ptx.U32)
+	b.And(ptx.U32, odd, ptx.R(tid), ptx.Imm(1))
+	p := b.Reg(ptx.Pred)
+	b.Setp(ptx.CmpEq, ptx.U32, p, ptx.R(odd), ptx.Imm(0))
+	v := b.Reg(ptx.U32)
+	b.Add(ptx.U32, v, ptx.R(tid), ptx.Imm(1))
+	addr := b.AddrOf(out, tid, 4)
+	b.If(p, true).St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(addr, 0), ptx.R(v))
+	b.Exit()
+	return b.Kernel()
+}
+
+// specialsKernel stores lane + warp<<8 + ctaid<<16 + nctaid<<24 per thread.
+func specialsKernel() *ptx.Kernel {
+	b := ptx.NewBuilder("xspecial")
+	b.Param("out", ptx.U64)
+	out := b.Reg(ptx.U64)
+	b.LdParam(ptx.U64, out, "out")
+	gid := b.GlobalIndex()
+	v := b.Reg(ptx.U32)
+	b.MovSpec(v, ptx.SpecLaneId)
+	for _, f := range []struct {
+		sp    ptx.Special
+		shift int64
+	}{{ptx.SpecWarpId, 1 << 8}, {ptx.SpecCtaIdX, 1 << 16}, {ptx.SpecNCtaIdX, 1 << 24}} {
+		r := b.Reg(ptx.U32)
+		b.MovSpec(r, f.sp)
+		b.Mad(ptx.U32, v, ptx.R(r), ptx.Imm(f.shift), ptx.R(v))
+	}
+	b.St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(b.AddrOf(out, gid, 4), 0), ptx.R(v))
+	b.Exit()
+	return b.Kernel()
+}
+
+// paramEndKernel reads 4 bytes at 10, ending exactly at the end of the
+// 14-byte param block, and 8 bytes at 12, straddling it, and stores
+// end + straddle<<32. A register base reaches bytes no symbol's bounds
+// allow.
+func paramEndKernel() *ptx.Kernel {
+	b := ptx.NewBuilder("xparamend")
+	b.Param("out", ptx.U64)
+	b.Param("a", ptx.U32)
+	b.Param("h", ptx.U16)
+	out := b.Reg(ptx.U64)
+	b.LdParam(ptx.U64, out, "out")
+	off := b.Reg(ptx.U64)
+	b.Mov(ptx.U64, off, ptx.Imm(10))
+	end := b.Reg(ptx.U32)
+	b.Ld(ptx.SpaceParam, ptx.U32, end, ptx.MemReg(off, 0))
+	v := b.Reg(ptx.U64)
+	b.Ld(ptx.SpaceParam, ptx.U64, v, ptx.MemReg(off, 2))
+	wide := b.Reg(ptx.U64)
+	b.Cvt(ptx.U64, ptx.U32, wide, ptx.R(end))
+	b.Mad(ptx.U64, v, ptx.R(v), ptx.Imm(1<<32), ptx.R(wide))
+	tid := b.Reg(ptx.U32)
+	b.MovSpec(tid, ptx.SpecTidX)
+	b.St(ptx.SpaceGlobal, ptx.U64, ptx.MemReg(b.AddrOf(out, tid, 8), 0), ptx.R(v))
+	b.Exit()
+	return b.Kernel()
 }

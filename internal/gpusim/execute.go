@@ -6,39 +6,28 @@ import (
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
-	"crat/internal/sem"
 	"crat/internal/vec"
 )
 
 // execute issues the warp's next instruction: functional effects happen
-// immediately (functional-first simulation), destination registers become
-// ready after the modeled latency. The instruction comes pre-decoded from
-// the lowered program — no per-issue operand or opcode switches — and applies
-// to the whole warp as vector operations over 32-lane register planes.
+// immediately (functional-first simulation) through the shared SIMT core
+// (vec.Machine), destination registers become ready after the modeled
+// latency. The instruction comes pre-decoded from the lowered program and
+// applies to the whole warp as vector operations over 32-lane register
+// planes.
 func (s *Simulator) execute(w *warp) {
 	w.sbValid = false // ready-times are about to change; drop the memo
 	s.schedUntil[w.sched][w.schedIdx] = 0
-	top := &w.stack[len(w.stack)-1]
-	if top.pc >= len(s.prog.Ops) {
-		s.exitLanes(w, top.mask)
+	top := w.Top()
+	if top.PC >= len(s.m.Prog.Ops) {
+		if w.Exit(top.Mask) {
+			s.warpExited(w)
+		}
 		return
 	}
-	pc := top.pc
-	u := &s.prog.Ops[pc]
-
-	// Effective execution mask: active lanes whose guard holds.
-	execMask := top.mask
-	if u.Guard != ptx.NoReg {
-		g := w.plane(u.Guard)
-		gm := uint64(0)
-		for m := execMask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			if (g[l] != 0) != u.GuardNeg {
-				gm |= 1 << uint(l)
-			}
-		}
-		execMask = gm
-	}
+	pc := top.PC
+	u := &s.m.Prog.Ops[pc]
+	execMask := w.ExecMask(u)
 
 	s.stats.WarpInsts++
 	s.stats.ThreadInsts += int64(bits.OnesCount64(execMask))
@@ -48,17 +37,19 @@ func (s *Simulator) execute(w *warp) {
 	if s.tracing {
 		s.traceInst(w, pc, execMask)
 	}
+	var plan *memPlan
+	if u.Class == passes.MicroMem {
+		// Plan before the functional access, which may overwrite the
+		// address base register.
+		plan = s.planFor(w, pc, u)
+		w.hasPlan = false // consumed; loops must not reuse stale addresses
+	}
 
-	switch u.Class {
-	case passes.MicroBra:
-		s.execBranch(w, u, top.mask, execMask)
+	switch s.m.Exec(&w.Warp, u, execMask) {
+	case vec.Exited:
+		s.warpExited(w)
 		return
-	case passes.MicroExit:
-		s.exitLanes(w, top.mask)
-		return
-	case passes.MicroBar:
-		top.pc++
-		s.popReconverged(w)
+	case vec.AtBarrier:
 		w.barrier = true
 		// Park until release: releaseBarrier clears this (possibly within
 		// this very call, when w is the last arriver).
@@ -66,32 +57,27 @@ func (s *Simulator) execute(w *warp) {
 		w.block.arrived++
 		s.releaseBarrier(w.block)
 		return
-	case passes.MicroNop:
-		top.pc++
-		s.popReconverged(w)
+	case vec.Faulted:
+		f := &s.m.Fault
+		if u.Class == passes.MicroMem {
+			s.countMem(u, f.Took(execMask))
+		}
+		// The shared kinds are the first three of FaultKind, in order.
+		s.setFault(&Fault{
+			Kind: FaultKind(f.Kind), PC: pc,
+			Warp: w.id, Block: w.block.id, Lane: f.Lane,
+			Space: f.Space, Addr: f.Addr, Size: f.Size, Limit: f.Limit,
+			Err: f.Err,
+		})
 		return
 	}
-
-	latency := int64(s.cfg.ALULat)
-	if u.SFU {
+	latency, isMem := int64(s.cfg.ALULat), false
+	switch {
+	case u.Class == passes.MicroMem:
+		s.countMem(u, execMask)
+		latency, isMem = s.memTiming(u, plan)
+	case u.SFU:
 		latency = int64(s.cfg.SFULat)
-	}
-	isMem := false
-	switch u.Class {
-	case passes.MicroMem:
-		latency, isMem = s.execMemory(w, pc, u, execMask)
-	case passes.MicroLdParam:
-		s.execLdParam(w, u, execMask)
-	case passes.MicroBad:
-		if execMask != 0 {
-			s.setFault(&Fault{
-				Kind: FaultExec, PC: pc,
-				Warp: w.id, Block: w.block.id, Lane: bits.TrailingZeros64(execMask),
-				Err: u.Err,
-			})
-		}
-	default: // passes.MicroALU
-		s.execVec(w, u, execMask)
 	}
 
 	// Scoreboard the destination (regReady packs ready<<1 | isMem).
@@ -105,9 +91,6 @@ func (s *Simulator) execute(w *warp) {
 			w.regReady[u.Dst] = packed
 		}
 	}
-
-	top.pc++
-	s.popReconverged(w)
 }
 
 // traceInst emits one trace line for an issued instruction. Kept out of
@@ -118,72 +101,6 @@ func (s *Simulator) execute(w *warp) {
 func (s *Simulator) traceInst(w *warp, pc int, execMask uint64) {
 	fmt.Fprintf(s.launch.Trace, "%8d w%03d b%03d pc=%-4d mask=%08x %s\n",
 		s.now, w.id, w.block.id, pc, execMask, ptx.FormatInst(s.kernel, pc))
-}
-
-// srcPlane resolves one pre-decoded source slot to a 32-lane plane:
-// registers and broadcast constants are already planes; special registers
-// are materialized into the per-slot scratch plane under the mask.
-func (s *Simulator) srcPlane(w *warp, sr *vec.Src, slot int, mask uint64) *[32]uint64 {
-	switch sr.Kind {
-	case vec.SrcReg:
-		return w.plane(sr.Reg)
-	case vec.SrcSpec:
-		p := &s.specScratch[slot]
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			p[l] = uint64(s.specialVal(w, l, sr.Spec))
-		}
-		return p
-	}
-	return sr.Bcast
-}
-
-// execVec applies an ALU-class micro-op to the whole warp.
-func (s *Simulator) execVec(w *warp, u *vec.Op, execMask uint64) {
-	if execMask == 0 {
-		return
-	}
-	d := w.plane(u.Dst)
-	a := s.srcPlane(w, &u.Src[0], 0, execMask)
-	b := s.srcPlane(w, &u.Src[1], 1, execMask)
-	c := s.srcPlane(w, &u.Src[2], 2, execMask)
-	u.Fn(d, a, b, c, execMask)
-}
-
-// specialVal evaluates a special register for one lane.
-func (s *Simulator) specialVal(w *warp, lane int, sp ptx.Special) int {
-	tid := w.baseTid + lane
-	switch sp {
-	case ptx.SpecTidX:
-		return tid
-	case ptx.SpecNTidX:
-		return s.launch.Block
-	case ptx.SpecCtaIdX:
-		return w.block.id
-	case ptx.SpecNCtaIdX:
-		return s.launch.Grid
-	case ptx.SpecLaneId:
-		return tid % s.cfg.WarpSize
-	case ptx.SpecWarpId:
-		return tid / s.cfg.WarpSize
-	case ptx.SpecTidY, ptx.SpecTidZ, ptx.SpecCtaIdY, ptx.SpecCtaIdZ:
-		return 0
-	case ptx.SpecNTidY, ptx.SpecNTidZ, ptx.SpecNCtaIdY, ptx.SpecNCtaIdZ:
-		return 1
-	}
-	return 0
-}
-
-// srcLane resolves a pre-decoded source slot for a single lane (the memory
-// path needs at most one value per lane, not a whole plane).
-func (s *Simulator) srcLane(w *warp, sr *vec.Src, lane int) uint64 {
-	switch sr.Kind {
-	case vec.SrcReg:
-		return w.plane(sr.Reg)[lane]
-	case vec.SrcSpec:
-		return uint64(s.specialVal(w, lane, sr.Spec))
-	}
-	return sr.Bcast[0]
 }
 
 // countMeta updates dynamic spill-overhead statistics.
@@ -201,65 +118,36 @@ func (s *Simulator) countMeta(u *vec.Op, execMask uint64) {
 	}
 }
 
-// execBranch implements SIMT divergence with immediate-post-dominator
-// reconvergence.
-func (s *Simulator) execBranch(w *warp, u *vec.Op, activeMask, takenMask uint64) {
-	top := &w.stack[len(w.stack)-1]
-	target := u.Target
-	switch takenMask {
-	case activeMask:
-		top.pc = target
-	case 0:
-		top.pc++
-	default:
-		pc := top.pc
-		rpc := u.Rpc
-		if rpc < 0 {
-			rpc = len(s.prog.Ops)
-		}
-		// Current entry waits at the reconvergence point; push the
-		// fallthrough then the taken path (taken executes first).
-		top.pc = rpc
-		w.stack = append(w.stack,
-			simtEntry{pc: pc + 1, rpc: rpc, mask: activeMask &^ takenMask},
-			simtEntry{pc: target, rpc: rpc, mask: takenMask},
-		)
-	}
-	s.popReconverged(w)
-}
-
-// popReconverged pops stack entries that reached their reconvergence point.
-func (s *Simulator) popReconverged(w *warp) {
-	for len(w.stack) > 1 {
-		top := &w.stack[len(w.stack)-1]
-		if top.pc == top.rpc || top.mask == 0 {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		return
+// countMem counts the per-lane accesses of a memory instruction that took
+// effect.
+func (s *Simulator) countMem(u *vec.Op, lanes uint64) {
+	n := int64(bits.OnesCount64(lanes))
+	switch {
+	case u.Space == ptx.SpaceGlobal && u.Load:
+		s.stats.GlobalLoads += n
+	case u.Space == ptx.SpaceGlobal:
+		s.stats.GlobalStores += n
+	case u.Space == ptx.SpaceLocal && u.Load:
+		s.stats.LocalLoads += n
+	case u.Space == ptx.SpaceLocal:
+		s.stats.LocalStores += n
+	case u.Space == ptx.SpaceShared && u.Load:
+		s.stats.SharedLoads += n
+	case u.Space == ptx.SpaceShared:
+		s.stats.SharedStores += n
 	}
 }
 
-// exitLanes terminates the given lanes across the whole SIMT stack.
-func (s *Simulator) exitLanes(w *warp, mask uint64) {
-	for i := range w.stack {
-		w.stack[i].mask &^= mask
+// warpExited retires a warp whose every lane has exited.
+func (s *Simulator) warpExited(w *warp) {
+	w.done = true
+	s.cacheStall(w, stallEmpty, farFuture) // never scanned again until re-enrolled
+	s.liveSched[w.sched]--
+	w.block.liveWarps--
+	s.releaseBarrier(w.block)
+	if w.block.liveWarps == 0 {
+		s.retireBlock(w.block)
 	}
-	for len(w.stack) > 0 && w.stack[len(w.stack)-1].mask == 0 {
-		w.stack = w.stack[:len(w.stack)-1]
-	}
-	if len(w.stack) == 0 {
-		w.done = true
-		s.cacheStall(w, stallEmpty, farFuture) // never scanned again until re-enrolled
-		s.liveSched[w.sched]--
-		w.block.liveWarps--
-		s.releaseBarrier(w.block)
-		if w.block.liveWarps == 0 {
-			s.retireBlock(w.block)
-		}
-		return
-	}
-	s.popReconverged(w)
 }
 
 // releaseBarrier resumes a block's warps once every live warp arrived.
@@ -276,126 +164,10 @@ func (s *Simulator) releaseBarrier(bc *blockCtx) {
 	bc.arrived = 0
 }
 
-// execLdParam performs a constant-bank (param block) load per lane. Reads
-// past the parameter block yield zero bytes, as the old per-lane path did.
-func (s *Simulator) execLdParam(w *warp, u *vec.Op, execMask uint64) {
-	if execMask == 0 {
-		return
-	}
-	d := w.plane(u.Dst)
-	var base *[32]uint64
-	if u.MemBase != ptx.NoReg {
-		base = w.plane(u.MemBase)
-	}
-	size := int(u.Size)
-	for m := execMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		addr := u.MemOff
-		if base != nil {
-			addr += base[l]
-		}
-		v := uint64(0)
-		for b := 0; b < size; b++ {
-			if int(addr)+b < len(s.paramBlock) {
-				v |= uint64(s.paramBlock[int(addr)+b]) << (8 * b)
-			}
-		}
-		d[l] = v
-	}
-}
-
-// nullPageBytes is the reserved low region of the global address space:
-// accesses under it indicate an uninitialized or corrupted pointer
-// (Memory.Alloc never hands out addresses this low).
-const nullPageBytes = 4096
-
-// memFault records an out-of-bounds (or null-page) access as a structured
-// fault carrying the full location context.
-func (s *Simulator) memFault(kind FaultKind, w *warp, pc, lane int, space ptx.Space, addr uint64, size int, limit int64) {
-	s.setFault(&Fault{
-		Kind: kind, PC: pc,
-		Warp: w.id, Block: w.block.id, Lane: lane,
-		Space: space, Addr: addr, Size: size, Limit: limit,
-	})
-}
-
-// inBounds checks addr+size against a non-negative byte limit without
-// overflow on addr+size.
-func inBounds(addr uint64, size int, limit int64) bool {
-	return uint64(size) <= uint64(limit) && addr <= uint64(limit)-uint64(size)
-}
-
-// execMemory performs a global/local/shared load or store: functional
-// effects now, returning the latency until the destination is ready and
-// whether it counts as a memory dependence. Accesses outside the declared
-// local frame or shared segment (and global accesses inside the null page)
-// raise a structured fault instead of silently growing the backing store.
-func (s *Simulator) execMemory(w *warp, pc int, u *vec.Op, execMask uint64) (int64, bool) {
-	plan := s.planFor(w, pc, u)
-	w.hasPlan = false // consumed; loops must not reuse stale addresses
-
-	// Functional access per lane.
-	size := int(u.Size)
-	var base *[32]uint64
-	if u.MemBase != ptx.NoReg {
-		base = w.plane(u.MemBase)
-	}
-	var dst *[32]uint64
-	if u.Load {
-		dst = w.plane(u.Dst)
-	}
-	for m := execMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		addr := u.MemOff
-		if base != nil {
-			addr += base[l]
-		}
-		switch u.Space {
-		case ptx.SpaceGlobal:
-			if addr < nullPageBytes {
-				s.memFault(FaultNullGlobal, w, pc, l, u.Space, addr, size, nullPageBytes)
-				return int64(s.cfg.ALULat), false
-			}
-			if u.Load {
-				dst[l] = s.global.Read(addr, size)
-				s.stats.GlobalLoads++
-			} else {
-				s.global.Write(addr, s.srcLane(w, &u.Src[0], l), size)
-				s.stats.GlobalStores++
-			}
-		case ptx.SpaceLocal:
-			limit := int64(len(w.locals[l]))
-			if !inBounds(addr, size, limit) {
-				s.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
-				return int64(s.cfg.ALULat), false
-			}
-			if u.Load {
-				dst[l] = sem.ReadLE(w.locals[l][addr:], size)
-				s.stats.LocalLoads++
-			} else {
-				sem.WriteLE(w.locals[l][addr:], s.srcLane(w, &u.Src[0], l), size)
-				s.stats.LocalStores++
-			}
-		case ptx.SpaceShared:
-			// The addressable segment is what the kernel declares; the
-			// occupancy ballast (Launch.ExtraSharedBytes) reserves space
-			// but is never a legal target.
-			limit := s.kernel.SharedBytes()
-			if !inBounds(addr, size, limit) {
-				s.memFault(FaultMemOOB, w, pc, l, u.Space, addr, size, limit)
-				return int64(s.cfg.ALULat), false
-			}
-			if u.Load {
-				dst[l] = sem.ReadLE(w.block.shared[addr:], size)
-				s.stats.SharedLoads++
-			} else {
-				sem.WriteLE(w.block.shared[addr:], s.srcLane(w, &u.Src[0], l), size)
-				s.stats.SharedStores++
-			}
-		}
-	}
-
-	// Timing.
+// memTiming models a global/local/shared access whose functional effects
+// already happened, returning the latency until the destination is ready
+// and whether it counts as a memory dependence.
+func (s *Simulator) memTiming(u *vec.Op, plan *memPlan) (int64, bool) {
 	switch u.Space {
 	case ptx.SpaceShared:
 		extra := int64(plan.conflicts - 1)

@@ -191,10 +191,10 @@ func (s *Simulator) warpStates() []WarpState {
 			Block:      w.block.id,
 			Done:       w.done,
 			AtBarrier:  w.barrier,
-			StackDepth: len(w.stack),
+			StackDepth: len(w.Stack),
 		}
-		if !w.done && len(w.stack) > 0 {
-			ws.PC = w.stack[len(w.stack)-1].pc
+		if !w.done && len(w.Stack) > 0 {
+			ws.PC = w.Top().PC
 		}
 		if _, reason := s.canIssue(w); true {
 			ws.Stall = reason.String()

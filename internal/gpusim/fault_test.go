@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crat/internal/ptx"
+	"crat/internal/vec"
 )
 
 // runFault launches the kernel and requires Run to fail with a *Fault of
@@ -68,7 +69,7 @@ func TestFaultNullGlobal(t *testing.T) {
 	f := runFault(t, FermiConfig(), Launch{
 		Kernel: b.Kernel(), Grid: 1, Block: 32, Params: []uint64{0},
 	}, FaultNullGlobal)
-	if f.Addr >= nullPageBytes {
+	if f.Addr >= vec.NullPageBytes {
 		t.Errorf("fault addr %#x not inside the null page", f.Addr)
 	}
 	if f.Cycle <= 0 || f.PC < 0 {

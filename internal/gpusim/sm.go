@@ -9,7 +9,6 @@ import (
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
-	"crat/internal/sem"
 	"crat/internal/vec"
 )
 
@@ -78,25 +77,17 @@ func (r stallReason) String() string {
 	return fmt.Sprintf("stall(%d)", uint8(r))
 }
 
-type simtEntry struct {
-	pc   int
-	rpc  int
-	mask uint64
-}
-
 type blockCtx struct {
 	id        int
 	slot      int
-	shared    []byte
 	warps     []*warp
 	liveWarps int
 	arrived   int
 
-	// regArena/localArena back every warp's register planes and lane local
-	// frames so a block costs two allocations instead of two per thread, and
-	// a retired block's storage can be cleared and reused by the next launch.
-	regArena   []uint64
-	localArena []byte
+	// storage backs every warp's register planes, lane local frames and
+	// the shared segment; a retired block's storage is cleared and reused by
+	// the next launch.
+	storage *vec.Block
 }
 
 type memPlan struct {
@@ -140,20 +131,16 @@ func (s *seenSet) add(key uint64) bool {
 	}
 }
 
-// warp holds one warp's architectural state in structure-of-arrays form:
-// regs is nRegs consecutive 32-lane planes (register r of lane l lives at
-// regs[r*32+l]), so one vector op touches one contiguous plane per operand
-// instead of chasing 32 thread pointers.
+// warp is one warp: its functional state in structure-of-arrays form
+// (vec.Warp: one contiguous 32-lane plane per register, so one vector op
+// touches one plane per operand instead of chasing 32 thread pointers) plus
+// the simulator's scheduling and scoreboard state.
 type warp struct {
+	vec.Warp
 	id       int
 	sched    int
 	schedIdx int // position in schedWarps[sched] (and the stall-cache arrays)
 	block    *blockCtx
-	nLanes   int // populated lanes (< 32 in a partial tail warp)
-	baseTid  int // block-relative thread id of lane 0
-	regs     []uint64
-	locals   [][]byte // per-lane local (spill) frame; empty when kernel has none
-	stack    []simtEntry
 	done     bool
 	barrier  bool
 
@@ -176,21 +163,15 @@ type warp struct {
 	hasPlan bool
 }
 
-// plane returns register r's 32-lane plane.
-func (w *warp) plane(r ptx.Reg) *[32]uint64 {
-	return (*[32]uint64)(w.regs[int(r)*32:])
-}
-
 // Simulator executes one kernel launch on one SM.
 type Simulator struct {
 	cfg    Config
 	launch Launch
 	kernel *ptx.Kernel
 
-	paramBlock []byte
-	info       *kernelInfo  // cached per-kernel analysis (see kernelcache.go)
-	prog       *vec.Program // the lowered micro-op program (info.prog)
-	tracing    bool         // launch.Trace != nil, pre-checked for the hot path
+	m       vec.Machine // the functional state: program, memory, SIMT rules
+	info    *kernelInfo // cached per-kernel analysis (see kernelcache.go)
+	tracing bool        // launch.Trace != nil, pre-checked for the hot path
 
 	now         int64
 	l1          *cache
@@ -221,15 +202,8 @@ type Simulator struct {
 	current     []*warp // per-scheduler greedy warp (GTO), nil when none
 	lrrNext     []int   // per-scheduler round-robin cursor
 
-	// specScratch materializes special-register sources (one plane per
-	// source slot) without allocating.
-	specScratch [3][32]uint64
-
 	// seen de-duplicates the accesses of the memPlan being built.
 	seen seenSet
-
-	// global is the launch's global memory behind a one-entry page cache.
-	global sem.PageCache
 
 	maxConc int
 	stats   Stats
@@ -269,11 +243,10 @@ func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 
 	s := &Simulator{
 		cfg:         cfg,
-		global:      sem.NewPageCache(mem),
+		m:           vec.NewMachine(k, info.prog, mem, launch.Params, launch.Grid, launch.Block, cfg.WarpSize),
 		launch:      launch,
 		kernel:      k,
 		info:        info,
-		prog:        info.prog,
 		tracing:     launch.Trace != nil,
 		l1:          newCache(cfg.L1),
 		l2:          newCache(cfg.L2),
@@ -290,7 +263,6 @@ func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 	for i := conc - 1; i >= 0; i-- {
 		s.freeSlots = append(s.freeSlots, i)
 	}
-	s.paramBlock = buildParamBlock(k, launch.Params)
 	s.stats.RegsPerThread = regs
 	s.stats.SharedPerBlock = shm
 	s.stats.ConcurrentBlocks = conc
@@ -298,26 +270,6 @@ func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 		s.stats.ConcurrentBlocks = launch.Grid
 	}
 	return s, nil
-}
-
-func buildParamBlock(k *ptx.Kernel, vals []uint64) []byte {
-	size := int64(0)
-	for _, p := range k.Params {
-		off, _ := k.ParamOffset(p.Name)
-		end := off + int64(p.Type.Bytes())
-		if end > size {
-			size = end
-		}
-	}
-	out := make([]byte, size)
-	for i, p := range k.Params {
-		off, _ := k.ParamOffset(p.Name)
-		v := vals[i]
-		for b := 0; b < p.Type.Bytes(); b++ {
-			out[off+int64(b)] = byte(v >> (8 * b))
-		}
-	}
-	return out
 }
 
 // cancelStride is how many loop iterations the simulator runs between
@@ -429,38 +381,12 @@ func (s *Simulator) launchBlock() {
 		return
 	}
 
-	bc := &blockCtx{
-		id:     id,
-		slot:   slot,
-		shared: make([]byte, s.kernel.SharedBytes()+s.launch.ExtraSharedBytes),
-	}
+	bc := &blockCtx{id: id, slot: slot, storage: s.m.NewBlock(s.launch.ExtraSharedBytes)}
 	nRegs := s.kernel.NumRegs()
-	localSize := int(s.kernel.LocalBytes())
-	nWarps := (s.launch.Block + s.cfg.WarpSize - 1) / s.cfg.WarpSize
-	bc.regArena = make([]uint64, nWarps*nRegs*32)
-	if localSize > 0 {
-		bc.localArena = make([]byte, localSize*s.launch.Block)
-	}
-	for wi := 0; wi < nWarps; wi++ {
-		w := &warp{
-			block:    bc,
-			baseTid:  wi * s.cfg.WarpSize,
-			regs:     bc.regArena[wi*nRegs*32 : (wi+1)*nRegs*32 : (wi+1)*nRegs*32],
-			regReady: make([]int64, nRegs),
-		}
-		var mask uint64
-		for l := 0; l < s.cfg.WarpSize; l++ {
-			tid := wi*s.cfg.WarpSize + l
-			if tid >= s.launch.Block {
-				break
-			}
-			if localSize > 0 {
-				w.locals = append(w.locals, bc.localArena[tid*localSize:(tid+1)*localSize:(tid+1)*localSize])
-			}
-			w.nLanes++
-			mask |= 1 << uint(l)
-		}
-		w.stack = []simtEntry{{pc: 0, rpc: len(s.kernel.Insts), mask: mask}}
+	for wi := 0; wi < s.m.Warps(); wi++ {
+		w := &warp{block: bc, regReady: make([]int64, nRegs)}
+		s.m.Bind(&w.Warp, bc.storage, wi)
+		s.m.Start(&w.Warp, id)
 		bc.warps = append(bc.warps, w)
 		s.enrollWarp(w)
 	}
@@ -490,17 +416,14 @@ func (s *Simulator) resetBlock(bc *blockCtx, id, slot int) {
 	bc.slot = slot
 	bc.liveWarps = 0
 	bc.arrived = 0
-	clear(bc.shared)
-	clear(bc.regArena)
-	clear(bc.localArena)
+	bc.storage.Clear()
 	for _, w := range bc.warps {
 		w.done = false
 		w.barrier = false
 		w.hasPlan = false
 		w.sbValid = false
 		clear(w.regReady)
-		mask := uint64(1)<<uint(w.nLanes) - 1
-		w.stack = append(w.stack[:0], simtEntry{pc: 0, rpc: len(s.kernel.Insts), mask: mask})
+		s.m.Start(&w.Warp, id)
 		s.enrollWarp(w)
 	}
 }
@@ -764,9 +687,8 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 	if w.barrier {
 		return false, stallBarrier
 	}
-	top := &w.stack[len(w.stack)-1]
-	pc := top.pc
-	if pc >= len(s.prog.Ops) {
+	pc := w.Top().PC
+	if pc >= len(s.m.Prog.Ops) {
 		// Defensive: treat running off the end as exit.
 		return true, stallNone
 	}
@@ -813,7 +735,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 		return false, r
 	}
 
-	u := &s.prog.Ops[pc]
+	u := &s.m.Prog.Ops[pc]
 	if u.Class == passes.MicroMem {
 		if s.memPipeFree > s.now {
 			return false, stallCongestion
@@ -845,7 +767,6 @@ func (s *Simulator) planFor(w *warp, pc int, u *vec.Op) *memPlan {
 	if w.hasPlan && w.plan.pc == pc {
 		return &w.plan
 	}
-	top := &w.stack[len(w.stack)-1]
 	w.plan.pc = pc
 	w.plan.lines = w.plan.lines[:0]
 	w.plan.words = w.plan.words[:0]
@@ -871,17 +792,10 @@ func (s *Simulator) planFor(w *warp, pc int, u *vec.Op) *memPlan {
 
 	var base *[32]uint64
 	if u.MemBase != ptx.NoReg {
-		base = w.plane(u.MemBase)
+		base = w.Plane(u.MemBase)
 	}
-	var guard *[32]uint64
-	if u.Guard != ptx.NoReg {
-		guard = w.plane(u.Guard)
-	}
-	for m := top.mask; m != 0; m &= m - 1 {
+	for m := w.ExecMask(u); m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		if guard != nil && (guard[l] != 0) == u.GuardNeg {
-			continue
-		}
 		addr := u.MemOff
 		if base != nil {
 			addr += base[l]
@@ -895,7 +809,7 @@ func (s *Simulator) planFor(w *warp, pc int, u *vec.Op) *memPlan {
 		case ptx.SpaceLocal:
 			// Interleaved physical layout: word w of thread t lives at
 			// localBase + (w*MaxThreads + slotThread)*4.
-			slotThread := uint64(w.block.slot*s.launch.Block + w.baseTid + l)
+			slotThread := uint64(w.block.slot*s.launch.Block + w.BaseTid + l)
 			for b := uint64(0); b < size; b += 4 {
 				word := (addr + b) / 4
 				phys := localBase + (word*uint64(s.cfg.MaxThreadsPerSM)+slotThread)*4

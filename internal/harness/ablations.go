@@ -6,7 +6,6 @@ import (
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/ptx"
-	"crat/internal/regalloc"
 	"crat/internal/spillopt"
 	"crat/internal/workloads"
 )
@@ -40,20 +39,13 @@ func (s *Session) ablationScheduler(apps []workloads.Profile) *Table {
 	lrrArch := s.Arch
 	lrrArch.Scheduler = gpusim.SchedLRR
 	s.forApps(t, apps, func(p workloads.Profile) (func(), error) {
-		a, _, err := s.Analysis(p)
+		// The LRR column simulates the kernel the GTO column ran: the
+		// OptTLP decision's own, also when verification degraded it.
+		gto, d, err := s.Mode(p, core.ModeOptTLP)
 		if err != nil {
 			return nil, err
 		}
-		gto, _, err := s.Mode(p, core.ModeOptTLP)
-		if err != nil {
-			return nil, err
-		}
-		app := s.App(p)
-		alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.DefaultReg})
-		if err != nil {
-			return nil, err
-		}
-		lrr, err := s.simulate(s.Context(), app, lrrArch, alloc.Kernel, alloc.UsedRegs, a.OptTLP)
+		lrr, err := s.simulate(s.Context(), s.App(p), lrrArch, d.Chosen.Kernel(), d.Chosen.UsedRegs(), core.ModeOptTLP.LaunchTLP(d))
 		if err != nil {
 			return nil, err
 		}

@@ -103,9 +103,6 @@ func (b *Builder) Sub(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpS
 // Mul emits mul(.lo).t d, a, c.
 func (b *Builder) Mul(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpMul, t, d, a, c) }
 
-// Div emits div.t d, a, c.
-func (b *Builder) Div(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpDiv, t, d, a, c) }
-
 // Min emits min.t d, a, c.
 func (b *Builder) Min(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpMin, t, d, a, c) }
 
@@ -115,17 +112,11 @@ func (b *Builder) Max(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpM
 // And emits and.t d, a, c.
 func (b *Builder) And(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpAnd, t, d, a, c) }
 
-// Or emits or.t d, a, c.
-func (b *Builder) Or(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpOr, t, d, a, c) }
-
 // Xor emits xor.t d, a, c.
 func (b *Builder) Xor(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpXor, t, d, a, c) }
 
 // Shl emits shl.t d, a, c.
 func (b *Builder) Shl(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpShl, t, d, a, c) }
-
-// Shr emits shr.t d, a, c.
-func (b *Builder) Shr(t Type, d Reg, a, c Operand) *Builder { return b.emit3(OpShr, t, d, a, c) }
 
 // Mad emits mad(.lo).t d, a, c, e  (d = a*c + e).
 func (b *Builder) Mad(t Type, d Reg, a, c, e Operand) *Builder {

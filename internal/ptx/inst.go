@@ -92,15 +92,6 @@ func (o Opcode) IsSFU() bool {
 	return false
 }
 
-// IsControl reports whether the opcode affects control flow.
-func (o Opcode) IsControl() bool {
-	switch o {
-	case OpBra, OpRet, OpExit:
-		return true
-	}
-	return false
-}
-
 // IsMemory reports whether the opcode accesses a memory state space.
 func (o Opcode) IsMemory() bool { return o == OpLd || o == OpSt }
 
@@ -189,13 +180,6 @@ func MemSym(sym string, off int64) Operand {
 
 // Sym constructs an address-of-symbol operand (mov %rd, SpillStack).
 func Sym(name string) Operand { return Operand{Kind: OperandSym, Sym: name} }
-
-// IsReg reports whether the operand is a plain register.
-func (o Operand) IsReg() bool { return o.Kind == OperandReg }
-
-// HasBaseReg reports whether the operand is a memory reference with a
-// register base.
-func (o Operand) HasBaseReg() bool { return o.Kind == OperandMem && o.Reg != NoReg }
 
 // InstMeta tags instructions inserted by the register allocator and the
 // spilling optimization, so overhead can be counted robustly after

@@ -2,7 +2,6 @@ package ptx
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Param is a kernel parameter. Pointer parameters are declared .u64.
@@ -300,27 +299,6 @@ func (k *Kernel) SpillOverhead() SpillOverhead {
 		}
 	}
 	return o
-}
-
-// SortedLabels returns the kernel's labels in instruction order (useful for
-// deterministic printing and tests).
-func (k *Kernel) SortedLabels() []string {
-	type lab struct {
-		name string
-		idx  int
-	}
-	var ls []lab
-	for i := range k.Insts {
-		if k.Insts[i].Label != "" {
-			ls = append(ls, lab{k.Insts[i].Label, i})
-		}
-	}
-	sort.Slice(ls, func(a, b int) bool { return ls[a].idx < ls[b].idx })
-	out := make([]string, len(ls))
-	for i, l := range ls {
-		out[i] = l.name
-	}
-	return out
 }
 
 // Module is a collection of kernels, mirroring a PTX translation unit.

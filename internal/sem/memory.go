@@ -126,16 +126,6 @@ func WriteLE(b []byte, v uint64, n int) {
 	}
 }
 
-// ReadBytes copies n bytes at addr into a fresh slice.
-func (m *Memory) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := addr + uint64(i)
-		out[i] = m.page(a)[a&(pageSize-1)]
-	}
-	return out
-}
-
 // WriteBytes stores b at addr.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	for i, v := range b {
@@ -145,8 +135,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 }
 
 // Read reads an unsigned little-endian value of the given byte width. The
-// single-page fast path keeps the simulator's per-access cost allocation-free
-// (ReadBytes would copy through a fresh slice).
+// single-page fast path keeps the simulator's per-access cost allocation-free.
 func (m *Memory) Read(addr uint64, bytes int) uint64 {
 	off := addr & (pageSize - 1)
 	if off+uint64(bytes) <= pageSize {

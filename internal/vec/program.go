@@ -1,12 +1,17 @@
-// Package vec is the 32-lane vector core both execution engines run: the
+// Package vec is the functional SIMT core both execution engines run: the
 // cycle-level simulator (internal/gpusim) and the functional emulator
 // (internal/emu). It lowers a kernel's shared micro-op stream
 // (internal/passes) into a Program — one Op per pc with its vector kernel
-// and broadcast constant planes pre-built — and memoizes that Program once
-// per kernel version, so the two engines execute ALU micro-ops through the
-// same kernels over the same lowered form. Everything else an engine does —
-// reconvergence, barriers, memory bounds, faults, special registers — stays
-// in the engine.
+// and broadcast constant planes pre-built — memoized once per kernel
+// version, and executes that Program on warps (simt.go): register planes
+// and local frames, the reconvergence stack, guard masks, special
+// registers, the param block and ld.param, and per-lane loads and stores
+// with their bounds rules. The engines keep what is really theirs: the
+// simulator its timing, scheduling and statistics, the emulator its
+// block-serial run loop and livelock budget, and each its barriers and its
+// own fault type. The rules live here once rather than in each engine: a
+// bug in copied code sits in both copies, so the sim↔emu cross-check never
+// saw it, and the second copy bought no independent check.
 package vec
 
 import (
