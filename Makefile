@@ -30,10 +30,12 @@ all: build
 build:
 	$(GO) build ./...
 
-# go vet, and fail on any file gofmt would rewrite.
+# go vet, and fail on any file gofmt would rewrite or if a daemon links
+# the load generator.
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need formatting:"; gofmt -l .; exit 1; }
+	@! $(GO) list -deps ./cmd/cratd ./cmd/cratgw | grep -qx crat/internal/loadgen || { echo "vet: cmd/cratd or cmd/cratgw depends on crat/internal/loadgen"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crat/internal/loadgen"
 	"crat/internal/server"
 	"crat/internal/shard"
 )
@@ -65,7 +66,7 @@ type chaosMatrixConfig struct {
 	gatewayBin string
 	// load is one round's shape; every cell and round replays the same
 	// corpus.
-	load server.LoadOptions
+	load loadgen.Options
 }
 
 // runChaosMatrix runs every cell, printing one line per cell to stderr,
@@ -126,7 +127,7 @@ func runChaosMatrix(ctx context.Context, cfg chaosMatrixConfig) error {
 // when the disruption landed, and the counters scraped before teardown.
 type cellResult struct {
 	dir             string
-	rounds          []*server.LoadReport
+	rounds          []*loadgen.Report
 	inFlight        int64 // gateway requests received but not yet completed when the disruption began
 	roundsAfterBack int   // rounds started after the victim was back in the ring
 	gw              shard.GatewaySnapshot
@@ -194,7 +195,7 @@ func runMatrixCell(ctx context.Context, cfg chaosMatrixConfig, name, fault, phas
 	go func() {
 		for ctx.Err() == nil {
 			after := back.Load()
-			rep, err := server.RunLoad(ctx, f.gatewayURL(), cfg.load)
+			rep, err := loadgen.Run(ctx, f.gatewayURL(), cfg.load)
 			if err != nil {
 				loadDone <- err
 				return

@@ -48,7 +48,7 @@ import (
 	"time"
 
 	"crat/internal/buildinfo"
-	"crat/internal/server"
+	"crat/internal/loadgen"
 	"crat/internal/shard"
 )
 
@@ -91,7 +91,7 @@ func main() {
 			dir:        *fleetDir,
 			cratdBin:   *cratdBin,
 			gatewayBin: *cratgwBin,
-			load: server.LoadOptions{
+			load: loadgen.Options{
 				Concurrency: *c,
 				Requests:    *n,
 				Kernels:     *kernels,
@@ -108,7 +108,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "cratload: %d requests, %d concurrent, %d kernels (seed %d) -> %s\n",
 		*n, *c, *kernels, *seed, *addr)
-	rep, err := server.RunLoad(ctx, *addr, server.LoadOptions{
+	rep, err := loadgen.Run(ctx, *addr, loadgen.Options{
 		Concurrency: *c,
 		Requests:    *n,
 		Kernels:     *kernels,

@@ -74,9 +74,6 @@ type Candidate struct {
 	// Demoted counts virtual registers rewritten to shared memory before
 	// allocation (regdem backend; 0 otherwise).
 	Demoted int
-	// DemotedShmBytes is the per-block shared memory the demotion
-	// consumed (regdem backend; 0 otherwise).
-	DemotedShmBytes int64
 }
 
 // Kernel returns the executable kernel of the candidate.

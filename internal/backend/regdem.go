@@ -76,13 +76,12 @@ func (b regdemBackend) build(pm *passes.Manager, req Request, pt Point) (*Candid
 		return nil, err
 	}
 	return &Candidate{
-		Backend:         b.Name(),
-		Reg:             pt.Reg,
-		TLP:             pt.TLP,
-		Alloc:           alloc,
-		Overhead:        alloc.Kernel.SpillOverhead(),
-		Demoted:         dp.demoted,
-		DemotedShmBytes: dp.shmBytes,
+		Backend:  b.Name(),
+		Reg:      pt.Reg,
+		TLP:      pt.TLP,
+		Alloc:    alloc,
+		Overhead: alloc.Kernel.SpillOverhead(),
+		Demoted:  dp.demoted,
 	}, nil
 }
 
@@ -118,8 +117,7 @@ type demotePass struct {
 	unweighted bool
 
 	// Outputs.
-	demoted  int
-	shmBytes int64
+	demoted int
 }
 
 func (p *demotePass) Name() string { return "regdem-demote" }
@@ -272,7 +270,6 @@ func (p *demotePass) rewrite(k *ptx.Kernel, demote map[ptx.Reg]bool) error {
 		name := sharedDemoteName(t)
 		size := elem * int64(len(regs)) * int64(p.blockSize)
 		k.AddArray(ptx.ArrayDecl{Name: name, Space: ptx.SpaceShared, Align: 8, Size: size})
-		p.shmBytes += size
 		base := k.NewReg(ptx.U32)
 		addr := k.NewReg(ptx.U32)
 		setup = append(setup,

@@ -137,39 +137,14 @@ func (o Options) analyze(app App) (*Analysis, error) {
 	return &c, nil
 }
 
-// Candidate is one surviving design point with its compiled kernel.
+// Candidate is one surviving design point: a backend's compiled candidate
+// plus what core derives for it. Its Backend is "baseline" for the
+// degraded-mode fallback and "" for the untouched baseline modes.
 type Candidate struct {
-	// Backend names the strategy that produced the candidate ("crat",
-	// "crat-local", "regdem", ...; "baseline" for the degraded-mode
-	// fallback, "" for the untouched baseline modes).
-	Backend  string
-	Reg      int // register per-thread budget (rightmost point of the stair)
-	TLP      int
-	Alloc    *regalloc.Result
-	Spill    *spillopt.Result // nil when spilling optimization disabled
-	Overhead ptx.SpillOverhead
-	TPSC     float64
-	// Demoted counts registers the regdem backend rewrote to shared
-	// memory before allocation (0 for other backends).
-	Demoted int
+	backend.Candidate
+	TPSC float64
 	// Cycles is filled only under Options.Oracle.
 	Cycles int64
-}
-
-// Kernel returns the executable kernel of the candidate.
-func (c Candidate) Kernel() *ptx.Kernel {
-	if c.Spill != nil {
-		return c.Spill.Alloc.Kernel
-	}
-	return c.Alloc.Kernel
-}
-
-// UsedRegs returns the per-thread register usage of the final kernel.
-func (c Candidate) UsedRegs() int {
-	if c.Spill != nil {
-		return c.Spill.Alloc.UsedRegs
-	}
-	return c.Alloc.UsedRegs
 }
 
 // Decision is the outcome of the CRAT pipeline for one app.
@@ -260,17 +235,10 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 			return nil, err
 		}
 		for _, bc := range cands {
-			cand := Candidate{
-				Backend:  bc.Backend,
-				Reg:      bc.Reg,
-				TLP:      bc.TLP,
-				Alloc:    bc.Alloc,
-				Spill:    bc.Spill,
-				Overhead: bc.Overhead,
-				Demoted:  bc.Demoted,
-			}
-			cand.TPSC = TPSC(cand.TLP, a.BlockSize, arch.MaxThreadsPerSM, cand.Overhead, d.Costs)
-			d.Candidates = append(d.Candidates, cand)
+			d.Candidates = append(d.Candidates, Candidate{
+				Candidate: bc,
+				TPSC:      TPSC(bc.TLP, a.BlockSize, arch.MaxThreadsPerSM, bc.Overhead, d.Costs),
+			})
 		}
 	}
 	if len(d.Candidates) == 0 {
@@ -330,7 +298,7 @@ func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Dec
 			return nil, err
 		}
 		d := &Decision{App: app, Arch: opts.Arch, Analysis: a}
-		d.Chosen = Candidate{Reg: a.DefaultReg, TLP: a.MaxTLP, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}
+		d.Chosen = Candidate{Candidate: backend.Candidate{Reg: a.DefaultReg, TLP: a.MaxTLP, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}}
 		if mode == ModeOptTLP {
 			d.Chosen.TLP = a.OptTLP
 		}

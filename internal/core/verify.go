@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"crat/internal/backend"
 	"crat/internal/gpusim"
 	"crat/internal/oracle"
 	"crat/internal/regalloc"
@@ -34,7 +35,7 @@ func baselineCandidate(app App, arch gpusim.Config, a *Analysis) (*Candidate, er
 	if tlp < 1 {
 		tlp = 1
 	}
-	return &Candidate{Backend: "baseline", Reg: a.MaxReg, TLP: tlp, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}, nil
+	return &Candidate{Candidate: backend.Candidate{Backend: "baseline", Reg: a.MaxReg, TLP: tlp, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}}, nil
 }
 
 // verifyDecision runs the differential oracle over the chosen candidate's

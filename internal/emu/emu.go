@@ -1,9 +1,10 @@
 // Package emu is a fast, timing-free functional PTX emulator. It runs a
 // kernel launch block by block, each warp until it exits or parks at a
 // barrier, with no caches, scoreboards, or scheduling — only architectural
-// state. Each instruction executes through the functional core it shares
-// with the cycle-level simulator (internal/vec): the same lowered program,
-// SIMT reconvergence (immediate post-dominator stacks from internal/cfg),
+// state. Each launch is checked and each instruction executes through the
+// functional core it shares with the cycle-level simulator (internal/vec):
+// the same launch contract, the same per-kernel lowered program, SIMT
+// reconvergence (immediate post-dominator stacks from internal/cfg),
 // guard masks, special registers, ld.param and memory bounds rules. The
 // emulator keeps its run loop, barriers, livelock budget, store provenance
 // and Fault type. The differential oracle (internal/oracle) runs kernel
@@ -148,48 +149,20 @@ type machine struct {
 	fault *Fault
 }
 
-// programs memoizes, per kernel version, the validated kernel's lowered
-// program, or its validation error: an oracle runs each kernel several
-// times, and validation, like lowering, depends on the kernel alone. An
-// entry dies with its kernel.
-var programs = passes.NewKernelMemo[*vec.Program]()
-
-// validate is ptx.Kernel.Validate; tests count calls through it.
-var validate = (*ptx.Kernel).Validate
-
-func programFor(k *ptx.Kernel) (*vec.Program, error) {
-	return programs.Do(k, func(k *ptx.Kernel) (*vec.Program, error) {
-		if err := validate(k); err != nil {
-			return nil, fmt.Errorf("emu: %w", err)
-		}
-		return vec.ProgramFor(k)
-	})
-}
-
 // Run executes the launch to completion against mem. Global-memory effects
 // are applied in place; the returned Result carries execution counters and,
 // on request, last-store provenance. Failures surface as a *Fault.
 func Run(l Launch, mem *sem.Memory) (*Result, error) {
-	k := l.Kernel
-	if k == nil {
-		return nil, fmt.Errorf("emu: nil kernel")
-	}
-	prog, err := programFor(k)
+	core, err := vec.NewMachine(l.Kernel, mem, l.Params, l.Grid, l.Block, 32) // a warp is one full plane
 	if err != nil {
-		return nil, err
-	}
-	if len(l.Params) != len(k.Params) {
-		return nil, fmt.Errorf("emu: %d param values for %d params", len(l.Params), len(k.Params))
-	}
-	if l.Grid <= 0 || l.Block <= 0 {
-		return nil, fmt.Errorf("emu: grid=%d block=%d must be positive", l.Grid, l.Block)
+		return nil, fmt.Errorf("emu: %w", err)
 	}
 	budget := l.MaxWarpInsts
 	if budget <= 0 {
 		budget = DefaultMaxWarpInsts
 	}
 	m := &machine{
-		core:   vec.NewMachine(k, prog, mem, l.Params, l.Grid, l.Block, 32), // a warp is one full plane
+		core:   core,
 		budget: budget,
 	}
 	if l.Provenance {

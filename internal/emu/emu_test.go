@@ -2,7 +2,6 @@ package emu
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"crat/internal/ptx"
@@ -214,60 +213,5 @@ func TestDeterminism(t *testing.T) {
 	if !a.Equal(b) {
 		addr, va, vb, _ := a.DiffFirst(b)
 		t.Fatalf("two identical runs diverged at %#x: %d vs %d", addr, va, vb)
-	}
-}
-
-// TestRunValidatesOncePerKernelVersion pins when Run validates: a kernel
-// that fails validation fails every Run with the same error, a kernel run
-// many times is validated once, and a kernel whose instruction count
-// changed is validated again.
-func TestRunValidatesOncePerKernelVersion(t *testing.T) {
-	calls := 0
-	validate = func(k *ptx.Kernel) error {
-		calls++
-		return k.Validate()
-	}
-	defer func() { validate = (*ptx.Kernel).Validate }()
-
-	b := ptx.NewBuilder("bad")
-	b.Bra("NOWHERE")
-	b.Exit()
-	bad := b.Kernel()
-	var first string
-	for i := 0; i < 3; i++ {
-		_, err := Run(Launch{Kernel: bad, Grid: 1, Block: 32}, sem.NewMemory())
-		if err == nil || !strings.HasPrefix(err.Error(), "emu: ") {
-			t.Fatalf("run %d of an invalid kernel: err = %v, want an emu: validation error", i, err)
-		}
-		if i == 0 {
-			first = err.Error()
-		} else if err.Error() != first {
-			t.Errorf("run %d: err = %q, want the first run's %q", i, err, first)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("3 runs of an invalid kernel validated it %d times, want 1", calls)
-	}
-
-	calls = 0
-	k := divergeKernel()
-	for i := 0; i < 5; i++ {
-		mem := sem.NewMemory()
-		if _, err := Run(Launch{Kernel: k, Grid: 2, Block: 32, Params: []uint64{mem.Alloc(4 * 64)}}, mem); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("5 runs of one kernel validated it %d times, want 1", calls)
-	}
-
-	k.Append(ptx.Inst{Op: ptx.OpBra, Target: "NOWHERE", Guard: ptx.NoReg})
-	mem := sem.NewMemory()
-	_, err := Run(Launch{Kernel: k, Grid: 2, Block: 32, Params: []uint64{mem.Alloc(4 * 64)}}, mem)
-	if err == nil || !strings.HasPrefix(err.Error(), "emu: ") {
-		t.Errorf("run after appending a bad branch: err = %v, want an emu: validation error", err)
-	}
-	if calls != 2 {
-		t.Errorf("validations after the kernel grew = %d, want 2", calls)
 	}
 }

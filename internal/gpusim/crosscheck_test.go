@@ -138,13 +138,14 @@ func TestEmulatorCrossCheck(t *testing.T) {
 			},
 		},
 		{
-			// The param block is out(8) a(4) h(2): 14 bytes. Bytes past its
-			// end read as zero.
+			// The param block is out(8) a(4) h(2): 14 bytes. A read may end
+			// exactly at its end (ld-param-past-block-end in
+			// TestFaultCrossCheck reads past it).
 			name:  "ld-param-at-block-end",
 			build: paramEndKernel,
 			grid:  1, block: 32, width: 8,
 			params: []uint64{0x12345678, 0xbeef},
-			want:   func(uint64) uint64 { return 0xbeef<<32 | 0xbeef1234 },
+			want:   func(uint64) uint64 { return 0xbeef1234 },
 		},
 	} {
 		tc := tc
@@ -198,6 +199,7 @@ func TestFaultCrossCheck(t *testing.T) {
 		build   func() *ptx.Kernel
 		simKind gpusim.FaultKind
 		emuKind emu.FaultKind
+		space   ptx.Space
 	}{
 		{
 			name: "null-global",
@@ -214,6 +216,7 @@ func TestFaultCrossCheck(t *testing.T) {
 			},
 			simKind: gpusim.FaultNullGlobal,
 			emuKind: emu.FaultNullGlobal,
+			space:   ptx.SpaceGlobal,
 		},
 		{
 			name: "shared-oob",
@@ -234,6 +237,7 @@ func TestFaultCrossCheck(t *testing.T) {
 			},
 			simKind: gpusim.FaultMemOOB,
 			emuKind: emu.FaultMemOOB,
+			space:   ptx.SpaceShared,
 		},
 		{
 			// A kernel with no local array has zero-length frames: every
@@ -251,6 +255,28 @@ func TestFaultCrossCheck(t *testing.T) {
 			},
 			simKind: gpusim.FaultMemOOB,
 			emuKind: emu.FaultMemOOB,
+			space:   ptx.SpaceLocal,
+		},
+		{
+			// Lane l reads 4 param bytes at l through a register base,
+			// which no symbol's bounds check reaches: the 8-byte param
+			// block faults first at lane 5.
+			name: "ld-param-past-block-end",
+			build: func() *ptx.Kernel {
+				b := ptx.NewBuilder("xparampast")
+				b.Param("out", ptx.U64)
+				tid := b.Reg(ptx.U32)
+				off := b.Reg(ptx.U64)
+				v := b.Reg(ptx.U32)
+				b.MovSpec(tid, ptx.SpecTidX)
+				b.Cvt(ptx.U64, ptx.U32, off, ptx.R(tid))
+				b.Ld(ptx.SpaceParam, ptx.U32, v, ptx.MemReg(off, 0))
+				b.Exit()
+				return b.Kernel()
+			},
+			simKind: gpusim.FaultMemOOB,
+			emuKind: emu.FaultMemOOB,
+			space:   ptx.SpaceParam,
 		},
 		{
 			name: "exec",
@@ -299,6 +325,9 @@ func TestFaultCrossCheck(t *testing.T) {
 			}
 			if ef.Kind != tc.emuKind {
 				t.Errorf("emulator fault kind = %v, want %v", ef.Kind, tc.emuKind)
+			}
+			if sf.Space != tc.space || ef.Space != tc.space {
+				t.Errorf("fault space: sim %v, emu %v, want %v", sf.Space, ef.Space, tc.space)
 			}
 			if sf.PC != ef.PC || sf.Warp != ef.Warp || sf.Lane != ef.Lane {
 				t.Errorf("fault location disagrees: sim pc=%d warp=%d lane=%d, emu pc=%d warp=%d lane=%d",
@@ -402,9 +431,8 @@ func specialsKernel() *ptx.Kernel {
 }
 
 // paramEndKernel reads 4 bytes at 10, ending exactly at the end of the
-// 14-byte param block, and 8 bytes at 12, straddling it, and stores
-// end + straddle<<32. A register base reaches bytes no symbol's bounds
-// allow.
+// 14-byte param block, and stores them. A register base reaches bytes no
+// symbol's bounds allow.
 func paramEndKernel() *ptx.Kernel {
 	b := ptx.NewBuilder("xparamend")
 	b.Param("out", ptx.U64)
@@ -417,10 +445,7 @@ func paramEndKernel() *ptx.Kernel {
 	end := b.Reg(ptx.U32)
 	b.Ld(ptx.SpaceParam, ptx.U32, end, ptx.MemReg(off, 0))
 	v := b.Reg(ptx.U64)
-	b.Ld(ptx.SpaceParam, ptx.U64, v, ptx.MemReg(off, 2))
-	wide := b.Reg(ptx.U64)
-	b.Cvt(ptx.U64, ptx.U32, wide, ptx.R(end))
-	b.Mad(ptx.U64, v, ptx.R(v), ptx.Imm(1<<32), ptx.R(wide))
+	b.Cvt(ptx.U64, ptx.U32, v, ptx.R(end))
 	tid := b.Reg(ptx.U32)
 	b.MovSpec(tid, ptx.SpecTidX)
 	b.St(ptx.SpaceGlobal, ptx.U64, ptx.MemReg(b.AddrOf(out, tid, 8), 0), ptx.R(v))

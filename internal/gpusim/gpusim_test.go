@@ -731,10 +731,10 @@ func TestExtraSharedThrottlesTLP(t *testing.T) {
 	}
 }
 
-// TestInPlaceGrowthReanalyzed guards infoFor's staleness key: a kernel
-// grown in place after it was simulated is a new kernel version, so the
-// next simulation runs (and validates) the grown instruction stream, not
-// the cached analysis of the shorter one.
+// TestInPlaceGrowthReanalyzed guards the staleness key of vec.ProgramFor's
+// cache: a kernel grown in place after it was simulated is a new kernel
+// version, so the next simulation runs (and validates) the grown
+// instruction stream, not the cached analysis of the shorter one.
 func TestInPlaceGrowthReanalyzed(t *testing.T) {
 	b := ptx.NewBuilder("grow")
 	r := b.Reg(ptx.U32)

@@ -4,27 +4,29 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
+
+	"crat/internal/ptx"
 )
 
 // TestKernelInfoDiesWithKernel: simulated kernels are not pinned by their
-// cached analysis. Once the kernel is unreachable its entry goes away; a
-// kernelInfo that pointed back at its kernel would never be collected and
-// fail this test.
+// cached analysis. NewSimulator memoizes the kernel's program in
+// vec.ProgramFor; once the kernel is unreachable it must be collected. A
+// cached program that pointed back at its kernel would never let go of it
+// and fail this test.
 func TestKernelInfoDiesWithKernel(t *testing.T) {
-	func() {
+	wk := func() weak.Pointer[ptx.Kernel] {
 		k := buildVecAdd()
 		if _, err := NewSimulator(FermiConfig(), NewMemory(), Launch{Kernel: k, Grid: 1, Block: 32,
 			Params: []uint64{0, 0, 0, 0}}); err != nil {
 			t.Fatal(err)
 		}
+		return weak.Make(k)
 	}()
-	if kernelInfos.Len() == 0 {
-		t.Fatal("NewSimulator memoized nothing")
-	}
 	deadline := time.Now().Add(10 * time.Second)
-	for kernelInfos.Len() > 0 {
+	for wk.Value() != nil {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d entries still held 10s after their kernels became unreachable", kernelInfos.Len())
+			t.Fatal("kernel still reachable 10s after its last simulation was dropped")
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)

@@ -170,7 +170,8 @@ type Simulator struct {
 	kernel *ptx.Kernel
 
 	m       vec.Machine // the functional state: program, memory, SIMT rules
-	info    *kernelInfo // cached per-kernel analysis (see kernelcache.go)
+	uses    [][]ptx.Reg // m.Prog.Uses: per-pc registers read, for the scoreboard
+	defs    []ptx.Reg   // m.Prog.Defs: per-pc register written (ptx.NoReg = none)
 	tracing bool        // launch.Trace != nil, pre-checked for the hot path
 
 	now         int64
@@ -213,19 +214,14 @@ type Simulator struct {
 	fault *Fault
 }
 
-// NewSimulator prepares a launch. The kernel must validate; the number of
-// parameter values must match the kernel's parameter list.
+// NewSimulator prepares a launch. The launch must pass vec.NewMachine's
+// checks: a kernel that validates, one value per kernel parameter, a
+// positive grid and block.
 func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 	k := launch.Kernel
-	info, err := infoFor(k)
+	m, err := vec.NewMachine(k, mem, launch.Params, launch.Grid, launch.Block, cfg.WarpSize)
 	if err != nil {
-		return nil, err
-	}
-	if len(launch.Params) != len(k.Params) {
-		return nil, fmt.Errorf("gpusim: %d param values for %d params", len(launch.Params), len(k.Params))
-	}
-	if launch.Grid <= 0 || launch.Block <= 0 {
-		return nil, fmt.Errorf("gpusim: grid=%d block=%d must be positive", launch.Grid, launch.Block)
+		return nil, fmt.Errorf("gpusim: %w", err)
 	}
 	if cfg.WarpSize <= 0 || cfg.WarpSize > 32 {
 		return nil, fmt.Errorf("gpusim: warp size %d unsupported (register planes are 32 lanes)", cfg.WarpSize)
@@ -243,10 +239,11 @@ func NewSimulator(cfg Config, mem *Memory, launch Launch) (*Simulator, error) {
 
 	s := &Simulator{
 		cfg:         cfg,
-		m:           vec.NewMachine(k, info.prog, mem, launch.Params, launch.Grid, launch.Block, cfg.WarpSize),
+		m:           m,
+		uses:        m.Prog.Uses,
+		defs:        m.Prog.Defs,
 		launch:      launch,
 		kernel:      k,
-		info:        info,
 		tracing:     launch.Trace != nil,
 		l1:          newCache(cfg.L1),
 		l2:          newCache(cfg.L2),
@@ -699,7 +696,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 	// replayed as compares on every subsequent stalled cycle.
 	if !w.sbValid {
 		var aluT, memT int64
-		for _, r := range s.info.uses[pc] {
+		for _, r := range s.uses[pc] {
 			p := w.regReady[r]
 			if p&1 != 0 {
 				if t := p >> 1; t > memT {
@@ -711,7 +708,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 		}
 		w.sbALU, w.sbMem = aluT, memT
 		w.sbDef, w.sbDefIsMem = 0, false
-		if r := s.info.defs[pc]; r != ptx.NoReg {
+		if r := s.defs[pc]; r != ptx.NoReg {
 			p := w.regReady[r]
 			w.sbDef = p >> 1
 			w.sbDefIsMem = p&1 != 0

@@ -171,6 +171,9 @@ func TestAnalysesMatchDirectComputation(t *testing.T) {
 	}
 }
 
+// TestSharedRegistry: Shared builds fresh analyses on every call (the one
+// per-kernel cache is internal/vec's), equal for a kernel and its clone,
+// always of the kernel's current instruction list.
 func TestSharedRegistry(t *testing.T) {
 	k := buildLoopKernel()
 	a1, err := Shared(k)
@@ -181,20 +184,20 @@ func TestSharedRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1 != a2 {
-		t.Error("Shared returned different objects for the same kernel identity")
+	if a1 == a2 {
+		t.Error("Shared returned one object for two calls: it memoizes")
 	}
 
-	// A clone is a different identity and gets its own (equal) analyses.
+	// A clone gets equal analyses.
 	ac, err := Shared(k.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a1.Targets, ac.Targets) || !reflect.DeepEqual(a1.Reconv, ac.Reconv) {
+	if !reflect.DeepEqual(a1.Uses, ac.Uses) || !reflect.DeepEqual(a1.Defs, ac.Defs) {
 		t.Error("clone analyses differ from the original's")
 	}
 
-	// In-place growth is detected by the staleness guard.
+	// A kernel grown in place is analysed as it now is.
 	kg := buildLoopKernel()
 	if _, err := Shared(kg); err != nil {
 		t.Fatal(err)
@@ -204,9 +207,9 @@ func TestSharedRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ag.Targets) != len(kg.Insts) {
-		t.Errorf("stale analyses served after in-place growth: len(Targets)=%d, want %d",
-			len(ag.Targets), len(kg.Insts))
+	if len(ag.Uses) != len(kg.Insts) || len(ag.Micro.Ops) != len(kg.Insts) {
+		t.Errorf("analyses after in-place growth cover %d uses and %d micro-ops, want %d",
+			len(ag.Uses), len(ag.Micro.Ops), len(kg.Insts))
 	}
 
 	// A malformed CFG surfaces cfg.Build's error, unwrapped.

@@ -4,26 +4,33 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
+
+	"crat/internal/ptx"
 )
 
-// TestSharedEntryDiesWithKernel: the registry must not pin kernels. Once a
-// kernel is unreachable its entry goes away; an analysis value that pointed
-// back at its kernel would keep both alive forever and fail this test.
+// TestSharedEntryDiesWithKernel: the analyses Shared builds must not pin
+// their kernel. The per-kernel program cache (vec.ProgramFor) keeps what it
+// lowers from them for as long as the kernel lives; an analysis value that
+// pointed back at its kernel would keep both alive forever and fail this
+// test, which holds the analyses and waits for the kernel to be collected.
 func TestSharedEntryDiesWithKernel(t *testing.T) {
-	func() {
-		if _, err := Shared(buildLoopKernel()); err != nil {
+	var a *KernelAnalyses
+	wk := func() weak.Pointer[ptx.Kernel] {
+		k := buildLoopKernel()
+		var err error
+		if a, err = Shared(k); err != nil {
 			t.Fatal(err)
 		}
+		return weak.Make(k)
 	}()
-	if shared.Len() == 0 {
-		t.Fatal("Shared memoized nothing")
-	}
 	deadline := time.Now().Add(10 * time.Second)
-	for shared.Len() > 0 {
+	for wk.Value() != nil {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d entries still held 10s after their kernels became unreachable", shared.Len())
+			t.Fatal("kernel still reachable 10s after only its analyses were kept")
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
+	runtime.KeepAlive(a)
 }

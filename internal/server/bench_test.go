@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"testing"
+
+	"crat/internal/emu/ptxgen"
+	"crat/internal/ptx"
 )
 
 // BenchmarkCompileCold times the cache-miss compile behind the svc_cold
@@ -17,10 +20,11 @@ func BenchmarkCompileCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reqs := Corpus(64, 1, 128)
-	jobs := make([]*compileJob, len(reqs))
-	for i, req := range reqs {
-		if jobs[i], err = s.normalize(req); err != nil {
+	// The bodies of loadgen.Corpus(64, 1, 128).
+	jobs := make([]*compileJob, 64)
+	for i := range jobs {
+		k := ptxgen.Generate(ptxgen.Config{Seed: 1 + int64(i), Block: 128})
+		if jobs[i], err = s.normalize(CompileRequest{PTX: ptx.Print(k), Block: 128}); err != nil {
 			b.Fatal(err)
 		}
 	}

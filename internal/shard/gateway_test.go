@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"crat/internal/loadgen"
 	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/retry"
@@ -106,7 +107,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // baseline run over the same corpus.
 func TestGatewayChaosE2E(t *testing.T) {
 	const kernels, requests = 6, 60
-	loadOpts := server.LoadOptions{
+	loadOpts := loadgen.Options{
 		Concurrency:      4,
 		Requests:         requests,
 		Kernels:          kernels,
@@ -118,7 +119,7 @@ func TestGatewayChaosE2E(t *testing.T) {
 
 	// Single-replica baseline, loaded directly (no gateway).
 	baseline := startReplica(t, server.Config{Workers: 2})
-	baseRep, err := server.RunLoad(context.Background(), baseline.url(), loadOpts)
+	baseRep, err := loadgen.Run(context.Background(), baseline.url(), loadOpts)
 	if err != nil {
 		t.Fatalf("baseline load: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestGatewayChaosE2E(t *testing.T) {
 	// Kill the replica that owns the most corpus keys, so post-kill
 	// traffic is guaranteed to hit the dead shard and exercise failover.
 	owners := map[string]int{}
-	for i, req := range server.Corpus(kernels, loadOpts.Seed, loadOpts.Block) {
+	for i, req := range loadgen.Corpus(kernels, loadOpts.Seed, loadOpts.Block) {
 		key, err := server.RouteKey(req)
 		if err != nil {
 			t.Fatalf("route key %d: %v", i, err)
@@ -164,9 +165,9 @@ func TestGatewayChaosE2E(t *testing.T) {
 		t.Fatal("no replica owns any corpus key — ring is broken")
 	}
 
-	loadDone := make(chan *server.LoadReport, 1)
+	loadDone := make(chan *loadgen.Report, 1)
 	go func() {
-		rep, err := server.RunLoad(context.Background(), ts.URL, loadOpts)
+		rep, err := loadgen.Run(context.Background(), ts.URL, loadOpts)
 		if err != nil {
 			t.Errorf("fleet load: %v", err)
 		}
@@ -241,9 +242,9 @@ func TestGatewayChaosE2E(t *testing.T) {
 	cancelOpts.CancelFrac = 0.5
 	cancelOpts.CancelAfter = 200 * time.Millisecond
 	cancelOpts.CaptureDecisions = false
-	cancelDone := make(chan *server.LoadReport, 1)
+	cancelDone := make(chan *loadgen.Report, 1)
 	go func() {
-		crep, err := server.RunLoad(context.Background(), ts.URL, cancelOpts)
+		crep, err := loadgen.Run(context.Background(), ts.URL, cancelOpts)
 		if err != nil {
 			t.Errorf("cancel-injection load: %v", err)
 		}

@@ -1,21 +1,31 @@
 // Package vec is the functional SIMT core both execution engines run: the
 // cycle-level simulator (internal/gpusim) and the functional emulator
-// (internal/emu). It lowers a kernel's shared micro-op stream
+// (internal/emu). Both reach a kernel through one per-kernel cache and one
+// launch contract. ProgramFor validates a kernel once per kernel version,
+// keeps the validation error or lowers the kernel's shared micro-op stream
 // (internal/passes) into a Program — one Op per pc with its vector kernel
-// and broadcast constant planes pre-built — memoized once per kernel
-// version, and executes that Program on warps (simt.go): register planes
-// and local frames, the reconvergence stack, guard masks, special
+// and broadcast constant planes pre-built, and the per-pc register reads
+// and write the simulator's scoreboard checks — and NewMachine checks a
+// launch (nil kernel, validation, param count, grid and block) before any
+// engine state exists. The Program executes on warps (simt.go): register
+// planes and local frames, the reconvergence stack, guard masks, special
 // registers, the param block and ld.param, and per-lane loads and stores
 // with their bounds rules. The engines keep what is really theirs: the
 // simulator its timing, scheduling and statistics, the emulator its
-// block-serial run loop and livelock budget, and each its barriers and its
-// own fault type. The rules live here once rather than in each engine: a
-// bug in copied code sits in both copies, so the sim↔emu cross-check never
-// saw it, and the second copy bought no independent check.
+// block-serial run loop and livelock budget, and each its barriers, its
+// own fault type and its error prefix. The rules live here once rather
+// than in each engine: a bug in copied code sits in both copies, so the
+// sim↔emu cross-check never saw it, and the second copy bought no
+// independent check.
 package vec
 
 import (
+	"context"
+	"runtime"
+	"weak"
+
 	"crat/internal/passes"
+	"crat/internal/pool"
 	"crat/internal/ptx"
 )
 
@@ -63,7 +73,9 @@ type Op struct {
 // Program is the lowered form of a kernel's micro-op stream, indexed by
 // pc, so an issue loop does no per-instruction decoding at all.
 type Program struct {
-	Ops []Op
+	Ops  []Op
+	Uses [][]ptx.Reg // per-pc registers read (guard, sources, memory bases)
+	Defs []ptx.Reg   // per-pc register written (ptx.NoReg = none)
 }
 
 // lower lowers a micro-op stream. Broadcast planes for all constants live
@@ -120,21 +132,47 @@ func lower(ms *passes.MicroStream) *Program {
 	return prog
 }
 
-// programs memoizes the lowered Program per kernel version; an entry dies
-// with its kernel.
-var programs = passes.NewKernelMemo[*Program]()
+// kernelKey is one kernel version: the kernel's identity plus its
+// instruction count, so a kernel grown in place (a reused ptx.Builder) is
+// a new key instead of a stale hit. The kernel is held weakly.
+type kernelKey struct {
+	k weak.Pointer[ptx.Kernel]
+	n int
+}
 
-// ProgramFor returns k's lowered Program, lowering the shared micro-op
-// stream (passes.Shared) on first use. Concurrent callers — a simulation
-// and an oracle run of one kernel — share one Program. Like passes.Shared
-// it does not validate: each engine validates k first, with its own error
-// wrapping.
+// kernelMemo is the one per-kernel cache: per kernel version, its Program
+// or its validation error. The leader registers a cleanup on the kernel, so
+// an entry lives exactly as long as its kernel: long sweeps allocate
+// thousands of short-lived candidate kernels, and none of them is pinned by
+// its Program. A Program must therefore not point back at its kernel.
+var kernelMemo = pool.NewMemo[kernelKey, *Program]()
+
+// build validates k and lowers its shared analyses; tests count calls
+// through it.
+var build = func(k *ptx.Kernel) (*Program, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	an, err := passes.Shared(k)
+	if err != nil {
+		return nil, err
+	}
+	prog := lower(an.Micro)
+	prog.Uses, prog.Defs = an.Uses, an.Defs
+	return prog, nil
+}
+
+// ProgramFor returns k's Program, validating and lowering k on first use of
+// each kernel version; a kernel that fails validation fails every call with
+// the same, unprefixed error. Concurrent callers — a simulation and an
+// oracle run of one kernel — share one build. The kernel must not be
+// mutated after its first lookup, except by growing it: callers that edit
+// instructions work on a Clone, which is a new identity.
 func ProgramFor(k *ptx.Kernel) (*Program, error) {
-	return programs.Do(k, func(k *ptx.Kernel) (*Program, error) {
-		an, err := passes.Shared(k)
-		if err != nil {
-			return nil, err
-		}
-		return lower(an.Micro), nil
+	key := kernelKey{weak.Make(k), len(k.Insts)}
+	prog, _, err := kernelMemo.Do(context.Background(), key, func() (*Program, error) {
+		runtime.AddCleanup(k, kernelMemo.Forget, key)
+		return build(k)
 	})
+	return prog, err
 }

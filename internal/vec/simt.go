@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"crat/internal/passes"
@@ -125,8 +127,8 @@ type FaultKind uint8
 const (
 	// FaultExec: a statically unsupported instruction executed.
 	FaultExec FaultKind = iota
-	// FaultMemOOB: a local or shared access fell outside the lane's local
-	// frame or the kernel's declared shared segment.
+	// FaultMemOOB: a local, shared or param access fell outside the lane's
+	// local frame, the kernel's declared shared segment or the param block.
 	FaultMemOOB
 	// FaultNullGlobal: a global access hit the null page.
 	FaultNullGlobal
@@ -168,11 +170,27 @@ type Machine struct {
 	Fault Fault
 }
 
-// NewMachine prepares the functional state of a launch of k, already
-// lowered to prog, over mem: grid blocks of block threads in warps of
-// warpSize lanes (at most 32, the plane width), with one raw value per
-// kernel parameter.
-func NewMachine(k *ptx.Kernel, prog *Program, mem *sem.Memory, params []uint64, grid, block, warpSize int) Machine {
+// NewMachine is the launch contract both engines share: it checks a launch
+// of k over mem — grid blocks of block threads in warps of warpSize lanes
+// (at most 32, the plane width), with one raw value per kernel parameter —
+// and prepares its functional state from k's Program (ProgramFor). It
+// rejects a nil kernel, a kernel that fails validation, a param count that
+// differs from k's and a non-positive grid or block, in that order, with an
+// unprefixed error each engine wraps in its own name.
+func NewMachine(k *ptx.Kernel, mem *sem.Memory, params []uint64, grid, block, warpSize int) (Machine, error) {
+	if k == nil {
+		return Machine{}, errors.New("nil kernel")
+	}
+	prog, err := ProgramFor(k)
+	if err != nil {
+		return Machine{}, err
+	}
+	if len(params) != len(k.Params) {
+		return Machine{}, fmt.Errorf("%d param values for %d params", len(params), len(k.Params))
+	}
+	if grid <= 0 || block <= 0 {
+		return Machine{}, fmt.Errorf("grid=%d block=%d must be positive", grid, block)
+	}
 	return Machine{
 		Prog:        prog,
 		global:      sem.NewPageCache(mem),
@@ -183,7 +201,7 @@ func NewMachine(k *ptx.Kernel, prog *Program, mem *sem.Memory, params []uint64, 
 		nRegs:       k.NumRegs(),
 		localBytes:  int(k.LocalBytes()),
 		sharedLimit: k.SharedBytes(),
-	}
+	}, nil
 }
 
 // paramBlock lays the parameter values out at their ptx.ParamOffset
@@ -259,8 +277,8 @@ func (m *Machine) Exec(w *Warp, u *Op, mask uint64) Status {
 			return Faulted
 		}
 	case passes.MicroLdParam:
-		if mask != 0 {
-			m.ldParam(w, u, mask)
+		if mask != 0 && !m.ldParam(w, u, mask) {
+			return Faulted
 		}
 	case passes.MicroBra:
 		m.branch(w, u, top.Mask, mask)
@@ -363,28 +381,29 @@ func (m *Machine) special(w *Warp, lane int, sp ptx.Special) int {
 	return 0
 }
 
-// ldParam loads from the parameter block per lane. Bytes past the end of
-// the block read as zero.
-func (m *Machine) ldParam(w *Warp, u *Op, mask uint64) {
+// ldParam loads from the parameter block per lane. It reports false on a
+// fault: a lane whose read does not fit in the block, which a register base
+// reaches past any symbol's bounds.
+func (m *Machine) ldParam(w *Warp, u *Op, mask uint64) bool {
 	d := w.Plane(u.Dst)
 	var base *[32]uint64
 	if u.MemBase != ptx.NoReg {
 		base = w.Plane(u.MemBase)
 	}
+	size, limit := int(u.Size), int64(len(m.params))
 	for mk := mask; mk != 0; mk &= mk - 1 {
 		l := bits.TrailingZeros64(mk)
 		addr := u.MemOff
 		if base != nil {
 			addr += base[l]
 		}
-		v := uint64(0)
-		for b := 0; b < int(u.Size); b++ {
-			if int(addr)+b < len(m.params) {
-				v |= uint64(m.params[int(addr)+b]) << (8 * b)
-			}
+		if !inBounds(addr, size, limit) {
+			m.Fault = Fault{Kind: FaultMemOOB, Lane: l, Space: ptx.SpaceParam, Addr: addr, Size: size, Limit: limit}
+			return false
 		}
-		d[l] = v
+		d[l] = sem.ReadLE(m.params[addr:], size)
 	}
+	return true
 }
 
 // inBounds checks addr+size against a non-negative byte limit without
