@@ -4,7 +4,8 @@
 # in ./bench), a short fuzz smoke over the PTX parsers, the checkpoint,
 # oracle and service smokes, the chaos matrix (the one process-level
 # fleet chaos run), and the golden diff. `make bench` runs the benchmark
-# (bench/README.md); its timings are advisory, so it stays out of `ci`.
+# (bench/README.md) and `make bench-cold` the cold-compile microbenchmarks;
+# their timings are advisory, so they stay out of `ci`.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -23,7 +24,7 @@ GOLDEN_SIMS := 420
 # tracks the width of the masked durations).
 NORM = sed -E -e '/^done in /d' -e 's/[0-9]+(\.[0-9]+)?(µs|ms|m?s)\b/DUR/g' -e 's/ +/ /g' -e 's/ +$$//'
 
-.PHONY: all build vet test race bench checkpoint-smoke fuzz-smoke oracle-smoke service-smoke chaos-smoke golden-diff golden-regen ci
+.PHONY: all build vet test race bench bench-cold checkpoint-smoke fuzz-smoke oracle-smoke service-smoke chaos-smoke golden-diff golden-regen ci
 
 all: build
 
@@ -54,6 +55,14 @@ race:
 # metrics and how a run is judged.
 bench:
 	set -e; for w in paper_suite svc_cold svc_warm gw_mixed; do $(GO) run ./bench -workload $$w; done
+
+# Cold-compile microbenchmarks, five samples each with allocation counts:
+# one cache-miss compile (svc_cold's and gw_mixed's tail work) and the
+# oracle's check of a set of rewrite chains. Feed the output to benchstat
+# to compare two commits.
+bench-cold:
+	$(GO) test ./internal/server -run '^$$' -bench 'CompileCold$$' -benchmem -count 5
+	$(GO) test ./internal/oracle -run '^$$' -bench 'CheckChain$$' -benchmem -count 5
 
 # Checkpoint round-trip smoke: run two experiments clean, re-run them with
 # -checkpoint and interrupt the process mid-flight (SIGINT, as a user would,

@@ -16,6 +16,7 @@ package emu
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"crat/internal/passes"
 	"crat/internal/ptx"
@@ -134,9 +135,12 @@ type warp struct {
 	barrier bool
 }
 
+// blockPool holds block storage between launches (*vec.Block).
+var blockPool sync.Pool
+
 // machine is the per-launch execution state. Every block has the same
-// shape, so one block's storage is allocated once per launch and cleared
-// for each block.
+// shape, so one block's storage serves the whole launch and is cleared for
+// each block.
 type machine struct {
 	core      vec.Machine // the functional state shared with the simulator
 	block     *vec.Block
@@ -168,7 +172,11 @@ func Run(l Launch, mem *sem.Memory) (*Result, error) {
 	if l.Provenance {
 		m.res.LastStore = make(map[uint64]Store)
 	}
-	m.block = m.core.NewBlock(0)
+	// Every oracle check runs several launches of the same shape, so block
+	// storage comes from a pool; runBlock clears it before each block.
+	old, _ := blockPool.Get().(*vec.Block)
+	m.block = m.core.ReuseBlock(old, 0)
+	defer blockPool.Put(m.block)
 	for i := 0; i < m.core.Warps(); i++ {
 		w := &warp{id: i}
 		m.core.Bind(&w.Warp, m.block, i)

@@ -215,3 +215,69 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("two identical runs diverged at %#x: %d vs %d", addr, va, vb)
 	}
 }
+
+// TestReusedStorageStartsZeroed: block storage is pooled across launches,
+// so a launch may inherit storage a larger launch left dirty. A kernel that
+// reads shared and local memory it never wrote must still see zeros. The
+// pool may hand a launch fresh storage instead of the dirty one, so the
+// pair runs several times.
+func TestReusedStorageStartsZeroed(t *testing.T) {
+	const dirtyBlock, cleanBlock = 256, 32
+
+	// dirty fills its whole shared segment, every thread's local frame and
+	// forty registers per thread with non-zero words.
+	d := ptx.NewBuilder("dirty")
+	d.SharedArray("buf", 8*dirtyBlock).LocalArray("frame", 64)
+	tid := d.Reg(ptx.U32)
+	soff := d.Reg(ptx.U32)
+	d.MovSpec(tid, ptx.SpecTidX)
+	d.Shl(ptx.U32, soff, ptx.R(tid), ptx.Imm(3))
+	d.St(ptx.SpaceShared, ptx.U32, ptx.MemReg(soff, 0), ptx.Imm(0x5eed))
+	d.St(ptx.SpaceShared, ptx.U32, ptx.MemReg(soff, 4), ptx.Imm(0x5eed))
+	for off := int64(0); off < 64; off += 4 {
+		d.St(ptx.SpaceLocal, ptx.U32, ptx.MemSym("frame", off), ptx.Imm(0xf00d))
+	}
+	for _, r := range d.Regs(ptx.U32, 40) {
+		d.Add(ptx.U32, r, ptx.R(tid), ptx.Imm(1))
+	}
+	d.Exit()
+	dirty := d.Kernel()
+
+	// clean stores shared[tid] + frame[0] + frame[3] to out[tid] without
+	// ever writing shared or local memory.
+	c := ptx.NewBuilder("clean")
+	c.Param("out", ptx.U64)
+	c.SharedArray("buf", 4*cleanBlock).LocalArray("frame", 16)
+	ctid := c.Reg(ptx.U32)
+	coff := c.Reg(ptx.U32)
+	c.MovSpec(ctid, ptx.SpecTidX)
+	c.Shl(ptx.U32, coff, ptx.R(ctid), ptx.Imm(2))
+	sv, l0, l3, sum := c.Reg(ptx.U32), c.Reg(ptx.U32), c.Reg(ptx.U32), c.Reg(ptx.U32)
+	c.Ld(ptx.SpaceShared, ptx.U32, sv, ptx.MemReg(coff, 0))
+	c.Ld(ptx.SpaceLocal, ptx.U32, l0, ptx.MemSym("frame", 0))
+	c.Ld(ptx.SpaceLocal, ptx.U32, l3, ptx.MemSym("frame", 12))
+	c.Add(ptx.U32, sum, ptx.R(sv), ptx.R(l0))
+	c.Add(ptx.U32, sum, ptx.R(sum), ptx.R(l3))
+	pout := c.Reg(ptx.U64)
+	c.LdParam(ptx.U64, pout, "out")
+	dst := c.AddrOf(pout, ctid, 4)
+	c.St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(dst, 0), ptx.R(sum))
+	c.Exit()
+	clean := c.Kernel()
+
+	for i := 0; i < 16; i++ {
+		if _, err := Run(Launch{Kernel: dirty, Grid: 2, Block: dirtyBlock}, sem.NewMemory()); err != nil {
+			t.Fatalf("dirty run: %v", err)
+		}
+		mem := sem.NewMemory()
+		out := mem.Alloc(4 * cleanBlock)
+		if _, err := Run(Launch{Kernel: clean, Grid: 1, Block: cleanBlock, Params: []uint64{out}}, mem); err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		for tid := 0; tid < cleanBlock; tid++ {
+			if got := mem.ReadUint32(out + uint64(4*tid)); got != 0 {
+				t.Fatalf("round %d: thread %d read %#x from storage it never wrote, want 0", i, tid, got)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"crat/internal/ptx"
 	"crat/internal/regalloc"
+	"crat/internal/sem"
 	"crat/internal/spillopt"
 )
 
@@ -661,7 +662,7 @@ func TestMemoryReadWrite(t *testing.T) {
 		t.Errorf("f64 roundtrip: %v", got)
 	}
 	// Cross-page write.
-	edge := uint64(pageSize - 2)
+	edge := uint64(sem.PageSize - 2)
 	m.WriteUint32(edge, 0xa1b2c3d4)
 	if got := m.ReadUint32(edge); got != 0xa1b2c3d4 {
 		t.Errorf("cross-page roundtrip: %x", got)

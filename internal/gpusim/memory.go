@@ -8,8 +8,6 @@ import "crat/internal/sem"
 // public API stable.
 type Memory = sem.Memory
 
-const pageSize = sem.PageSize
-
 // NewMemory returns an empty memory. Allocations start at a non-zero base
 // so that address 0 stays invalid (a null pointer).
 func NewMemory() *Memory { return sem.NewMemory() }

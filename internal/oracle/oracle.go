@@ -9,6 +9,7 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -99,6 +100,7 @@ func GenInputs(k *ptx.Kernel, grid, block int, seed int64) (*sem.Memory, []uint6
 	mem := sem.NewMemory()
 	n := grid * block
 	params := make([]uint64, len(k.Params))
+	buf := make([]byte, 8*n) // one buffer's words, stored with one WriteBytes
 	for i, p := range k.Params {
 		if p.Type.Bits() == 64 && !p.Type.IsFloat() {
 			// The 4MB slack after each buffer keeps stray in-bounds-but-long
@@ -112,8 +114,9 @@ func GenInputs(k *ptx.Kernel, grid, block int, seed int64) (*sem.Memory, []uint6
 				} else {
 					v = rng.Uint32()
 				}
-				mem.WriteUint32(base+uint64(4*w), v)
+				binary.LittleEndian.PutUint32(buf[4*w:], v)
 			}
+			mem.WriteBytes(base, buf)
 			params[i] = base
 			continue
 		}

@@ -1,8 +1,13 @@
 package oracle_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"crat/internal/backend"
@@ -402,4 +407,56 @@ func TestGenInputsDeterministic(t *testing.T) {
 		t.Fatalf("distinct seeds produced identical images")
 	}
 	_ = sem.NewMemory // keep sem import for clarity of the contract
+}
+
+// TestGenInputsDigest pins the generated inputs byte for byte: for a fixed
+// set of ptxgen and Table-3 kernels, grids and seeds, a digest over the
+// parameter values, every pointer buffer with a margin on both sides and
+// the allocator's break must not move. The oracle's verdicts, and so every
+// recorded Decision, depend on these bytes; a change to how the images are
+// built or stored must leave them as they are.
+func TestGenInputsDigest(t *testing.T) {
+	for _, c := range []struct {
+		kernel      string // a ptxgen seed ("gen7") or a Table-3 abbreviation
+		grid, block int
+		seed        int64
+		want        string
+	}{
+		{"gen7", 2, 64, 42, "599ff77c69839d40"},
+		{"gen100", 1, 64, 100, "77a29255450c1061"},
+		{"gen101", 3, 128, 5, "e840e380051cd99f"},
+		{"gen3", 2, 256, 0, "a8f0b426e0e24887"},
+		{"BLK", 2, 128, 9, "f63eed32eb62c65f"},
+		{"HST", 2, 192, 10, "d7696a5906993e4d"},
+		{"SGM", 2, 128, 11, "3f6a92174ea1571c"},
+	} {
+		var k *ptx.Kernel
+		if gen, ok := strings.CutPrefix(c.kernel, "gen"); ok {
+			seed, _ := strconv.ParseInt(gen, 10, 64)
+			k = ptxgen.Generate(ptxgen.Config{Seed: seed, Block: c.block})
+		} else {
+			p, ok := workloads.ByAbbr(c.kernel)
+			if !ok || p.App().Block != c.block {
+				t.Fatalf("no workload %s at block %d", c.kernel, c.block)
+			}
+			k = p.App().Kernel
+		}
+		mem, params := oracle.GenInputs(k, c.grid, c.block, c.seed)
+		h := sha256.New()
+		for i, p := range k.Params {
+			binary.Write(h, binary.LittleEndian, params[i])
+			if p.Type.Bits() != 64 || p.Type.IsFloat() {
+				continue
+			}
+			// The buffer holds 8 bytes per thread; read 256 bytes before it
+			// and 4KB after it as well.
+			for a := params[i] - 256; a < params[i]+uint64(8*c.grid*c.block)+4096; a += 8 {
+				binary.Write(h, binary.LittleEndian, mem.ReadUint64(a))
+			}
+		}
+		binary.Write(h, binary.LittleEndian, mem.Alloc(1))
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != c.want {
+			t.Errorf("%s (grid %d, block %d, seed %d): inputs digest %s, want %s", c.kernel, c.grid, c.block, c.seed, got, c.want)
+		}
+	}
 }

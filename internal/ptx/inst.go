@@ -70,15 +70,13 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+var opcodeByName = byName(opcodeNames)
+
 // OpcodeFromName parses a PTX mnemonic (the leading token before type
 // suffixes, e.g. "add" or "bar.sync").
 func OpcodeFromName(name string) (Opcode, bool) {
-	for o, n := range opcodeNames {
-		if n == name {
-			return o, true
-		}
-	}
-	return OpNop, false
+	o, ok := opcodeByName[name]
+	return o, ok
 }
 
 // IsSFU reports whether the opcode executes on the special function unit
@@ -121,14 +119,12 @@ func (c CmpOp) String() string {
 	return "cmp?"
 }
 
+var cmpByName = byName(cmpNames)
+
 // CmpFromName parses a setp comparison suffix such as "lt".
 func CmpFromName(name string) (CmpOp, bool) {
-	for c, n := range cmpNames {
-		if n == name {
-			return c, true
-		}
-	}
-	return CmpNone, false
+	c, ok := cmpByName[name]
+	return c, ok
 }
 
 // OperandKind discriminates Operand variants.

@@ -253,6 +253,39 @@ func TestOpcodeNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNameTables: every spelling in the four name tables parses back to
+// its own entry, no spelling appears twice (a duplicate would make the
+// parser's reverse lookup keep only one of the two), and unknown
+// spellings are rejected.
+func TestNameTables(t *testing.T) {
+	checkNameTable(t, "opcodeNames", opcodeNames, OpcodeFromName)
+	checkNameTable(t, "cmpNames", cmpNames, CmpFromName)
+	checkNameTable(t, "typeNames", typeNames, TypeFromName)
+	checkNameTable(t, "specialNames", specialNames, SpecialFromName)
+}
+
+func checkNameTable[K interface {
+	~uint8
+	String() string
+}](t *testing.T, table string, names map[K]string, fromName func(string) (K, bool)) {
+	t.Helper()
+	owner := make(map[string]K, len(names))
+	for k, n := range names {
+		if prev, dup := owner[n]; dup {
+			t.Errorf("%s: %q spells both %d and %d", table, n, uint8(prev), uint8(k))
+		}
+		owner[n] = k
+		if got, ok := fromName(k.String()); !ok || got != k {
+			t.Errorf("%s: from name %q = %d, %v; want %d", table, k.String(), uint8(got), ok, uint8(k))
+		}
+	}
+	for _, bad := range []string{"", "bogus", "%bogus", "U32", "add.u32"} {
+		if got, ok := fromName(bad); ok {
+			t.Errorf("%s: unknown spelling %q parsed as %d", table, bad, uint8(got))
+		}
+	}
+}
+
 func TestUsesDefs(t *testing.T) {
 	b := NewBuilder("k")
 	a, c, d := b.Reg(U32), b.Reg(U32), b.Reg(U32)

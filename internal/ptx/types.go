@@ -44,15 +44,24 @@ var typeNames = map[Type]string{
 	Pred: "pred",
 }
 
+var typeByName = byName(typeNames)
+
+// byName inverts one of the spelling tables (typeNames, opcodeNames,
+// cmpNames, specialNames), which stay the single source of truth, for the
+// parser's per-token lookups.
+func byName[K comparable](names map[K]string) map[string]K {
+	out := make(map[string]K, len(names))
+	for k, n := range names {
+		out[n] = k
+	}
+	return out
+}
+
 // TypeFromName parses a PTX type suffix such as "u32" (without the leading
 // dot). It returns TypeNone and false if the name is unknown.
 func TypeFromName(name string) (Type, bool) {
-	for t, n := range typeNames {
-		if n == name {
-			return t, true
-		}
-	}
-	return TypeNone, false
+	t, ok := typeByName[name]
+	return t, ok
 }
 
 // String returns the PTX spelling of the type without the leading dot.
@@ -235,12 +244,10 @@ func (s Special) String() string {
 	return fmt.Sprintf("%%special(%d)", uint8(s))
 }
 
+var specialByName = byName(specialNames)
+
 // SpecialFromName parses a special-register name such as "%tid.x".
 func SpecialFromName(name string) (Special, bool) {
-	for s, n := range specialNames {
-		if n == name {
-			return s, true
-		}
-	}
-	return SpecNone, false
+	s, ok := specialByName[name]
+	return s, ok
 }

@@ -181,6 +181,7 @@ func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int, predBudget int) 
 	out := ptx.NewKernel(k.Name)
 	out.Params = append([]ptx.Param(nil), k.Params...)
 	out.Arrays = append([]ptx.ArrayDecl(nil), k.Arrays...)
+	out.Insts = make([]ptx.Inst, 0, len(k.Insts))
 
 	type physKey struct {
 		class ptx.RegClass

@@ -7,8 +7,12 @@ import (
 	"slices"
 )
 
-// PageBits sizes the sparse memory pages (64KB).
-const PageBits = 16
+// PageBits sizes the sparse memory pages (4KB). A generated kernel touches
+// well under a page of each buffer, and every oracle execution clones the
+// input image, so a page this small keeps an image, and each copy of it,
+// near the bytes actually written. The null page (vec.NullPageBytes) is a
+// separate constant that merely happens to be the same size.
+const PageBits = 12
 
 // PageSize is the byte size of one sparse memory page.
 const PageSize = 1 << PageBits
@@ -51,9 +55,11 @@ func (m *Memory) page(addr uint64) []byte {
 }
 
 // PageCache is a one-entry page cache in front of a Memory, for the
-// execution engines' global accesses. Coalesced warp accesses land on the
-// same 64KB page lane after lane, so caching the last page slice turns the
-// per-lane map lookup into a compare. Read and Write agree bit for bit with
+// execution engines' global accesses. Coalesced warp accesses (at most
+// 32 lanes x 8 bytes) land on the same 4KB page lane after lane, so caching
+// the last page slice turns the per-lane map lookup into a compare; a
+// stride of a page or more misses on every lane, one map lookup each, as
+// an uncached access would. Read and Write agree bit for bit with
 // Memory's; a page-straddling access (possible with unaligned addresses)
 // takes Memory's slow path.
 type PageCache struct {
@@ -126,11 +132,12 @@ func WriteLE(b []byte, v uint64, n int) {
 	}
 }
 
-// WriteBytes stores b at addr.
+// WriteBytes stores b at addr, one page-sized chunk at a time.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		a := addr + uint64(i)
-		m.page(a)[a&(pageSize-1)] = v
+	for len(b) > 0 {
+		n := copy(m.page(addr)[addr&(pageSize-1):], b)
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 

@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -296,12 +297,15 @@ func TestConvertToFloat(t *testing.T) {
 // TestDiffFirst pins DiffFirst's contract: an absent page equals an
 // all-zero page, a difference anywhere in a page (its last byte included)
 // is found, the lowest differing address wins, and the answer does not
-// depend on the order pages were created in.
+// depend on the order pages were created in. The rows build their images
+// with WriteBytes, some of whose runs cross page boundaries: one long run
+// must store exactly what the same bytes written piecewise store.
 func TestDiffFirst(t *testing.T) {
 	const p0, p1, p2 = 0x10000, 0x30000, 0x50000 // three distinct pages
 	type write struct {
 		addr uint64
 		v    byte
+		n    int // bytes written, each v (0 = 1)
 	}
 	rows := []struct {
 		name         string
@@ -310,16 +314,21 @@ func TestDiffFirst(t *testing.T) {
 		wantAddr     uint64
 		wantA, wantB byte
 	}{
-		{name: "absent page equals zero page", a: []write{{p1 + 5, 0}}},
+		{name: "absent page equals zero page", a: []write{{p1 + 5, 0, 0}}},
 		{name: "both empty"},
-		{name: "last byte of a page", a: []write{{p1 + PageSize - 1, 7}}, b: []write{{p1, 0}},
+		{name: "last byte of a page", a: []write{{p1 + PageSize - 1, 7, 0}}, b: []write{{p1, 0, 0}},
 			wantOK: true, wantAddr: p1 + PageSize - 1, wantA: 7},
-		{name: "absent on one side", b: []write{{p2 + 9, 3}},
+		{name: "absent on one side", b: []write{{p2 + 9, 3, 0}},
 			wantOK: true, wantAddr: p2 + 9, wantB: 3},
-		{name: "lowest of two differing pages", a: []write{{p2 + 1, 1}, {p0 + 100, 2}}, b: []write{{p2 + 1, 9}, {p0 + 100, 4}},
+		{name: "lowest of two differing pages", a: []write{{p2 + 1, 1, 0}, {p0 + 100, 2, 0}}, b: []write{{p2 + 1, 9, 0}, {p0 + 100, 4, 0}},
 			wantOK: true, wantAddr: p0 + 100, wantA: 2, wantB: 4},
-		{name: "lowest address within a page", a: []write{{p1 + 40, 1}, {p1 + 30, 1}},
+		{name: "lowest address within a page", a: []write{{p1 + 40, 1, 0}, {p1 + 30, 1, 0}},
 			wantOK: true, wantAddr: p1 + 30, wantA: 1},
+		{name: "write straddling a page boundary", a: []write{{p2 - 3, 5, 2*PageSize + 6}},
+			b:      []write{{p2 - 3, 5, 2*PageSize + 5}},
+			wantOK: true, wantAddr: p2 + 2*PageSize + 2, wantA: 5},
+		{name: "equal writes across pages", a: []write{{p1 - 1, 8, PageSize + 2}},
+			b: []write{{p1 - 1, 8, 1}, {p1, 8, PageSize}, {p1 + PageSize, 8, 1}}},
 	}
 	build := func(ws []write, reverse bool) *Memory {
 		m := NewMemory()
@@ -328,7 +337,7 @@ func TestDiffFirst(t *testing.T) {
 			if reverse {
 				w = ws[len(ws)-1-i]
 			}
-			m.WriteBytes(w.addr, []byte{w.v})
+			m.WriteBytes(w.addr, bytes.Repeat([]byte{w.v}, max(w.n, 1)))
 		}
 		return m
 	}

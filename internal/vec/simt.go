@@ -228,17 +228,34 @@ func (m *Machine) Warps() int { return (m.block + m.warpSize - 1) / m.warpSize }
 // NewBlock allocates one block's storage: the kernel's declared shared
 // segment followed by extraShared bytes of ballast, and the arenas behind
 // every warp's registers and every thread's local frame.
-func (m *Machine) NewBlock(extraShared int64) *Block {
-	b := &Block{
-		shared: make([]byte, m.sharedLimit+extraShared),
-		regs:   make([]uint64, m.Warps()*m.nRegs*32),
-		locals: make([]byte, m.localBytes*m.block),
-		frames: make([][]byte, m.block),
+func (m *Machine) NewBlock(extraShared int64) *Block { return m.ReuseBlock(nil, extraShared) }
+
+// ReuseBlock is NewBlock over old's storage (old may be nil): each arena
+// whose capacity fits is resliced, the others are allocated afresh. A
+// reused arena keeps whatever its last launch left in it, so the caller
+// clears the block (Block.Clear) before running it.
+func (m *Machine) ReuseBlock(old *Block, extraShared int64) *Block {
+	b := old
+	if b == nil {
+		b = new(Block)
 	}
+	b.shared = fit(b.shared, int(m.sharedLimit+extraShared))
+	b.regs = fit(b.regs, m.Warps()*m.nRegs*32)
+	b.locals = fit(b.locals, m.localBytes*m.block)
+	b.frames = fit(b.frames, m.block)
 	for t := range b.frames {
 		b.frames[t] = b.locals[t*m.localBytes : (t+1)*m.localBytes : (t+1)*m.localBytes]
 	}
 	return b
+}
+
+// fit returns s resliced to length n when its capacity allows, else a new
+// slice of length n.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // Bind makes w warp i of block b: its register planes, its lanes' local
