@@ -31,12 +31,14 @@ all: build
 build:
 	$(GO) build ./...
 
-# go vet, and fail on any file gofmt would rewrite or if a daemon links
-# the load generator.
+# go vet, and fail on any file gofmt would rewrite, if a daemon links the
+# load generator, or if the compiler's analysis layer (internal/passes)
+# links the execution semantics (internal/sem).
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need formatting:"; gofmt -l .; exit 1; }
 	@! $(GO) list -deps ./cmd/cratd ./cmd/cratgw | grep -qx crat/internal/loadgen || { echo "vet: cmd/cratd or cmd/cratgw depends on crat/internal/loadgen"; exit 1; }
+	@! $(GO) list -deps ./internal/passes | grep -qx crat/internal/sem || { echo "vet: crat/internal/passes depends on crat/internal/sem (instruction decoding belongs in internal/vec)"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -18,7 +18,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
 	"crat/internal/vec"
@@ -266,7 +265,7 @@ func (m *machine) step(w *warp) {
 
 	st := m.core.Exec(&w.Warp, u, mask)
 	f := &m.core.Fault
-	if m.res.LastStore != nil && u.Class == passes.MicroMem && !u.Load && u.Space == ptx.SpaceGlobal {
+	if m.res.LastStore != nil && u.Class == vec.ClassMem && !u.Load && u.Space == ptx.SpaceGlobal {
 		if st == vec.Faulted {
 			mask = f.Took(mask)
 		}

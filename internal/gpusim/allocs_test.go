@@ -10,7 +10,7 @@ import (
 
 // TestHotLoopAllocs pins the execution hot path's allocation behaviour:
 // once a launch is set up, stepping instructions must not allocate. Block
-// contexts are arena-backed and recycled, micro-op programs are cached per
+// contexts are arena-backed and recycled, lowered programs are cached per
 // kernel, and the tracing-off path carries no formatting, so steady-state
 // allocations are bounded by the launch footprint (pages, block arenas) —
 // not by the instruction count. A per-instruction allocation anywhere in

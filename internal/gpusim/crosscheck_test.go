@@ -15,7 +15,7 @@ import (
 // crossCheck runs one launch through both execution engines — the SoA timing
 // simulator and the functional emulator — on identical memory images and
 // requires byte-identical final global memory and identical instruction
-// counts. Both engines interpret the same shared micro-op stream, so any
+// counts. Both engines run the same lowered vec.Program, so any
 // disagreement means one of them ordered, masked, or rewrote execution
 // differently. It returns the simulator's final memory.
 func crossCheck(t *testing.T, k *ptx.Kernel, grid, block int, setup func(*gpusim.Memory) []uint64) *gpusim.Memory {

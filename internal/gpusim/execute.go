@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/vec"
 )
@@ -38,7 +37,7 @@ func (s *Simulator) execute(w *warp) {
 		s.traceInst(w, pc, execMask)
 	}
 	var plan *memPlan
-	if u.Class == passes.MicroMem {
+	if u.Class == vec.ClassMem {
 		// Plan before the functional access, which may overwrite the
 		// address base register.
 		plan = s.planFor(w, pc, u)
@@ -59,7 +58,7 @@ func (s *Simulator) execute(w *warp) {
 		return
 	case vec.Faulted:
 		f := &s.m.Fault
-		if u.Class == passes.MicroMem {
+		if u.Class == vec.ClassMem {
 			s.countMem(u, f.Took(execMask))
 		}
 		// The shared kinds are the first three of FaultKind, in order.
@@ -73,7 +72,7 @@ func (s *Simulator) execute(w *warp) {
 	}
 	latency, isMem := int64(s.cfg.ALULat), false
 	switch {
-	case u.Class == passes.MicroMem:
+	case u.Class == vec.ClassMem:
 		s.countMem(u, execMask)
 		latency, isMem = s.memTiming(u, plan)
 	case u.SFU:

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/bits"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/vec"
 )
@@ -733,7 +732,7 @@ func (s *Simulator) canIssue(w *warp) (bool, stallReason) {
 	}
 
 	u := &s.m.Prog.Ops[pc]
-	if u.Class == passes.MicroMem {
+	if u.Class == vec.ClassMem {
 		if s.memPipeFree > s.now {
 			return false, stallCongestion
 		}

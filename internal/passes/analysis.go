@@ -3,10 +3,12 @@
 // dataflow analyses (CFG, liveness, dominators, reconvergence, use-def)
 // once per kernel version and invalidates them precisely on transform, and
 // a Manager that runs passes with per-pass instrumentation (wall time,
-// IR-size deltas, verify-after-every-pass, dump hooks). The compiler (regalloc, spillopt, core), the cycle-level
-// simulator (gpusim), and the functional emulator (emu) all obtain their
-// static kernel analyses through this package, so there is exactly one
-// analysis substrate instead of per-package private copies.
+// IR-size deltas, verify-after-every-pass, dump hooks). The compiler
+// (regalloc, spillopt, core) obtains its static kernel analyses here, and
+// so does internal/vec through Shared, the use-def and reconvergence bundle
+// it lowers a kernel with for both execution engines: one analysis
+// substrate instead of per-package private copies. Decoding instructions
+// for execution is internal/vec's job, not this package's.
 package passes
 
 import (
@@ -27,7 +29,6 @@ const (
 	KindLoopDepth
 	KindReconvergence
 	KindUseDef
-	KindMicroOps
 	kindCount
 )
 
@@ -48,8 +49,6 @@ func (k Kind) String() string {
 		return "reconvergence"
 	case KindUseDef:
 		return "use-def"
-	case KindMicroOps:
-		return "micro-ops"
 	}
 	return "analysis(?)"
 }
@@ -57,13 +56,7 @@ func (k Kind) String() string {
 // derivedFromCFG lists every kind invalidated alongside the CFG.
 var derivedFromCFG = []Kind{
 	KindLiveness, KindDominators, KindPostDominators, KindLoopDepth, KindReconvergence,
-	KindMicroOps,
 }
-
-// derivedFromUseDef lists kinds that bake per-instruction register operands
-// and so go stale with use-def even when control flow is untouched (e.g. a
-// register-renaming rewrite).
-var derivedFromUseDef = []Kind{KindMicroOps}
 
 // UseDef is the per-instruction register access summary the simulator's
 // scoreboard and the shared kernel analyses consume: for each pc, the
@@ -100,7 +93,6 @@ type AnalysisManager struct {
 	depth    []int
 	reconv   *Reconvergence
 	usedef   *UseDef
-	micro    *MicroStream
 
 	// Computes counts analysis builds by kind; the caching tests assert an
 	// unchanged kernel never pays for the same analysis twice.
@@ -135,8 +127,8 @@ func (am *AnalysisManager) InvalidateAll() {
 	for i := range am.valid {
 		am.valid[i] = false
 	}
-	am.graph, am.liveness, am.doms, am.pdoms, am.depth, am.reconv, am.usedef, am.micro =
-		nil, nil, nil, nil, nil, nil, nil, nil
+	am.graph, am.liveness, am.doms, am.pdoms, am.depth, am.reconv, am.usedef =
+		nil, nil, nil, nil, nil, nil, nil
 }
 
 // Invalidate drops the named analyses plus everything derived from them
@@ -165,19 +157,12 @@ func (am *AnalysisManager) Invalidate(kinds ...Kind) {
 			am.reconv = nil
 		case KindUseDef:
 			am.usedef = nil
-		case KindMicroOps:
-			am.micro = nil
 		}
 	}
 	for _, k := range kinds {
 		drop(k)
 		if k == KindCFG {
 			for _, d := range derivedFromCFG {
-				drop(d)
-			}
-		}
-		if k == KindUseDef {
-			for _, d := range derivedFromUseDef {
 				drop(d)
 			}
 		}
@@ -204,8 +189,6 @@ func (am *AnalysisManager) Require(kinds ...Kind) error {
 			_, err = am.Reconvergence()
 		case KindUseDef:
 			am.UseDef()
-		case KindMicroOps:
-			_, err = am.MicroOps()
 		}
 		if err != nil {
 			return err

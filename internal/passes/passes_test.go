@@ -207,9 +207,9 @@ func TestSharedRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ag.Uses) != len(kg.Insts) || len(ag.Micro.Ops) != len(kg.Insts) {
-		t.Errorf("analyses after in-place growth cover %d uses and %d micro-ops, want %d",
-			len(ag.Uses), len(ag.Micro.Ops), len(kg.Insts))
+	if len(ag.Uses) != len(kg.Insts) || len(ag.Reconv) != len(kg.Insts) {
+		t.Errorf("analyses after in-place growth cover %d uses and %d reconvergence pcs, want %d",
+			len(ag.Uses), len(ag.Reconv), len(kg.Insts))
 	}
 
 	// A malformed CFG surfaces cfg.Build's error, unwrapped.

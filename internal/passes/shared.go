@@ -2,14 +2,12 @@ package passes
 
 import "crat/internal/ptx"
 
-// KernelAnalyses is the read-side bundle the executors (gpusim, emu)
-// consume: per-pc register use/def summaries and the micro-op stream.
+// KernelAnalyses is the read-side bundle internal/vec lowers a kernel with:
+// per-pc register use/def summaries and the per-pc branch targets and
+// reconvergence pcs.
 type KernelAnalyses struct {
-	Uses [][]ptx.Reg // per-pc registers read (guard, sources, memory bases)
-	Defs []ptx.Reg   // per-pc register written (ptx.NoReg = none)
-	// Micro is the pre-decoded micro-op stream both executors run from:
-	// operand kinds resolved, immediates pre-encoded, symbols pre-folded.
-	Micro *MicroStream
+	UseDef
+	Reconvergence
 }
 
 // Shared builds k's KernelAnalyses through a fresh AnalysisManager. It
@@ -18,10 +16,9 @@ type KernelAnalyses struct {
 // malformed CFG surfaces as cfg.Build's error, unwrapped.
 func Shared(k *ptx.Kernel) (*KernelAnalyses, error) {
 	am := NewAnalysisManager(k)
-	micro, err := am.MicroOps()
+	rc, err := am.Reconvergence()
 	if err != nil {
 		return nil, err
 	}
-	ud := am.UseDef()
-	return &KernelAnalyses{Uses: ud.Uses, Defs: ud.Defs, Micro: micro}, nil
+	return &KernelAnalyses{UseDef: *am.UseDef(), Reconvergence: *rc}, nil
 }

@@ -45,8 +45,6 @@ type Options struct {
 	Regs int
 	// Algorithm selects the allocator (default Chaitin-Briggs).
 	Algorithm Algorithm
-	// Preds is the predicate register budget. Zero means 8 (Fermi).
-	Preds int
 	// Coalesce runs conservative (Briggs) copy coalescing before coloring:
 	// register-to-register movs between non-interfering names are
 	// eliminated when the merge provably stays colorable. Off by default;
@@ -60,23 +58,10 @@ type Options struct {
 	// UnweightedSpillCost disables the 10^loop-depth weighting of spill
 	// costs (ablation knob).
 	UnweightedSpillCost bool
-	// MaxIterations bounds the build-color-spill loop. Zero means 32.
-	MaxIterations int
 }
 
-func (o Options) preds() int {
-	if o.Preds <= 0 {
-		return 8
-	}
-	return o.Preds
-}
-
-func (o Options) maxIter() int {
-	if o.MaxIterations <= 0 {
-		return 32
-	}
-	return o.MaxIterations
-}
+// maxIterations bounds the build-color-spill loop.
+const maxIterations = 32
 
 // SpillSlot describes one spilled virtual register's slot in the spill
 // stack.
@@ -360,10 +345,12 @@ func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, slotType []ptx
 // finish rewrites the colored kernel to physical registers and fills the
 // result.
 func (st *allocState) finish(assignment map[ptx.Reg]int) {
-	st.res.Virtual = st.k.Clone()
+	// st.k is the allocator's private clone, and rewritePhysical writes a
+	// new kernel, so the colored kernel is handed out as is.
+	st.res.Virtual = st.k
 	st.res.Assignment = assignment
 	st.res.BaseReg = st.baseReg
-	st.res.Kernel, st.res.UsedRegs, st.res.UsedPreds = rewritePhysical(st.k, assignment, st.opts.preds())
+	st.res.Kernel, st.res.UsedRegs, st.res.UsedPreds = rewritePhysical(st.k, assignment)
 	for _, s := range st.slots {
 		st.res.Spills = append(st.res.Spills, s)
 	}

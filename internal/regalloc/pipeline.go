@@ -150,7 +150,7 @@ func AllocateWith(pm *passes.Manager, k *ptx.Kernel, opts Options) (*Result, err
 			return nil, err
 		}
 	}
-	for iter := 0; iter < opts.maxIter(); iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		st.res.Iterations = iter + 1
 		cp := &colorPass{st: st}
 		if err := pm.Run(am, cp); err != nil {
@@ -166,5 +166,5 @@ func AllocateWith(pm *passes.Manager, k *ptx.Kernel, opts Options) (*Result, err
 			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("regalloc: did not converge after %d iterations", opts.maxIter())
+	return nil, fmt.Errorf("regalloc: did not converge after %d iterations", maxIterations)
 }

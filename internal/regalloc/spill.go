@@ -177,7 +177,7 @@ func renameOperandUse(o *ptx.Operand, m map[ptx.Reg]ptx.Reg) {
 // register names: one B32 register per used 32-bit slot, one B64 register
 // per used slot pair, and densely renumbered predicates. It returns the new
 // kernel, the number of 32-bit slots used, and the number of predicates.
-func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int, predBudget int) (*ptx.Kernel, int, int) {
+func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int) (*ptx.Kernel, int, int) {
 	out := ptx.NewKernel(k.Name)
 	out.Params = append([]ptx.Param(nil), k.Params...)
 	out.Arrays = append([]ptx.ArrayDecl(nil), k.Arrays...)
@@ -261,6 +261,5 @@ func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int, predBudget int) 
 		}
 		out.Append(in)
 	}
-	_ = predBudget
 	return out, usedSlots, nextPred
 }

@@ -2,12 +2,13 @@
 // cycle-level simulator (internal/gpusim) and the functional emulator
 // (internal/emu). Both reach a kernel through one per-kernel cache and one
 // launch contract. ProgramFor validates a kernel once per kernel version,
-// keeps the validation error or lowers the kernel's shared micro-op stream
-// (internal/passes) into a Program — one Op per pc with its vector kernel
-// and broadcast constant planes pre-built, and the per-pc register reads
-// and write the simulator's scoreboard checks — and NewMachine checks a
-// launch (nil kernel, validation, param count, grid and block) before any
-// engine state exists. The Program executes on warps (simt.go): register
+// keeps the validation error or lowers each instruction into a Program —
+// one Op per pc with its operand kinds resolved, immediates pre-encoded,
+// symbols pre-folded, its vector kernel and broadcast constant planes
+// pre-built, and the per-pc register reads and write the simulator's
+// scoreboard checks — and NewMachine checks a launch (nil kernel,
+// validation, param count, grid and block) before any engine state exists.
+// The Program executes on warps (simt.go): register
 // planes and local frames, the reconvergence stack, guard masks, special
 // registers, the param block and ld.param, and per-lane loads and stores
 // with their bounds rules. The engines keep what is really theirs: the
@@ -21,16 +22,33 @@ package vec
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"weak"
 
 	"crat/internal/passes"
 	"crat/internal/pool"
 	"crat/internal/ptx"
+	"crat/internal/sem"
 )
 
-// SrcKind is a compressed passes.SrcKind: absent sources are folded into
-// SrcConst via the shared zero plane.
+// Class is an Op's dispatch class.
+type Class uint8
+
+// Op classes.
+const (
+	ClassNop     Class = iota
+	ClassBra           // branch (Target/Rpc pre-resolved)
+	ClassExit          // exit / ret
+	ClassBar           // bar.sync
+	ClassALU           // vectorizable compute (arith/logic/mov/cvt/setp/selp)
+	ClassMem           // ld/st to global, local, or shared memory
+	ClassLdParam       // ld.param (constant-bank read)
+	ClassBad           // unsupported by sem: faults when executed
+)
+
+// SrcKind discriminates pre-resolved source slots. Absent sources are
+// SrcConst reads of the shared zero plane.
 type SrcKind uint8
 
 // Source kinds.
@@ -51,7 +69,7 @@ type Src struct {
 // Op is one lowered instruction. Hot fields (Class, Fn, the register
 // indices) sit first; the branch/fault fields trail.
 type Op struct {
-	Class    passes.MicroClass
+	Class    Class
 	Guard    ptx.Reg // guard predicate register, or ptx.NoReg
 	GuardNeg bool
 	Load     bool // memory op is a load (ld); false = store
@@ -62,74 +80,190 @@ type Op struct {
 	Meta     ptx.InstMeta
 	Dst      ptx.Reg // destination register, or ptx.NoReg
 	MemBase  ptx.Reg // address base register, or ptx.NoReg
-	Fn       Fn      // MicroALU only
+	Fn       Fn      // ClassALU only
 	Src      [3]Src
 	MemOff   uint64
-	Target   int // branch target pc (MicroBra)
+	Target   int // branch target pc (ClassBra)
 	Rpc      int // reconvergence pc (-1 = none)
 	Err      error
 }
 
-// Program is the lowered form of a kernel's micro-op stream, indexed by
-// pc, so an issue loop does no per-instruction decoding at all.
+// Program is a kernel lowered for execution, one Op per pc, so an issue
+// loop does no per-instruction decoding at all.
 type Program struct {
 	Ops  []Op
 	Uses [][]ptx.Reg // per-pc registers read (guard, sources, memory bases)
 	Defs []ptx.Reg   // per-pc register written (ptx.NoReg = none)
 }
 
-// lower lowers a micro-op stream. Broadcast planes for all constants live
-// in one arena, counted first so the pointers stay valid.
-func lower(ms *passes.MicroStream) *Program {
-	nConst := 0
-	for i := range ms.Ops {
-		for j := range ms.Ops[i].Src {
-			if ms.Ops[i].Src[j].Kind == passes.SrcConst {
-				nConst++
-			}
+// lowering carries one kernel's decode: the constant source slots wait in
+// consts until every Op exists, then get their broadcast planes from one
+// arena sized to fit.
+type lowering struct {
+	k      *ptx.Kernel
+	consts []constSlot
+}
+
+type constSlot struct {
+	src *Src
+	v   uint64
+}
+
+// lower decodes every instruction of a kernel that passed ptx.Verify, so
+// operand counts and kinds need no checking here. Branch targets and
+// reconvergence pcs come from an.
+func lower(k *ptx.Kernel, an *passes.KernelAnalyses) *Program {
+	nSrcs := 0 // bounds the constant slots, so consts never regrows
+	for i := range k.Insts {
+		nSrcs += len(k.Insts[i].Srcs)
+	}
+	l := lowering{k: k, consts: make([]constSlot, 0, nSrcs)}
+	prog := &Program{Ops: make([]Op, len(k.Insts)), Uses: an.Uses, Defs: an.Defs}
+	for pc := range k.Insts {
+		e := &prog.Ops[pc]
+		l.inst(e, &k.Insts[pc])
+		if e.Class == ClassBra {
+			e.Target, e.Rpc = an.Targets[pc], an.Reconv[pc]
 		}
 	}
-	bcArena := make([][32]uint64, nConst)
-	ci := 0
-	prog := &Program{Ops: make([]Op, len(ms.Ops))}
-	for i := range ms.Ops {
-		u := &ms.Ops[i]
-		e := &prog.Ops[i]
-		e.Class = u.Class
-		e.Guard, e.GuardNeg = u.Guard, u.GuardNeg
-		e.Load = u.Op == ptx.OpLd
-		e.Bypass = u.Bypass
-		e.SFU = u.SFU
-		e.Size = u.Size
-		e.Space = u.Space
-		e.Meta = u.Meta
-		e.Dst = u.Dst
-		e.MemBase = u.MemBase
-		e.MemOff = u.MemOff
-		e.Target, e.Rpc = u.Target, u.Rpc
-		e.Err = u.Err
-		for j := range u.Src {
-			switch u.Src[j].Kind {
-			case passes.SrcReg:
-				e.Src[j] = Src{Kind: SrcReg, Reg: u.Src[j].Reg}
-			case passes.SrcSpecial:
-				e.Src[j] = Src{Kind: SrcSpec, Spec: u.Src[j].Spec}
-			case passes.SrcConst:
-				p := &bcArena[ci]
-				ci++
-				for l := range p {
-					p[l] = u.Src[j].Const
-				}
-				e.Src[j] = Src{Kind: SrcConst, Bcast: p}
-			default:
-				e.Src[j] = Src{Kind: SrcConst, Bcast: &zeroPlane}
-			}
+	arena := make([][32]uint64, len(l.consts))
+	for i, c := range l.consts {
+		p := &arena[i]
+		for j := range p {
+			p[j] = c.v
 		}
-		if u.Class == passes.MicroALU {
-			e.Fn = fnFor(u)
-		}
+		c.src.Bcast = p
 	}
 	return prog
+}
+
+// inst decodes one instruction into e.
+func (l *lowering) inst(e *Op, in *ptx.Inst) {
+	e.Guard, e.GuardNeg = in.Guard, in.GuardNeg
+	e.Load = in.Op == ptx.OpLd
+	e.Meta = in.Meta
+	e.Dst = ptx.NoReg
+	e.Rpc = -1
+	if in.Dst.Kind == ptx.OperandReg {
+		e.Dst = in.Dst.Reg
+	}
+	for j := range e.Src {
+		e.Src[j] = Src{Kind: SrcConst, Bcast: &zeroPlane}
+	}
+
+	switch in.Op {
+	case ptx.OpNop:
+		e.Class = ClassNop
+		return
+	case ptx.OpBra:
+		e.Class = ClassBra
+		return
+	case ptx.OpExit, ptx.OpRet:
+		e.Class = ClassExit
+		return
+	case ptx.OpBar:
+		e.Class = ClassBar
+		return
+	}
+
+	if in.Op.IsMemory() {
+		e.Class = ClassMem
+		mem := in.Dst
+		if e.Load {
+			mem = in.Srcs[0]
+			if in.Space == ptx.SpaceParam {
+				e.Class = ClassLdParam
+			}
+		} else {
+			// Store: Srcs[0] is the stored value.
+			l.src(&e.Src[0], in.Srcs[0], in.Type)
+		}
+		e.Space = in.Space
+		e.Size = uint8(in.Type.Bytes())
+		e.MemBase, e.MemOff = l.memAddress(mem, in.Space)
+		e.Bypass = in.Bypass
+		return
+	}
+
+	// Vectorizable compute: pre-resolve each source at the type the
+	// evaluator reads it (cvt reads its source at CvtFrom).
+	e.Class = ClassALU
+	e.SFU = in.Op.IsSFU()
+	t, srcs := in.Type, in.Srcs
+	switch in.Op {
+	case ptx.OpCvt:
+		t = in.CvtFrom
+	case ptx.OpSelp:
+		srcs = srcs[:2] // the predicate slot is set below
+	}
+	for i, o := range srcs {
+		l.src(&e.Src[i], o, t)
+	}
+	switch in.Op {
+	case ptx.OpSetp:
+		_, e.Err = sem.Compare(in.Cmp, in.Type, 0, 0)
+	case ptx.OpSelp:
+		// The lane evaluators read the predicate straight from the
+		// register file, so pin the slot to a register read regardless of
+		// the operand's nominal kind.
+		if in.Srcs[2].Reg < 0 {
+			e.Err = errors.New("sem: selp predicate is not a register")
+		} else {
+			e.Src[2] = Src{Kind: SrcReg, Reg: in.Srcs[2].Reg}
+		}
+	case ptx.OpCvt:
+		// sem.Convert is total over the type lattice: never faults.
+	default:
+		// sem's only evaluation errors are "unsupported" defaults that do
+		// not depend on operand values, so probing with zeros is exact.
+		_, e.Err = sem.ALU(in.Op, in.Type, 0, 0, 0)
+	}
+	if e.Err != nil {
+		e.Class = ClassBad
+		return
+	}
+	e.Fn = fnFor(in)
+}
+
+// src pre-resolves one source operand at its consumption type t.
+func (l *lowering) src(s *Src, o ptx.Operand, t ptx.Type) {
+	switch o.Kind {
+	case ptx.OperandReg:
+		*s = Src{Kind: SrcReg, Reg: o.Reg}
+	case ptx.OperandImm, ptx.OperandFImm:
+		l.consts = append(l.consts, constSlot{s, sem.ImmBits(o, t)})
+	case ptx.OperandSpecial:
+		*s = Src{Kind: SrcSpec, Spec: o.Spec}
+	case ptx.OperandSym:
+		// Address-of a shared/local array (space-relative), or a param.
+		space := ptx.SpaceParam
+		if a, ok := l.k.Array(o.Sym); ok {
+			space = a.Space
+		}
+		l.consts = append(l.consts, constSlot{s, l.symConst(o.Sym, space)})
+	}
+}
+
+// symConst resolves an array or parameter symbol to its kernel-static
+// space-relative address: arrays resolve inside their declared space,
+// anything else falls back to the param block.
+func (l *lowering) symConst(sym string, space ptx.Space) uint64 {
+	if space != ptx.SpaceParam {
+		if off, ok := l.k.ArrayOffset(sym); ok {
+			return uint64(off)
+		}
+	}
+	off, _ := l.k.ParamOffset(sym)
+	return uint64(off)
+}
+
+// memAddress pre-resolves a memory operand: a register base plus a
+// displacement with any symbol base folded in.
+func (l *lowering) memAddress(mem ptx.Operand, space ptx.Space) (ptx.Reg, uint64) {
+	if mem.Reg != ptx.NoReg {
+		return mem.Reg, uint64(mem.Off)
+	}
+	return ptx.NoReg, l.symConst(mem.Sym, space) + uint64(mem.Off)
 }
 
 // kernelKey is one kernel version: the kernel's identity plus its
@@ -147,8 +281,7 @@ type kernelKey struct {
 // its Program. A Program must therefore not point back at its kernel.
 var kernelMemo = pool.NewMemo[kernelKey, *Program]()
 
-// build validates k and lowers its shared analyses; tests count calls
-// through it.
+// build validates k and lowers it; tests count calls through it.
 var build = func(k *ptx.Kernel) (*Program, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -157,9 +290,7 @@ var build = func(k *ptx.Kernel) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := lower(an.Micro)
-	prog.Uses, prog.Defs = an.Uses, an.Defs
-	return prog, nil
+	return lower(k, an), nil
 }
 
 // ProgramFor returns k's Program, validating and lowering k on first use of

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
 )
@@ -284,28 +283,28 @@ func (m *Machine) Start(w *Warp, cta int) {
 func (m *Machine) Exec(w *Warp, u *Op, mask uint64) Status {
 	top := w.Top()
 	switch u.Class {
-	case passes.MicroALU:
+	case ClassALU:
 		if mask != 0 {
 			u.Fn(w.Plane(u.Dst), m.srcPlane(w, &u.Src[0], 0, mask),
 				m.srcPlane(w, &u.Src[1], 1, mask), m.srcPlane(w, &u.Src[2], 2, mask), mask)
 		}
-	case passes.MicroMem:
+	case ClassMem:
 		if mask != 0 && !m.memory(w, u, mask) {
 			return Faulted
 		}
-	case passes.MicroLdParam:
+	case ClassLdParam:
 		if mask != 0 && !m.ldParam(w, u, mask) {
 			return Faulted
 		}
-	case passes.MicroBra:
+	case ClassBra:
 		m.branch(w, u, top.Mask, mask)
 		return Running
-	case passes.MicroExit:
+	case ClassExit:
 		if w.Exit(top.Mask) {
 			return Exited
 		}
 		return Running
-	case passes.MicroBad:
+	case ClassBad:
 		if mask != 0 {
 			m.Fault = Fault{Kind: FaultExec, Lane: bits.TrailingZeros64(mask), Err: u.Err}
 			return Faulted
@@ -313,7 +312,7 @@ func (m *Machine) Exec(w *Warp, u *Op, mask uint64) Status {
 	}
 	top.PC++
 	w.popReconverged()
-	if u.Class == passes.MicroBar {
+	if u.Class == ClassBar {
 		return AtBarrier
 	}
 	return Running

@@ -4,12 +4,11 @@ import (
 	"math"
 	"math/bits"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
 )
 
-// A Fn applies one ALU-class micro-op to a whole warp at once: d, a, b, c
+// A Fn applies one ALU-class Op to a whole warp at once: d, a, b, c
 // are 32-lane register planes (unused sources point at zeroPlane) and mask
 // selects the executing lanes. The table below hand-specializes the common
 // integer operations at their two register widths and the common f32/f64
@@ -31,10 +30,10 @@ const fullWarp = 1<<32 - 1
 // formulas take for a missing operand.
 var zeroPlane [32]uint64
 
-// fnFor selects the evaluation kernel for an ALU-class micro-op. The
-// micro-op is statically supported (MicroBad ops never reach here), so sem
-// calls inside the returned functions cannot fail.
-func fnFor(u *passes.MicroOp) Fn {
+// fnFor selects the evaluation kernel for an ALU-class instruction. The
+// instruction is statically supported (ClassBad ops never reach here), so
+// sem calls inside the returned functions cannot fail.
+func fnFor(u *ptx.Inst) Fn {
 	t := u.Type
 	switch u.Op {
 	case ptx.OpSetp:

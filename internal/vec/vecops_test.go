@@ -3,12 +3,11 @@ package vec
 import (
 	"testing"
 
-	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/sem"
 )
 
-// Both engines evaluate every ALU micro-op through these kernels, so these
+// Both engines evaluate every ALU op through these kernels, so these
 // tests are what binds them to internal/sem: the kernels must agree with
 // sem bit for bit on edge operands.
 
@@ -100,7 +99,7 @@ func TestVecOpsMatchSem(t *testing.T) {
 			if _, err := sem.ALU(op, ty, 0, 0, 0); err != nil {
 				continue
 			}
-			checkPairs(t, op.String()+"."+ty.String(), fnFor(&passes.MicroOp{Op: op, Type: ty}), edgesOf(ty),
+			checkPairs(t, op.String()+"."+ty.String(), fnFor(&ptx.Inst{Op: op, Type: ty}), edgesOf(ty),
 				func(a, b, c uint64) uint64 {
 					v, _ := sem.ALU(op, ty, a, b, c)
 					return v
@@ -114,7 +113,7 @@ func TestVecOpsMatchSem(t *testing.T) {
 func TestVecSetpMatchSem(t *testing.T) {
 	for _, ty := range []ptx.Type{ptx.U32, ptx.S32, ptx.U64, ptx.S64, ptx.F32, ptx.F64} {
 		for cmp := ptx.CmpEq; cmp <= ptx.CmpGe; cmp++ {
-			checkPairs(t, "setp."+cmp.String()+"."+ty.String(), fnFor(&passes.MicroOp{Op: ptx.OpSetp, Cmp: cmp, Type: ty}), edgesOf(ty),
+			checkPairs(t, "setp."+cmp.String()+"."+ty.String(), fnFor(&ptx.Inst{Op: ptx.OpSetp, Cmp: cmp, Type: ty}), edgesOf(ty),
 				func(a, b, c uint64) uint64 {
 					if ok, _ := sem.Compare(cmp, ty, a, b); ok {
 						return 1
@@ -130,7 +129,7 @@ func TestVecSetpMatchSem(t *testing.T) {
 // out-of-range values included), plus f32↔f64.
 func TestVecCvtMatchSem(t *testing.T) {
 	check := func(to, from ptx.Type) {
-		checkPairs(t, "cvt."+to.String()+"."+from.String(), fnFor(&passes.MicroOp{Op: ptx.OpCvt, Type: to, CvtFrom: from}), edgesOf(from),
+		checkPairs(t, "cvt."+to.String()+"."+from.String(), fnFor(&ptx.Inst{Op: ptx.OpCvt, Type: to, CvtFrom: from}), edgesOf(from),
 			func(a, b, c uint64) uint64 {
 				v, _ := sem.Convert(to, from, a)
 				return v
@@ -156,7 +155,7 @@ func TestVecCvtMatchSem(t *testing.T) {
 // TestVecSelp covers selp, which has no sem formula: a where the predicate
 // plane c is non-zero, b elsewhere.
 func TestVecSelp(t *testing.T) {
-	checkPairs(t, "selp", fnFor(&passes.MicroOp{Op: ptx.OpSelp, Type: ptx.U32}), intEdges,
+	checkPairs(t, "selp", fnFor(&ptx.Inst{Op: ptx.OpSelp, Type: ptx.U32}), intEdges,
 		func(a, b, c uint64) uint64 {
 			if c != 0 {
 				return a
