@@ -59,12 +59,15 @@ bench:
 	set -e; for w in paper_suite svc_cold svc_warm gw_mixed; do $(GO) run ./bench -workload $$w; done
 
 # Cold-compile microbenchmarks, five samples each with allocation counts:
-# one cache-miss compile (svc_cold's and gw_mixed's tail work) and the
-# oracle's check of a set of rewrite chains. Feed the output to benchstat
-# to compare two commits.
+# one cache-miss compile (svc_cold's and gw_mixed's tail work), the
+# oracle's check of a set of rewrite chains, and the PTX text layer a
+# compile starts and ends with (printing one kernel as a module, parsing
+# one request body; both over the compile benchmark's kernels). Feed the
+# output to benchstat to compare two commits.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench 'CompileCold$$' -benchmem -count 5
 	$(GO) test ./internal/oracle -run '^$$' -bench 'CheckChain$$' -benchmem -count 5
+	$(GO) test ./internal/ptx -run '^$$' -bench '^(BenchmarkPrint|BenchmarkParseModule)$$' -benchmem -count 5
 
 # Checkpoint round-trip smoke: run two experiments clean, re-run them with
 # -checkpoint and interrupt the process mid-flight (SIGINT, as a user would,

@@ -70,20 +70,24 @@ func TestLoweringFaults(t *testing.T) {
 			b.Param("out", ptx.U64)
 			b.Emit(tc.inst(b))
 			b.Exit()
-			k := b.Kernel()
-			if _, err := vec.ProgramFor(k); err == nil || err.Error() != tc.want {
-				t.Errorf("ProgramFor: %v\nwant %s", err, tc.want)
-			}
-			_, err := gpusim.NewSimulator(gpusim.FermiConfig(), gpusim.NewMemory(), gpusim.Launch{
-				Kernel: k, Grid: 1, Block: 32, Params: []uint64{0},
+			wantRefused(t, b.Kernel(), tc.want)
+		})
+	}
+
+	// A selp whose predicate is an immediate (what the parser makes of
+	// "selp.u32 %r0, 7, 9, 1;", register index 0) is refused at launch
+	// whether or not any lane's guard would reach it.
+	for _, executes := range []bool{true, false} {
+		name := "selp-predicate-not-a-register/skipped"
+		if executes {
+			name = "selp-predicate-not-a-register/executed"
+		}
+		t.Run(name, func(t *testing.T) {
+			k := guardedKernel(executes, func(b *ptx.Builder) {
+				b.Emit(ptx.Inst{Op: ptx.OpSelp, Type: ptx.U32, Dst: ptx.R(b.Reg(ptx.U32)),
+					Srcs: []ptx.Operand{ptx.Imm(7), ptx.Imm(9), ptx.Imm(1)}, Guard: ptx.NoReg})
 			})
-			if want := "gpusim: " + tc.want; err == nil || err.Error() != want {
-				t.Errorf("simulator: %v\nwant %s", err, want)
-			}
-			_, err = emu.Run(emu.Launch{Kernel: k, Grid: 1, Block: 32, Params: []uint64{0}}, gpusim.NewMemory())
-			if want := "emu: " + tc.want; err == nil || err.Error() != want {
-				t.Errorf("emulator: %v\nwant %s", err, want)
-			}
+			wantRefused(t, k, "ptx: verify: unsup: inst 2 (@%p1 selp.u32 %r2, 7, 9, 1;): source 2 of selp must be a predicate register")
 		})
 	}
 
@@ -125,16 +129,6 @@ func TestLoweringFaults(t *testing.T) {
 			},
 			want: "sem: comparison cmp? unsupported",
 		},
-		{
-			// An immediate predicate that carries no register index.
-			name: "selp-predicate-not-a-register",
-			emit: func(b *ptx.Builder) {
-				pred := ptx.Operand{Kind: ptx.OperandImm, Imm: 1, Reg: ptx.NoReg}
-				b.Emit(ptx.Inst{Op: ptx.OpSelp, Type: ptx.U32, Dst: ptx.R(b.Reg(ptx.U32)),
-					Srcs: []ptx.Operand{ptx.Imm(1), ptx.Imm(2), pred}, Guard: ptx.NoReg})
-			},
-			want: "sem: selp predicate is not a register",
-		},
 	}
 	for _, tc := range unsupported {
 		for _, executes := range []bool{true, false} {
@@ -143,21 +137,7 @@ func TestLoweringFaults(t *testing.T) {
 				name = tc.name + "/executed"
 			}
 			t.Run(name, func(t *testing.T) {
-				// Every lane's guard is tid >= 0 (executed) or tid < 0
-				// (skipped); the op under test sits at pc 2.
-				b := ptx.NewBuilder("unsup")
-				b.Param("out", ptx.U64)
-				tid, p := b.Reg(ptx.U32), b.Reg(ptx.Pred)
-				b.MovSpec(tid, ptx.SpecTidX)
-				cmp := ptx.CmpLt
-				if executes {
-					cmp = ptx.CmpGe
-				}
-				b.Setp(cmp, ptx.U32, p, ptx.R(tid), ptx.Imm(0))
-				b.If(p, false)
-				tc.emit(b)
-				b.Exit()
-				k := b.Kernel()
+				k := guardedKernel(executes, tc.emit)
 				if _, err := vec.ProgramFor(k); err != nil {
 					t.Fatalf("ProgramFor: %v", err)
 				}
@@ -188,5 +168,42 @@ func TestLoweringFaults(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// guardedKernel builds a kernel whose every lane's guard is tid >= 0
+// (executes) or tid < 0 (skipped); what emit adds sits at pc 2.
+func guardedKernel(executes bool, emit func(b *ptx.Builder)) *ptx.Kernel {
+	b := ptx.NewBuilder("unsup")
+	b.Param("out", ptx.U64)
+	tid, p := b.Reg(ptx.U32), b.Reg(ptx.Pred)
+	b.MovSpec(tid, ptx.SpecTidX)
+	cmp := ptx.CmpLt
+	if executes {
+		cmp = ptx.CmpGe
+	}
+	b.Setp(cmp, ptx.U32, p, ptx.R(tid), ptx.Imm(0))
+	b.If(p, false)
+	emit(b)
+	b.Exit()
+	return b.Kernel()
+}
+
+// wantRefused checks that vec.ProgramFor, the simulator and the emulator
+// all refuse k with the verifier's message want.
+func wantRefused(t *testing.T, k *ptx.Kernel, want string) {
+	t.Helper()
+	if _, err := vec.ProgramFor(k); err == nil || err.Error() != want {
+		t.Errorf("ProgramFor: %v\nwant %s", err, want)
+	}
+	_, err := gpusim.NewSimulator(gpusim.FermiConfig(), gpusim.NewMemory(), gpusim.Launch{
+		Kernel: k, Grid: 1, Block: 32, Params: []uint64{0},
+	})
+	if w := "gpusim: " + want; err == nil || err.Error() != w {
+		t.Errorf("simulator: %v\nwant %s", err, w)
+	}
+	_, err = emu.Run(emu.Launch{Kernel: k, Grid: 1, Block: 32, Params: []uint64{0}}, gpusim.NewMemory())
+	if w := "emu: " + want; err == nil || err.Error() != w {
+		t.Errorf("emulator: %v\nwant %s", err, w)
 	}
 }

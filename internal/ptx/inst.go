@@ -64,13 +64,16 @@ var opcodeNames = map[Opcode]string{
 
 // String returns the PTX mnemonic of the opcode.
 func (o Opcode) String() string {
-	if n, ok := opcodeNames[o]; ok {
+	if n := opcodeSpelling[o]; n != "" {
 		return n
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-var opcodeByName = byName(opcodeNames)
+var (
+	opcodeByName   = byName(opcodeNames)
+	opcodeSpelling = spellings(opcodeNames)
+)
 
 // OpcodeFromName parses a PTX mnemonic (the leading token before type
 // suffixes, e.g. "add" or "bar.sync").
@@ -113,13 +116,16 @@ var cmpNames = map[CmpOp]string{
 
 // String returns the PTX spelling of the comparison.
 func (c CmpOp) String() string {
-	if n, ok := cmpNames[c]; ok {
+	if n := cmpSpelling[c]; n != "" {
 		return n
 	}
 	return "cmp?"
 }
 
-var cmpByName = byName(cmpNames)
+var (
+	cmpByName   = byName(cmpNames)
+	cmpSpelling = spellings(cmpNames)
+)
 
 // CmpFromName parses a setp comparison suffix such as "lt".
 func CmpFromName(name string) (CmpOp, bool) {

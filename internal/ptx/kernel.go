@@ -170,7 +170,10 @@ func (k *Kernel) LabelIndex(label string) (int, bool) {
 	return 0, false
 }
 
-// Clone returns a deep copy of the kernel.
+// Clone returns a deep copy of the kernel. The copies of all instructions'
+// Srcs share one backing array, each cut with its capacity capped (as
+// Inst.Clone's copy is), so an append to one instruction's Srcs reallocates
+// instead of overwriting its neighbour's.
 func (k *Kernel) Clone() *Kernel {
 	out := &Kernel{
 		Name:     k.Name,
@@ -179,8 +182,21 @@ func (k *Kernel) Clone() *Kernel {
 		RegTypes: append([]Type(nil), k.RegTypes...),
 		Insts:    make([]Inst, len(k.Insts)),
 	}
+	n := 0
 	for i := range k.Insts {
-		out.Insts[i] = k.Insts[i].Clone()
+		n += len(k.Insts[i].Srcs)
+	}
+	srcs := make([]Operand, 0, n)
+	for i := range k.Insts {
+		in := k.Insts[i]
+		if len(in.Srcs) == 0 {
+			in.Srcs = nil
+		} else {
+			start := len(srcs)
+			srcs = append(srcs, in.Srcs...)
+			in.Srcs = srcs[start:len(srcs):len(srcs)]
+		}
+		out.Insts[i] = in
 	}
 	return out
 }

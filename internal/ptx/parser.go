@@ -28,6 +28,9 @@ func (e *ParseError) Error() string {
 type parser struct {
 	lines []string
 	pos   int // current line index
+	// srcs backs the Srcs of every instruction of the kernel being parsed;
+	// each instruction's Srcs is cut from it with its capacity capped.
+	srcs []Operand
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -131,15 +134,31 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	if strings.HasPrefix(rest, "(") {
 		paramText = rest[1:]
 	}
-	for !strings.Contains(paramText, ")") {
-		p.pos++
-		if p.pos >= len(p.lines) {
-			return nil, p.errf("unterminated parameter list")
+	if !strings.Contains(paramText, ")") {
+		// The list spans lines: join them, one space apart.
+		var b strings.Builder
+		b.WriteString(paramText)
+		for {
+			p.pos++
+			if p.pos >= len(p.lines) {
+				return nil, p.errf("unterminated parameter list")
+			}
+			line := strings.TrimSpace(p.lines[p.pos])
+			b.WriteByte(' ')
+			b.WriteString(line)
+			if strings.Contains(line, ")") {
+				break
+			}
 		}
-		paramText += " " + strings.TrimSpace(p.lines[p.pos])
+		paramText = b.String()
 	}
 	paramText = paramText[:strings.Index(paramText, ")")]
-	for _, decl := range strings.Split(paramText, ",") {
+	if n := strings.Count(paramText, ".param"); n > 0 {
+		k.Params = make([]Param, 0, n)
+	}
+	for more := true; more; {
+		var decl string
+		decl, paramText, more = strings.Cut(paramText, ",")
 		decl = strings.TrimSpace(decl)
 		if decl == "" {
 			continue
@@ -164,7 +183,10 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	}
 	p.pos++ // skip '{' line
 
-	regs := make(map[string]Reg) // register name -> id
+	insts, srcs, nregs := bodyCounts(p.lines[p.pos:])
+	k.Insts = make([]Inst, 0, insts)
+	p.srcs = make([]Operand, 0, srcs)
+	regs := make(map[string]Reg, nregs) // register name -> id
 	var pendingLabel string
 	for p.pos < len(p.lines) {
 		line := strings.TrimSpace(p.lines[p.pos])
@@ -209,19 +231,46 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	return nil, p.errf("unterminated kernel body")
 }
 
+// bodyCounts scans a kernel body up to its closing "}" and bounds what the
+// parse will need: the instruction lines, the commas on them (each
+// instruction has one source operand per top-level comma, at most) and the
+// registers the ".reg" lines list.
+func bodyCounts(lines []string) (insts, srcs, regs int) {
+	for _, line := range lines {
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "}":
+			return
+		case line == "" || strings.HasPrefix(line, "//"):
+		case strings.HasPrefix(line, ".reg"):
+			regs += strings.Count(line, ",") + 1
+		case strings.HasPrefix(line, ".") || line[len(line)-1] == ':':
+			// An array declaration or a label on a line of its own.
+		default:
+			insts++
+			srcs += strings.Count(line, ",")
+		}
+	}
+	return
+}
+
 // parseRegDecl handles ".reg .u32 %r0, %r3;" and the "<N>" counted form
 // ".reg .u32 %r<5>;".
 func (p *parser) parseRegDecl(k *Kernel, regs map[string]Reg, line string) error {
 	line = strings.TrimSuffix(strings.TrimSpace(line), ";")
-	fields := strings.SplitN(line, " ", 3)
-	if len(fields) < 3 {
+	// ".reg" ".u32" "%r0, %r3"
+	_, rest, ok1 := strings.Cut(line, " ")
+	tname, names, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 {
 		return p.errf("bad register declaration %q", line)
 	}
-	t, ok := TypeFromName(strings.TrimPrefix(fields[1], "."))
+	t, ok := TypeFromName(strings.TrimPrefix(tname, "."))
 	if !ok {
-		return p.errf("bad register type %q", fields[1])
+		return p.errf("bad register type %q", tname)
 	}
-	for _, name := range strings.Split(fields[2], ",") {
+	for more := true; more; {
+		var name string
+		name, names, more = strings.Cut(names, ",")
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -244,7 +293,7 @@ func (p *parser) parseRegDecl(k *Kernel, regs map[string]Reg, line string) error
 			}
 			prefix := name[:i]
 			for c := 0; c < n; c++ {
-				nm := fmt.Sprintf("%s%d", prefix, c)
+				nm := prefix + strconv.Itoa(c)
 				if _, dup := regs[nm]; dup {
 					return p.errf("duplicate register %q", nm)
 				}
@@ -312,14 +361,15 @@ var ignoredModifiers = map[string]bool{
 	"wide": true, "sync": true, "uni": true,
 }
 
-// parseInst parses one instruction statement (without label).
+// parseInst parses one instruction statement (without label). Its source
+// operands are appended to p.srcs.
 func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, error) {
 	line = strings.TrimSuffix(strings.TrimSpace(line), ";")
 	in := Inst{Guard: NoReg}
 
 	// Guard predicate "@%p0 " or "@!%p0 ".
 	if strings.HasPrefix(line, "@") {
-		sp := strings.IndexAny(line, " \t")
+		sp := indexSpace(line)
 		if sp < 0 {
 			return in, p.errf("guard without instruction in %q", line)
 		}
@@ -337,7 +387,7 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 	}
 
 	// Split mnemonic from operands.
-	sp := strings.IndexAny(line, " \t")
+	sp := indexSpace(line)
 	mnemonic := line
 	operands := ""
 	if sp >= 0 {
@@ -345,8 +395,7 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 		operands = strings.TrimSpace(line[sp:])
 	}
 
-	parts := strings.Split(mnemonic, ".")
-	opName := parts[0]
+	opName, suffixes, more := strings.Cut(mnemonic, ".")
 	if opName == "bar" {
 		in.Op = OpBar
 		return in, nil
@@ -357,9 +406,20 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 	}
 	in.Op = op
 
-	// Interpret suffixes: comparison (setp), state space (ld/st), types.
-	var types []Type
-	for _, suf := range parts[1:] {
+	// Interpret suffixes: types, modifiers, comparison (setp), state space
+	// (ld/st). No spelling is in two of these sets.
+	var types [2]Type
+	ntypes := 0
+	for more {
+		var suf string
+		suf, suffixes, more = strings.Cut(suffixes, ".")
+		if t, ok := TypeFromName(suf); ok {
+			if ntypes < len(types) {
+				types[ntypes] = t
+			}
+			ntypes++
+			continue
+		}
 		if suf == "lo" || ignoredModifiers[suf] {
 			continue
 		}
@@ -382,21 +442,17 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 				continue
 			}
 		}
-		if t, ok := TypeFromName(suf); ok {
-			types = append(types, t)
-			continue
-		}
 		return in, p.errf("unknown suffix %q in %q", suf, mnemonic)
 	}
 	switch {
 	case op == OpCvt:
 		// cvt needs both a destination and a source type: the printer
 		// cannot re-emit a conversion whose source type is unknown.
-		if len(types) != 2 {
+		if ntypes != 2 {
 			return in, p.errf("cvt needs two types in %q", mnemonic)
 		}
 		in.Type, in.CvtFrom = types[0], types[1]
-	case len(types) >= 1:
+	case ntypes >= 1:
 		in.Type = types[0]
 	}
 	if op == OpSetp && in.Cmp == CmpNone {
@@ -414,32 +470,39 @@ func (p *parser) parseInst(k *Kernel, regs map[string]Reg, line string) (Inst, e
 		return in, nil
 	}
 
-	var ops []Operand
-	for _, tok := range splitOperands(operands) {
+	// The first operand is Dst (the destination, or st's address), the
+	// rest are Srcs.
+	start := len(p.srcs)
+	n := 0
+	for more := true; more; n++ {
+		var tok string
+		tok, operands, more = cutOperand(operands)
+		if !more && tok == "" {
+			break // nothing, or nothing after a trailing comma
+		}
 		o, err := p.parseOperand(k, regs, tok)
 		if err != nil {
 			return in, err
 		}
-		ops = append(ops, o)
+		if n == 0 {
+			in.Dst = o
+		} else {
+			p.srcs = append(p.srcs, o)
+		}
 	}
-	if len(ops) == 0 {
+	if n == 0 {
 		return in, p.errf("instruction %q has no operands", line)
 	}
-	if op == OpSt {
-		in.Dst = ops[0]
-		in.Srcs = ops[1:]
-	} else {
-		in.Dst = ops[0]
-		in.Srcs = ops[1:]
-	}
+	end := len(p.srcs)
+	in.Srcs = p.srcs[start:end:end]
 	return in, nil
 }
 
-// splitOperands splits "a, [b+4], c" at top-level commas.
-func splitOperands(s string) []string {
-	var out []string
+// cutOperand cuts s around its first top-level comma (one outside
+// brackets, so "[b+4]" stays whole) and returns the trimmed operand before
+// it, the text after it, and whether there was one.
+func cutOperand(s string) (tok, rest string, found bool) {
 	depth := 0
-	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '[':
@@ -448,15 +511,42 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
+				return strings.TrimSpace(s[:i]), s[i+1:], true
 			}
 		}
 	}
-	if t := strings.TrimSpace(s[start:]); t != "" {
-		out = append(out, t)
+	return strings.TrimSpace(s), "", false
+}
+
+// indexSpace returns the index of the first space or tab in s, or -1.
+func indexSpace(s string) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' || s[i] == '\t' {
+			return i
+		}
 	}
-	return out
+	return -1
+}
+
+// specialLead marks the bytes that follow the '%' of a special-register
+// name, so a register operand skips the special-name lookup.
+var specialLead = func() (lead [256]bool) {
+	for _, n := range specialNames {
+		lead[n[1]] = true
+	}
+	return lead
+}()
+
+// declaredName returns the kernel's own copy of a parameter or array name
+// equal to s, so symbol operands share their declaration's string.
+func declaredName(k *Kernel, s string) (string, bool) {
+	if p, ok := k.Param(s); ok {
+		return p.Name, true
+	}
+	if d, ok := k.Array(s); ok {
+		return d.Name, true
+	}
+	return "", false
 }
 
 func (p *parser) parseOperand(k *Kernel, regs map[string]Reg, tok string) (Operand, error) {
@@ -481,10 +571,15 @@ func (p *parser) parseOperand(k *Kernel, regs map[string]Reg, tok string) (Opera
 			}
 			return MemReg(r, off), nil
 		}
+		if name, ok := declaredName(k, base); ok {
+			return MemSym(name, off), nil
+		}
 		return MemSym(strings.Clone(base), off), nil
 	case strings.HasPrefix(tok, "%"):
-		if s, ok := SpecialFromName(tok); ok {
-			return Spec(s), nil
+		if len(tok) > 1 && specialLead[tok[1]] {
+			if s, ok := SpecialFromName(tok); ok {
+				return Spec(s), nil
+			}
 		}
 		r, ok := regs[tok]
 		if !ok {
@@ -511,11 +606,8 @@ func (p *parser) parseOperand(k *Kernel, regs map[string]Reg, tok string) (Opera
 			return FImm(v), nil
 		}
 		// Bare identifier: address-of symbol (mov %rd, SpillStack).
-		if _, ok := k.Array(tok); ok {
-			return Sym(strings.Clone(tok)), nil
-		}
-		if _, ok := k.Param(tok); ok {
-			return Sym(strings.Clone(tok)), nil
+		if name, ok := declaredName(k, tok); ok {
+			return Sym(name), nil
 		}
 		return Operand{}, p.errf("unknown operand %q", tok)
 	}

@@ -137,13 +137,30 @@ func TestParseMultiKernelModule(t *testing.T) {
 }
 
 func TestSplitOperandsNestedBrackets(t *testing.T) {
-	got := splitOperands("%r0, [%rd1+8], 42")
-	if len(got) != 3 || got[1] != "[%rd1+8]" {
-		t.Errorf("splitOperands = %q", got)
+	// split cuts operands the way parseInst does: at top-level commas,
+	// dropping an empty last piece.
+	split := func(s string) []string {
+		var out []string
+		for more := true; more; {
+			var tok string
+			tok, s, more = cutOperand(s)
+			if more || tok != "" {
+				out = append(out, tok)
+			}
+		}
+		return out
 	}
-	got = splitOperands("")
+	got := split("%r0, [%rd1+8], 42")
+	if len(got) != 3 || got[1] != "[%rd1+8]" {
+		t.Errorf("operands = %q", got)
+	}
+	got = split("[%rd1+8, 4], %r0,")
+	if len(got) != 2 || got[0] != "[%rd1+8, 4]" || got[1] != "%r0" {
+		t.Errorf("operands = %q", got)
+	}
+	got = split("")
 	if len(got) != 0 {
-		t.Errorf("splitOperands(\"\") = %q", got)
+		t.Errorf("operands of \"\" = %q", got)
 	}
 }
 

@@ -44,7 +44,10 @@ var typeNames = map[Type]string{
 	Pred: "pred",
 }
 
-var typeByName = byName(typeNames)
+var (
+	typeByName   = byName(typeNames)
+	typeSpelling = spellings(typeNames)
+)
 
 // byName inverts one of the spelling tables (typeNames, opcodeNames,
 // cmpNames, specialNames), which stay the single source of truth, for the
@@ -57,6 +60,17 @@ func byName[K comparable](names map[K]string) map[string]K {
 	return out
 }
 
+// spellings flattens one of the spelling tables into an array indexed by
+// the enum, for the printer's per-token lookups. A value the table does
+// not name reads "".
+func spellings[K ~uint8](names map[K]string) *[256]string {
+	var out [256]string
+	for k, n := range names {
+		out[k] = n
+	}
+	return &out
+}
+
 // TypeFromName parses a PTX type suffix such as "u32" (without the leading
 // dot). It returns TypeNone and false if the name is unknown.
 func TypeFromName(name string) (Type, bool) {
@@ -66,7 +80,7 @@ func TypeFromName(name string) (Type, bool) {
 
 // String returns the PTX spelling of the type without the leading dot.
 func (t Type) String() string {
-	if n, ok := typeNames[t]; ok {
+	if n := typeSpelling[t]; n != "" {
 		return n
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
@@ -238,13 +252,16 @@ var specialNames = map[Special]string{
 
 // String returns the PTX spelling of the special register (with leading %).
 func (s Special) String() string {
-	if n, ok := specialNames[s]; ok {
+	if n := specialSpelling[s]; n != "" {
 		return n
 	}
 	return fmt.Sprintf("%%special(%d)", uint8(s))
 }
 
-var specialByName = byName(specialNames)
+var (
+	specialByName   = byName(specialNames)
+	specialSpelling = spellings(specialNames)
+)
 
 // SpecialFromName parses a special-register name such as "%tid.x".
 func SpecialFromName(name string) (Special, bool) {

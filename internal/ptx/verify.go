@@ -355,6 +355,11 @@ func (v *verifier) inst(i int) error {
 	}
 	for idx, src := range in.Srcs {
 		role := srcRoles[idx]
+		if in.Op == OpSelp && idx == 2 && src.Kind != OperandReg {
+			// The predicate is read from the register file; an immediate
+			// has no register to read.
+			return v.errAt(i, "%s of selp must be a predicate register", role)
+		}
 		cls := srcClass(in, idx)
 		if src.Kind == OperandSym && in.Op == OpMov {
 			// mov reg, symbol materializes an array/param address; the

@@ -172,6 +172,18 @@ func TestVerifyCatchesCorruptions(t *testing.T) {
 			"negative size",
 		},
 		{
+			"selp with an immediate predicate",
+			func(k *Kernel) {
+				regs := map[string]Reg{"%r1": k.NewReg(U32)}
+				in, err := (&parser{}).parseInst(k, regs, "selp.u32 %r1, 7, 9, 1;")
+				if err != nil {
+					panic(err)
+				}
+				k.Insts = append([]Inst{in}, k.Insts...)
+			},
+			"inst 0 (selp.u32 %r3, 7, 9, 1;): source 2 of selp must be a predicate register",
+		},
+		{
 			"wrong space for array access",
 			func(k *Kernel) {
 				for i := range k.Insts {

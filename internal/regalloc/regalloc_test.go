@@ -1,8 +1,10 @@
 package regalloc
 
 import (
+	"errors"
 	"testing"
 
+	"crat/internal/emu/ptxgen"
 	"crat/internal/ptx"
 )
 
@@ -158,6 +160,39 @@ func TestSpillCodeStructure(t *testing.T) {
 		if !offsets[mem.Off] {
 			t.Errorf("inst %d: spill access at unknown offset %d", i, mem.Off)
 		}
+	}
+}
+
+// TestSpilledVirtualIsTight: spill insertion sizes the rewritten body
+// exactly, so a Result's Virtual kernel keeps no append slack for as long
+// as the Result is kept.
+func TestSpilledVirtualIsTight(t *testing.T) {
+	spilled := 0
+	for seed := int64(1); seed <= 16; seed++ {
+		k := ptxgen.Generate(ptxgen.Config{Seed: seed, Block: 128})
+		max, err := MaxReg(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, regs := range []int{max / 2, max - 2} {
+			res, err := Allocate(k, Options{Regs: regs})
+			if errors.Is(err, ErrInfeasible) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("seed %d reg %d: %v", seed, regs, err)
+			}
+			if len(res.Spills) == 0 {
+				continue
+			}
+			spilled++
+			if n, c := len(res.Virtual.Insts), cap(res.Virtual.Insts); c != n {
+				t.Errorf("seed %d reg %d: Virtual.Insts len %d cap %d", seed, regs, n, c)
+			}
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no allocation spilled")
 	}
 }
 

@@ -2,6 +2,7 @@ package regalloc
 
 import (
 	"fmt"
+	"slices"
 
 	"crat/internal/ptx"
 )
@@ -55,28 +56,61 @@ func (st *allocState) insertSpills(spillRegs []ptx.Reg) error {
 		needBaseDef = true
 	}
 
-	var out []ptx.Inst
+	// Size the rewritten body exactly: one reload per distinct spilled
+	// register an instruction reads, one store per spilled register it
+	// writes, and the base definition. A Result keeps this kernel as
+	// Virtual, so append slack would live as long as the Result. Each
+	// inserted instruction has one source operand.
+	var ubuf, dbuf []ptx.Reg
+	n, nSrcs := len(k.Insts), 0
+	if needBaseDef {
+		n++
+	}
+	for i := range k.Insts {
+		nSrcs += len(k.Insts[i].Srcs)
+		ubuf = k.Insts[i].Uses(ubuf[:0])
+		for j, r := range ubuf {
+			if _, ok := spillSet[r]; ok && !slices.Contains(ubuf[:j], r) {
+				n++
+			}
+		}
+		dbuf = k.Insts[i].Defs(dbuf[:0])
+		for _, d := range dbuf {
+			if _, ok := spillSet[d]; ok {
+				n++
+			}
+		}
+	}
+	out := make([]ptx.Inst, 0, n)
+	// Every instruction's Srcs is copied into, or cut from, one backing
+	// array, capacity capped so an append reallocates.
+	srcs := make([]ptx.Operand, 0, nSrcs+n-len(k.Insts))
+	own := func(ops ...ptx.Operand) []ptx.Operand {
+		if len(ops) == 0 {
+			return nil
+		}
+		start := len(srcs)
+		srcs = append(srcs, ops...)
+		return srcs[start:len(srcs):len(srcs)]
+	}
 	if needBaseDef {
 		st.res.AddrInsts++
-	}
-	appendBaseDef := func() {
 		out = append(out, ptx.Inst{
 			Op: ptx.OpMov, Type: ptx.U64,
-			Dst: ptx.R(st.baseReg), Srcs: []ptx.Operand{ptx.Sym(SpillStackName)},
+			Dst: ptx.R(st.baseReg), Srcs: own(ptx.Sym(SpillStackName)),
 			Guard: ptx.NoReg, Meta: ptx.MetaSpillAddr,
 		})
 	}
-	if needBaseDef {
-		appendBaseDef()
-	}
 
-	var ubuf, dbuf []ptx.Reg
+	reloads := make(map[ptx.Reg]ptx.Reg)
+	var stores []ptx.Inst
 	for i := range k.Insts {
-		in := k.Insts[i].Clone()
+		in := k.Insts[i]
+		in.Srcs = own(in.Srcs...)
 
 		// Reload spilled uses into fresh temporaries.
 		ubuf = in.Uses(ubuf[:0])
-		reloads := make(map[ptx.Reg]ptx.Reg)
+		clear(reloads)
 		for _, r := range ubuf {
 			slot, ok := spillSet[r]
 			if !ok {
@@ -91,7 +125,7 @@ func (st *allocState) insertSpills(spillRegs []ptx.Reg) error {
 			ld := ptx.Inst{
 				Op: ptx.OpLd, Space: ptx.SpaceLocal, Type: slot.Type,
 				Dst:   ptx.R(tmp),
-				Srcs:  []ptx.Operand{ptx.MemReg(st.baseReg, slot.Offset)},
+				Srcs:  own(ptx.MemReg(st.baseReg, slot.Offset)),
 				Guard: ptx.NoReg, Meta: ptx.MetaSpillLoad,
 			}
 			// A label on the original instruction must move to the first
@@ -109,7 +143,7 @@ func (st *allocState) insertSpills(spillRegs []ptx.Reg) error {
 		renameUses(&in, reloads)
 
 		// A spilled definition writes a fresh temporary, stored back after.
-		var stores []ptx.Inst
+		stores = stores[:0]
 		dbuf = in.Defs(dbuf[:0])
 		for _, d := range dbuf {
 			slot, ok := spillSet[d]
@@ -125,7 +159,7 @@ func (st *allocState) insertSpills(spillRegs []ptx.Reg) error {
 			stInst := ptx.Inst{
 				Op: ptx.OpSt, Space: ptx.SpaceLocal, Type: slot.Type,
 				Dst:   ptx.MemReg(st.baseReg, slot.Offset),
-				Srcs:  []ptx.Operand{ptx.R(tmp)},
+				Srcs:  own(ptx.R(tmp)),
 				Guard: in.Guard, GuardNeg: in.GuardNeg, Meta: ptx.MetaSpillStore,
 			}
 			stores = append(stores, stInst)
@@ -178,10 +212,10 @@ func renameOperandUse(o *ptx.Operand, m map[ptx.Reg]ptx.Reg) {
 // per used slot pair, and densely renumbered predicates. It returns the new
 // kernel, the number of 32-bit slots used, and the number of predicates.
 func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int) (*ptx.Kernel, int, int) {
-	out := ptx.NewKernel(k.Name)
-	out.Params = append([]ptx.Param(nil), k.Params...)
-	out.Arrays = append([]ptx.ArrayDecl(nil), k.Arrays...)
-	out.Insts = make([]ptx.Inst, 0, len(k.Insts))
+	// A copy of k whose register file starts empty: registers are created
+	// as the rewrite first meets them.
+	out := k.Clone()
+	out.RegTypes = nil
 
 	type physKey struct {
 		class ptx.RegClass
@@ -250,8 +284,8 @@ func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int) (*ptx.Kernel, in
 		return o
 	}
 
-	for i := range k.Insts {
-		in := k.Insts[i].Clone()
+	for i := range out.Insts {
+		in := &out.Insts[i]
 		if in.Guard != ptx.NoReg {
 			in.Guard = mapReg(in.Guard)
 		}
@@ -259,7 +293,6 @@ func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int) (*ptx.Kernel, in
 		for j := range in.Srcs {
 			in.Srcs[j] = mapOperand(in.Srcs[j])
 		}
-		out.Append(in)
 	}
 	return out, usedSlots, nextPred
 }

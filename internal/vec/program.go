@@ -206,7 +206,7 @@ func (l *lowering) inst(e *Op, in *ptx.Inst) {
 		// The lane evaluators read the predicate straight from the
 		// register file, so pin the slot to a register read regardless of
 		// the operand's nominal kind.
-		if in.Srcs[2].Reg < 0 {
+		if in.Srcs[2].Kind != ptx.OperandReg {
 			e.Err = errors.New("sem: selp predicate is not a register")
 		} else {
 			e.Src[2] = Src{Kind: SrcReg, Reg: in.Srcs[2].Reg}
