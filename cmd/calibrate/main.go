@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -33,9 +32,10 @@ func main() {
 		return
 	}
 
-	arch := gpusim.FermiConfig()
-	if *archFlag == "kepler" {
-		arch = gpusim.KeplerConfig()
+	arch, err := gpusim.ConfigByName(*archFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
+		os.Exit(2)
 	}
 
 	var profiles []workloads.Profile
@@ -61,13 +61,8 @@ func main() {
 		a, runs, err := s.Analysis(p)
 		check(err)
 		stairs := a.Staircase(arch)
-		var tlps []int
-		for t := range stairs {
-			tlps = append(tlps, t)
-		}
-		sort.Ints(tlps)
 		var sb strings.Builder
-		for _, t := range tlps {
+		for t := 1; t <= len(stairs); t++ {
 			fmt.Fprintf(&sb, " %d:%d", t, stairs[t])
 		}
 		fmt.Printf("%-5s maxreg=%-3d feasfloor=%-3d def=%-3d maxTLP=%d optTLP=%d stairs={%s }\n",

@@ -79,7 +79,7 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		CacheDir:        *cacheDir,
 		VerifyDefault:   *verify,
-		DefaultBackends: splitBackends(*backends),
+		DefaultBackends: backend.SplitNames(*backends),
 		DrainGrace:      *drainGrace,
 		FS:              faultFS,
 		Log:             logger,
@@ -124,16 +124,4 @@ func main() {
 			logger.Fatalf("serve: %v", err)
 		}
 	}
-}
-
-// splitBackends parses the comma-separated -backends value, dropping
-// empty elements so "a,,b" and trailing commas are forgiven.
-func splitBackends(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
 }

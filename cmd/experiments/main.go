@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"crat/internal/backend"
 	"crat/internal/buildinfo"
 	"crat/internal/harness"
 	"crat/internal/pool"
@@ -97,11 +98,7 @@ func main() {
 		Strict:        *strict,
 		CheckpointDir: *ckptDir,
 		Resume:        *resume,
-	}
-	for _, name := range strings.Split(*backends, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			opts.Backends = append(opts.Backends, name)
-		}
+		Backends:      backend.SplitNames(*backends),
 	}
 	rep, err := harness.RunExperimentsCtx(ctx, ids, opts, os.Stdout)
 	if *passTimes {

@@ -46,16 +46,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	arch, err := gpusim.ConfigByName(*archFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gpusim:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(*in)
 	check(err)
 	kernel, err := ptx.Parse(string(src))
 	check(err)
 	check(ptx.Verify(kernel, "parse"))
 
-	arch := gpusim.FermiConfig()
-	if *archFlag == "kepler" {
-		arch = gpusim.KeplerConfig()
-	}
 	switch *sched {
 	case "lrr":
 		arch.Scheduler = gpusim.SchedLRR

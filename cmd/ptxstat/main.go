@@ -19,7 +19,6 @@ import (
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/ptx"
-	"crat/internal/regalloc"
 )
 
 func main() {
@@ -40,16 +39,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	arch, err := gpusim.ConfigByName(*archFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ptxstat:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(*in)
 	check(err)
 	kernel, err := ptx.Parse(string(src))
 	check(err)
 	check(kernel.Validate())
-
-	arch := gpusim.FermiConfig()
-	if *archFlag == "kepler" {
-		arch = gpusim.KeplerConfig()
-	}
 
 	// Instruction mix.
 	stats := kernel.StaticStats()
@@ -101,15 +100,13 @@ func main() {
 		}
 	}
 
-	// Register requirements and the occupancy staircase.
-	maxReg, err := regalloc.MaxReg(kernel)
+	// Register requirements, segments and the occupancy staircase.
+	a, err := core.Analyze(core.App{Name: kernel.Name, Kernel: kernel, Block: *block, Grid: 1}, arch)
 	check(err)
-	fmt.Printf("  MaxReg           %d   MinReg %d (on %s)\n", maxReg, arch.MinReg(), arch.Name)
+	fmt.Printf("  MaxReg           %d   MinReg %d (on %s)\n", a.MaxReg, a.MinReg, arch.Name)
 
-	segs, err := core.Segments(kernel)
-	check(err)
 	comp, mem := 0, 0
-	for _, s := range segs {
+	for _, s := range a.Segments {
 		if s.Kind == core.SegMemory {
 			mem++
 		} else {
@@ -118,17 +115,9 @@ func main() {
 	}
 	fmt.Printf("  segments         %d compute / %d memory\n", comp, mem)
 
-	app := core.App{Name: kernel.Name, Kernel: kernel, Block: *block, Grid: 1}
-	a, err := core.Analyze(app, arch)
-	check(err)
 	stairs := a.Staircase(arch)
-	tlps := make([]int, 0, len(stairs))
-	for t := range stairs {
-		tlps = append(tlps, t)
-	}
-	sort.Ints(tlps)
 	fmt.Printf("  staircase @%d threads/block (TLP -> rightmost reg):", *block)
-	for _, t := range tlps {
+	for t := 1; t <= len(stairs); t++ {
 		fmt.Printf(" %d->%d", t, stairs[t])
 	}
 	fmt.Println()

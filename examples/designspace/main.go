@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 
 	"crat/internal/core"
 	"crat/internal/gpusim"
@@ -33,13 +32,8 @@ func main() {
 
 	// The (reg, TLP) staircase (paper Figure 11).
 	stairs := a.Staircase(arch)
-	tlps := make([]int, 0, len(stairs))
-	for t := range stairs {
-		tlps = append(tlps, t)
-	}
-	sort.Ints(tlps)
 	fmt.Print("staircase (TLP -> rightmost reg):")
-	for _, t := range tlps {
+	for t := 1; t <= len(stairs); t++ {
 		fmt.Printf(" %d->%d", t, stairs[t])
 	}
 	fmt.Println()
@@ -70,7 +64,11 @@ func main() {
 	// Compare the four configurations (paper Figure 13).
 	var base int64
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		dd, err := core.CompileModeCtx(context.Background(), app, m, core.Options{Arch: arch, Analysis: a, OptTLP: opt})
+		opts, err := m.Options(app, core.Options{Arch: arch, Analysis: a, OptTLP: opt})
+		if err != nil {
+			log.Fatal(err)
+		}
+		dd, err := core.OptimizeCtx(context.Background(), app, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -76,7 +76,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	// lose to MaxTLP, beyond a small tolerance.
 	cycles := map[core.Mode]int64{}
 	for _, m := range []core.Mode{core.ModeMaxTLP, core.ModeOptTLP, core.ModeCRATLocal, core.ModeCRAT} {
-		d, err := core.CompileModeCtx(t.Context(), app, m, opts)
+		mopts, err := m.Options(app, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		d, err := core.OptimizeCtx(t.Context(), app, mopts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"crat/internal/gpusim"
 	"crat/internal/passes"
@@ -161,6 +162,18 @@ func Resolve(names []string) ([]Backend, error) {
 		out = append(out, b)
 	}
 	return out, nil
+}
+
+// SplitNames parses a comma-separated backend list (a -backend flag),
+// dropping empty elements so "a,,b" and trailing commas are forgiven.
+func SplitNames(s string) []string {
+	var out []string
+	for _, name := range strings.Split(s, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // IsPipelineFault separates hard pipeline failures (a pass produced

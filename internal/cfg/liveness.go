@@ -130,6 +130,7 @@ func ComputeLiveness(g *Graph) *Liveness {
 
 	// Iterate to fixpoint (backward): out[b] = union(in[s]); in[b] =
 	// use[b] | (out[b] - def[b]).
+	in := NewRegSet(nRegs) // scratch for one block's live-in
 	changed := true
 	for changed {
 		changed = false
@@ -141,7 +142,7 @@ func ComputeLiveness(g *Graph) *Liveness {
 					changed = true
 				}
 			}
-			in := out.Clone()
+			copy(in, out)
 			def[bi].ForEach(func(r ptx.Reg) {
 				if !use[bi].Has(r) {
 					in.Remove(r)
@@ -154,13 +155,18 @@ func ComputeLiveness(g *Graph) *Liveness {
 		}
 	}
 
-	// Per-instruction live-out by backward scan within each block.
+	// Per-instruction live-out by backward scan within each block. The sets
+	// are capped windows of one slab: one allocation instead of one per
+	// instruction.
+	words := (nRegs + 63) / 64
+	slab := make([]uint64, len(k.Insts)*words)
 	lv.InstOut = make([]RegSet, len(k.Insts))
 	for bi := range g.Blocks {
 		b := &g.Blocks[bi]
 		live := lv.BlockOut[bi].Clone()
 		for i := b.End - 1; i >= b.Start; i-- {
-			lv.InstOut[i] = live.Clone()
+			lv.InstOut[i] = slab[i*words : (i+1)*words : (i+1)*words]
+			copy(lv.InstOut[i], live)
 			in := &k.Insts[i]
 			dbuf = in.Defs(dbuf[:0])
 			for _, r := range dbuf {

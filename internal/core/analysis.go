@@ -33,8 +33,10 @@ type App struct {
 	Grid   int
 	Block  int
 	// DefaultReg is the register per-thread the stock compiler chose (the
-	// baseline MaxTLP/OptTLP configurations use it). Zero means
-	// min(MaxReg, 63), mirroring the common compiler cap.
+	// baseline MaxTLP/OptTLP configurations use it). Zero means MaxReg
+	// capped at the ISA's per-thread limit, mirroring the common compiler
+	// cap. A nonzero budget is taken as given up to MaxReg: a stock
+	// compiler never assigns more registers than the kernel needs.
 	DefaultReg int
 	// Setup prepares global memory and returns the kernel parameter
 	// values. It is invoked once per simulation.
@@ -74,14 +76,11 @@ func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
 		BlockSize: app.Block,
 		ShmSize:   app.Kernel.SharedBytes(),
 	}
-	a.DefaultReg = app.DefaultReg
-	if a.DefaultReg == 0 {
-		a.DefaultReg = maxReg
-	}
-	if cap := arch.MaxRegPerThread; cap > 0 && a.DefaultReg > cap {
-		a.DefaultReg = cap
-	}
 	a.RegFloor = regFloor(app.Kernel, a.MinReg, a.MaxReg)
+	a.DefaultReg = min(app.DefaultReg, maxReg)
+	if app.DefaultReg == 0 {
+		_, a.DefaultReg = a.RegRange(arch) // MaxReg under the ISA cap
+	}
 	a.MaxTLP = arch.Occupancy(a.DefaultReg, a.ShmSize, app.Block)
 	if a.MaxTLP == 0 {
 		return nil, fmt.Errorf("core: %s does not fit on the SM at its default configuration", app.Name)
@@ -164,7 +163,7 @@ func (a *Analysis) RegRange(arch gpusim.Config) (lo, hi int) {
 // reg)], the largest register per-thread realizable at that TLP — the
 // rightmost point of each stair in paper Figure 11. Because the throttler
 // can always run *fewer* blocks than occupancy allows, stairs below
-// occupancy(MaxReg) sit at MaxReg.
+// occupancy(MaxReg) sit at MaxReg. The keys are exactly 1..len(result).
 func (a *Analysis) Staircase(arch gpusim.Config) map[int]int {
 	out := make(map[int]int)
 	lo, hi := a.RegRange(arch)

@@ -406,7 +406,11 @@ func TestRunModes(t *testing.T) {
 	var results [4]gpusim.Stats
 	var decisions [4]*Decision
 	for i, m := range []Mode{ModeMaxTLP, ModeOptTLP, ModeCRATLocal, ModeCRAT} {
-		d, err := CompileModeCtx(t.Context(), app, m, opts)
+		mopts, err := m.Options(app, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		d, err := OptimizeCtx(t.Context(), app, mopts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -537,7 +541,7 @@ func TestInvolvedBlocksBounds(t *testing.T) {
 
 func TestRunModeUnknown(t *testing.T) {
 	arch := gpusim.FermiConfig()
-	if _, err := CompileModeCtx(t.Context(), testApp(), Mode(99), Options{Arch: arch}); err == nil {
-		t.Error("CompileModeCtx accepted an unknown mode")
+	if _, err := Mode(99).Options(testApp(), Options{Arch: arch}); err == nil {
+		t.Error("Mode.Options accepted an unknown mode")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"crat/internal/oracle"
 	"crat/internal/passes"
 	"crat/internal/ptx"
-	"crat/internal/regalloc"
 	"crat/internal/spillopt"
 )
 
@@ -44,7 +43,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures the OptimizeCtx pipeline and the comparison modes.
+// Options configures the OptimizeCtx pipeline (Mode.Options maps the
+// comparison modes onto it).
 type Options struct {
 	Arch gpusim.Config
 	// OptTLP is the optimal TLP pruning caps the design space at: an
@@ -53,15 +53,19 @@ type Options struct {
 	// clamped to it.
 	OptTLP int
 	// SpillShared disables (false) or enables (true) the shared-memory
-	// spilling optimization; ModeCRATLocal corresponds to false. It only
-	// selects the implied backend when Backends is empty.
+	// spilling optimization. It only selects the implied backend when
+	// Backends is empty: "crat" when set, "crat-local" otherwise.
 	SpillShared bool
 	// Backends names the candidate-generation backends whose candidates
 	// compete under TPSC/oracle selection (internal/backend registry).
 	// Order matters: full TPSC ties break toward the earlier backend.
-	// Empty means the mode-implied default: "crat" when SpillShared,
-	// "crat-local" otherwise.
+	// Empty means the SpillShared-implied default.
 	Backends []string
+	// Pin, when Pin.Reg > 0, replaces the pruned design space with this
+	// one point: the enabled backends compile only (Pin.Reg, Pin.TLP),
+	// with Pin.TLP 0 meaning the analysis's MaxTLP. Selection, the oracle
+	// gate and the Decision are those of a search.
+	Pin backend.Point
 	// Split selects the sub-stack splitting strategy for Algorithm 1.
 	Split spillopt.Split
 	// Coalesce enables the allocator's conservative copy-coalescing
@@ -109,15 +113,6 @@ type Options struct {
 	Workers int
 }
 
-// workers maps the Workers option to a pool size: the zero value
-// (callers that never set it) stays serial.
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
 // analyze returns a private copy of the supplied analysis (or analyzes
 // the app when none was supplied) with OptTLP resolved from the options:
 // 0 (or less) means MaxTLP, and nothing exceeds MaxTLP.
@@ -139,7 +134,7 @@ func (o Options) analyze(app App) (*Analysis, error) {
 
 // Candidate is one surviving design point: a backend's compiled candidate
 // plus what core derives for it. Its Backend is "baseline" for the
-// degraded-mode fallback and "" for the untouched baseline modes.
+// degraded-mode fallback.
 type Candidate struct {
 	backend.Candidate
 	TPSC float64
@@ -168,15 +163,20 @@ type Decision struct {
 }
 
 // OptimizeCtx runs the full CRAT pipeline on one app under a context:
-// analysis, pruning at Options.OptTLP, per-candidate register allocation
-// and spilling optimization, and TPSC selection. With Options.Costs
-// supplied (and Oracle off) the pipeline runs no simulations at all, so a
-// resumed harness rebuilds every decision deterministically; the Oracle
-// sweep observes cancellation and wall-clock deadlines.
+// analysis, pruning at Options.OptTLP (or the pinned point), per-candidate
+// register allocation and spilling optimization, and TPSC selection. With
+// Options.Costs supplied (and Oracle off) the pipeline runs no simulations
+// at all, so a resumed harness rebuilds every decision deterministically;
+// the Oracle sweep observes cancellation and wall-clock deadlines.
 func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) {
 	if err := ptx.Verify(app.Kernel, "input"); err != nil {
 		return nil, err
 	}
+	return optimize(ctx, app, opts)
+}
+
+// optimize is OptimizeCtx on an input kernel the caller has verified.
+func optimize(ctx context.Context, app App, opts Options) (*Decision, error) {
 	// Resolve the backend set up front so a bad -backend flag fails before
 	// any work runs.
 	backends, err := backend.Resolve(opts.backendNames())
@@ -201,15 +201,13 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 	}
 
 	// The remaining stages run as an instrumented pass pipeline over one
-	// manager: prune, then every enabled backend's candidate pipeline over
-	// the shared design points, then selection across the union.
-	pm := opts.passManager()
+	// manager: prune (unless a point is pinned), then every enabled
+	// backend's candidate pipeline over the shared design points, then
+	// selection across the union. With no hooks set the manager only
+	// records per-pass events and the process-wide timing aggregates.
+	pm := &passes.Manager{VerifyEach: opts.VerifyEachPass, DumpAfter: opts.DumpAfter}
 	am := passes.NewAnalysisManager(app.Kernel)
 
-	pr := &prunePass{a: a, arch: arch, opts: opts}
-	if err := pm.Run(am, pr); err != nil {
-		return nil, err
-	}
 	req := backend.Request{
 		AppName:             app.Name,
 		Kernel:              app.Kernel,
@@ -217,14 +215,22 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 		BlockSize:           a.BlockSize,
 		ShmSize:             a.ShmSize,
 		OptTLP:              a.OptTLP,
-		Points:              make([]backend.Point, len(pr.points)),
 		Coalesce:            opts.Coalesce,
 		Split:               opts.Split,
 		UnweightedGain:      opts.UnweightedGain,
 		UnweightedSpillCost: opts.UnweightedSpillCost,
 	}
-	for i, pt := range pr.points {
-		req.Points[i] = backend.Point{Reg: pt.Reg, TLP: pt.TLP}
+	if pin := opts.Pin; pin.Reg > 0 {
+		if pin.TLP == 0 {
+			pin.TLP = a.MaxTLP
+		}
+		req.Points = []backend.Point{pin}
+	} else {
+		pr := &prunePass{a: a, arch: arch, opts: opts}
+		if err := pm.Run(am, pr); err != nil {
+			return nil, err
+		}
+		req.Points = pr.points
 	}
 	for _, bk := range backends {
 		cands, err := bk.Candidates(pm, req)
@@ -242,6 +248,9 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 		}
 	}
 	if len(d.Candidates) == 0 {
+		if opts.Pin.Reg > 0 {
+			return nil, fmt.Errorf("core: %s: register budget %d is infeasible", app.Name, opts.Pin.Reg)
+		}
 		return nil, fmt.Errorf("core: %s: no feasible design points", app.Name)
 	}
 
@@ -254,13 +263,12 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 	if err := pm.Run(am, sel); err != nil {
 		return nil, err
 	}
-	d.Backend = d.Chosen.Backend
 	if opts.VerifyEquivalence {
 		if err := verifyDecision(app, arch, a, d, opts); err != nil {
 			return nil, err
 		}
-		d.Backend = d.Chosen.Backend
 	}
+	d.Backend = d.Chosen.Backend
 	return d, nil
 }
 
@@ -277,45 +285,36 @@ func (o Options) backendNames() []string {
 	return []string{"crat-local"}
 }
 
-// CompileModeCtx builds the Decision for one comparison mode: analysis,
-// allocation, and (for the CRAT modes) the full optimization pipeline.
-// With Options.Costs supplied it runs no simulations; callers simulate the
-// chosen kernel at mode.LaunchTLP(d).
-func CompileModeCtx(ctx context.Context, app App, mode Mode, opts Options) (*Decision, error) {
-	switch mode {
+// Options maps the mode onto OptimizeCtx options, each mode being one
+// point or search in the same (reg, TLP) design space (paper §7.2):
+// MaxTLP and OptTLP pin crat-local at the stock compiler's (DefaultReg,
+// MaxTLP) or (DefaultReg, OptTLP) point; CRAT-local searches with
+// crat-local; CRAT searches with crat unless opts already names backends.
+// The baseline modes need the analysis to place their point, so the
+// returned options carry it (resolved as OptimizeCtx would).
+func (m Mode) Options(app App, opts Options) (Options, error) {
+	switch m {
 	case ModeMaxTLP, ModeOptTLP:
-		if err := ptx.Verify(app.Kernel, "input"); err != nil {
-			return nil, err
-		}
 		a, err := opts.analyze(app)
 		if err != nil {
-			return nil, err
+			return opts, err
 		}
-		// The baseline modes get the same instrumented pass manager as the
-		// CRAT modes, so -verify-passes and per-pass timing cover them too.
-		alloc, err := regalloc.AllocateWith(opts.passManager(), app.Kernel, regalloc.Options{Regs: a.DefaultReg})
-		if err != nil {
-			return nil, err
+		opts.Analysis = a
+		opts.Backends = []string{"crat-local"}
+		opts.Pin = backend.Point{Reg: a.DefaultReg, TLP: a.MaxTLP}
+		if m == ModeOptTLP {
+			opts.Pin.TLP = a.OptTLP
 		}
-		d := &Decision{App: app, Arch: opts.Arch, Analysis: a}
-		d.Chosen = Candidate{Candidate: backend.Candidate{Reg: a.DefaultReg, TLP: a.MaxTLP, Alloc: alloc, Overhead: alloc.Kernel.SpillOverhead()}}
-		if mode == ModeOptTLP {
-			d.Chosen.TLP = a.OptTLP
+	case ModeCRATLocal:
+		opts.Backends = []string{"crat-local"}
+	case ModeCRAT:
+		if len(opts.Backends) == 0 {
+			opts.Backends = []string{"crat"}
 		}
-		if opts.VerifyEquivalence {
-			// DefaultReg allocation can spill too; the baseline modes get
-			// the same oracle gate and degraded-mode fallback as CRAT.
-			if err := verifyDecision(app, opts.Arch, a, d, opts); err != nil {
-				return nil, err
-			}
-		}
-		return d, nil
-	case ModeCRATLocal, ModeCRAT:
-		o := opts
-		o.SpillShared = mode == ModeCRAT
-		return OptimizeCtx(ctx, app, o)
+	default:
+		return opts, fmt.Errorf("core: unknown mode %d", m)
 	}
-	return nil, fmt.Errorf("core: unknown mode %d", mode)
+	return opts, nil
 }
 
 // LaunchTLP returns the TLP limit the simulator runs the mode's decision

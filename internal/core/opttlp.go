@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"crat/internal/gpusim"
 	"crat/internal/pool"
@@ -270,14 +269,4 @@ func InvolvedBlocks(a *Analysis, arch gpusim.Config, in StaticModelInput) int {
 		involved = 1
 	}
 	return involved
-}
-
-// sortedTLPs returns the keys of a staircase in descending TLP order.
-func sortedTLPs(stairs map[int]int) []int {
-	out := make([]int, 0, len(stairs))
-	for t := range stairs {
-		out = append(out, t)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -10,24 +10,18 @@ import (
 	"crat/internal/ptx"
 )
 
-// PassInfo names one pipeline pass for tooling (cratc -passes).
-type PassInfo struct {
-	Name string
-	Desc string
-}
-
 // PipelinePassesFor lists the passes the pipeline runs for the named
 // backends (nil or empty = every registered backend), in execution order:
 // the shared prune pass, each backend's registered pipeline (passes
 // already listed by an earlier backend appear once), and the selection
 // pass. Unknown names are skipped — callers validate via
 // backend.Resolve before compiling.
-func PipelinePassesFor(names []string) []PassInfo {
+func PipelinePassesFor(names []string) []backend.PassInfo {
 	if len(names) == 0 {
 		names = backend.Names()
 	}
-	out := []PassInfo{
-		{"prune", "design-space pruning: rightmost point per occupancy stair, TLP capped at OptTLP (paper §4.2)"},
+	out := []backend.PassInfo{
+		{Name: "prune", Desc: "design-space pruning: rightmost point per occupancy stair, TLP capped at OptTLP (paper §4.2)"},
 	}
 	seen := map[string]bool{}
 	for _, name := range names {
@@ -40,24 +34,11 @@ func PipelinePassesFor(names []string) []PassInfo {
 				continue
 			}
 			seen[p.Name] = true
-			out = append(out, PassInfo{Name: p.Name, Desc: p.Desc})
+			out = append(out, p)
 		}
 	}
-	out = append(out, PassInfo{"tpsc-select", "TPSC-model selection across surviving candidates of every enabled backend (oracle-select under Options.Oracle)"})
+	out = append(out, backend.PassInfo{Name: "tpsc-select", Desc: "TPSC-model selection across surviving candidates of every enabled backend (oracle-select under Options.Oracle)"})
 	return out
-}
-
-// passManager builds the instrumented pass manager one OptimizeCtx (or
-// planModeCtx) invocation threads through every pipeline stage. The zero
-// configuration is free: hooks stay nil and the manager only records
-// per-pass events and the process-wide timing aggregates.
-func (o Options) passManager() *passes.Manager {
-	return &passes.Manager{VerifyEach: o.VerifyEachPass, DumpAfter: o.DumpAfter}
-}
-
-// designPoint is one surviving (register budget, TLP) pair from pruning.
-type designPoint struct {
-	Reg, TLP int
 }
 
 // prunePass implements the paper's §4.2 design-space pruning as the
@@ -69,7 +50,7 @@ type prunePass struct {
 	a      *Analysis
 	arch   gpusim.Config
 	opts   Options
-	points []designPoint // output
+	points []backend.Point // output
 }
 
 func (p *prunePass) Name() string { return "prune" }
@@ -81,7 +62,7 @@ func (p *prunePass) Invalidates() []passes.Kind { return nil }
 func (p *prunePass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 	stairs := p.a.Staircase(p.arch)
 	seenReg := make(map[int]bool)
-	for _, tlp := range sortedTLPs(stairs) {
+	for tlp := len(stairs); tlp >= 1; tlp-- {
 		if !p.opts.DisablePruning && tlp > p.a.OptTLP {
 			continue
 		}
@@ -90,7 +71,7 @@ func (p *prunePass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 			continue
 		}
 		seenReg[reg] = true
-		p.points = append(p.points, designPoint{Reg: reg, TLP: tlp})
+		p.points = append(p.points, backend.Point{Reg: reg, TLP: tlp})
 	}
 	return nil
 }
@@ -148,7 +129,8 @@ func (p *oracleSelectPass) Run(_ *ptx.Kernel, _ *passes.AnalysisManager) error {
 	d := p.d
 	stats := make([]gpusim.Stats, len(d.Candidates))
 	errs := make([]error, len(d.Candidates))
-	poolErr := pool.RunCtx(p.ctx, p.opts.workers(), len(d.Candidates), func(i int) {
+	// Workers below 1 (callers that never set it) stay serial.
+	poolErr := pool.RunCtx(p.ctx, max(p.opts.Workers, 1), len(d.Candidates), func(i int) {
 		c := &d.Candidates[i]
 		stats[i], errs[i] = SimulateKernelCtx(p.ctx, p.app, p.arch, c.Kernel(), c.UsedRegs(), c.TLP)
 	})

@@ -9,19 +9,6 @@ import (
 	"crat/internal/regalloc"
 )
 
-// oracleOpts builds the oracle configuration for one app. When the app
-// carries a Setup provider (all seed workloads do) the oracle replays the
-// app's real inputs; otherwise it generates VerifyRuns seeded input sets.
-func (o Options) oracleOpts(app App) oracle.Options {
-	return oracle.Options{
-		Grid:  app.Grid,
-		Block: app.Block,
-		Runs:  o.VerifyRuns,
-		Seed:  o.VerifySeed,
-		Setup: app.Setup,
-	}
-}
-
 // baselineCandidate builds the degraded-mode fallback: a spill-free
 // allocation at MaxReg with no shared-memory spilling — the most
 // conservative rewrite the pipeline can emit (a pure register rename). Its
@@ -47,7 +34,10 @@ func baselineCandidate(app App, arch gpusim.Config, a *Analysis) (*Candidate, er
 // not establish a correct kernel at all — the reference faulted, or even
 // the baseline diverges.
 func verifyDecision(app App, arch gpusim.Config, a *Analysis, d *Decision, opts Options) error {
-	oopts := opts.oracleOpts(app)
+	// When the app carries a Setup provider (all seed workloads do) the
+	// oracle replays the app's real inputs; otherwise it generates
+	// VerifyRuns seeded input sets.
+	oopts := oracle.Options{Grid: app.Grid, Block: app.Block, Runs: opts.VerifyRuns, Seed: opts.VerifySeed, Setup: app.Setup}
 	div, err := oracle.CheckChain(app.Kernel, d.Chosen.Alloc.Kernel, d.Chosen.Kernel(), oopts)
 	if err != nil {
 		return fmt.Errorf("core: %s: equivalence check: %w", app.Name, err)

@@ -150,7 +150,11 @@ func TestVerifySimpleModes(t *testing.T) {
 	app := testApp()
 	opts := verifyOpts(arch)
 	for _, mode := range []Mode{ModeMaxTLP, ModeOptTLP} {
-		d, err := CompileModeCtx(t.Context(), app, mode, opts)
+		mopts, err := mode.Options(app, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		d, err := OptimizeCtx(t.Context(), app, mopts)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

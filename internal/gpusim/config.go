@@ -17,6 +17,8 @@
 // fraction of full-chip simulation cost (see DESIGN.md).
 package gpusim
 
+import "fmt"
+
 // SchedPolicy selects the warp scheduling policy.
 type SchedPolicy uint8
 
@@ -125,6 +127,18 @@ func FermiConfig() Config {
 		MaxSharedPerBlock: 48 * 1024,
 		ClockMHz:          700,
 	}
+}
+
+// ConfigByName returns the architecture the tools call name: "fermi" or
+// "kepler".
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "fermi":
+		return FermiConfig(), nil
+	case "kepler":
+		return KeplerConfig(), nil
+	}
+	return Config{}, fmt.Errorf("gpusim: unknown arch %q (want fermi or kepler)", name)
 }
 
 // KeplerConfig returns the Kepler-like configuration of paper §7.3: the

@@ -63,7 +63,7 @@ func (s *Session) UnionWinner(p workloads.Profile) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		d, err := core.CompileModeCtx(ctx, s.App(p), core.ModeCRAT, core.Options{
+		d, err := core.OptimizeCtx(ctx, s.App(p), core.Options{
 			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
 			Backends: s.BackendNames()})
 		if err != nil {

@@ -423,7 +423,11 @@ func (s *Session) evaluate(p workloads.Profile, mode core.Mode, backends []strin
 // through the session's simulation memo.
 func (s *Session) runMode(app core.App, mode core.Mode, opts core.Options) (gpusim.Stats, *core.Decision, error) {
 	ctx := s.Context()
-	d, err := core.CompileModeCtx(ctx, app, mode, opts)
+	opts, err := mode.Options(app, opts)
+	if err != nil {
+		return gpusim.Stats{}, nil, err
+	}
+	d, err := core.OptimizeCtx(ctx, app, opts)
 	if err != nil {
 		return gpusim.Stats{}, nil, err
 	}

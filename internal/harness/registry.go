@@ -124,9 +124,9 @@ func RunExperimentsCtx(ctx context.Context, ids []string, opts RunOptions, w io.
 		if s, ok := sessions[arch]; ok {
 			return s, nil
 		}
-		cfg := gpusim.FermiConfig()
-		if arch == "kepler" {
-			cfg = gpusim.KeplerConfig()
+		cfg, err := gpusim.ConfigByName(arch)
+		if err != nil {
+			return nil, err
 		}
 		s, err := NewSession(cfg)
 		if err != nil {

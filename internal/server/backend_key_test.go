@@ -7,11 +7,14 @@ import (
 	"testing"
 )
 
-// TestBackendsInCacheKey is the regression test for the schema-v2 cache
-// keys: two requests identical except for their backend set must never
+// TestBackendsInCacheKey is the regression test for the cache keys: two
+// requests identical except for their resolved backend set must never
 // share a normalize (daemon cache) key or a RouteKey (gateway placement)
 // — a cached Decision computed by one backend set must be unreachable
 // from another. Order is part of the identity: it is the TPSC tie-break.
+// The cache key hashes the resolved list, so a request naming no backends
+// shares its key with one naming the default ["crat"]; RouteKey hashes the
+// wire request and keeps them apart.
 func TestBackendsInCacheKey(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -25,16 +28,20 @@ func TestBackendsInCacheKey(t *testing.T) {
 	variants[4].Backends = []string{"regdem", "crat"} // order matters
 	normKeys := make(map[string]int)
 	routeKeys := make(map[string]int)
+	var defaultKey string
 	for i, req := range variants {
 		job, err := s.normalize(req)
 		if err != nil {
 			t.Fatalf("normalize variant %d: %v", i, err)
 		}
-		if prev, dup := normKeys[job.key]; dup {
+		if i == 0 {
+			defaultKey = job.key // checked against variant 1 below
+		} else if prev, dup := normKeys[job.key]; dup {
 			t.Errorf("variants %d and %d share a cache key: backends %v vs %v collide",
 				prev, i, variants[prev].Backends, req.Backends)
+		} else {
+			normKeys[job.key] = i
 		}
-		normKeys[job.key] = i
 		rk, err := RouteKey(req)
 		if err != nil {
 			t.Fatalf("RouteKey variant %d: %v", i, err)
@@ -44,6 +51,9 @@ func TestBackendsInCacheKey(t *testing.T) {
 				prev, i, variants[prev].Backends, req.Backends)
 		}
 		routeKeys[rk] = i
+	}
+	if normKeys[defaultKey] != 1 {
+		t.Errorf("a request naming no backends does not share the explicit [crat] request's cache key")
 	}
 	// Stability: the same backend set must keep hashing to the same keys.
 	again, err := s.normalize(variants[3])
@@ -79,6 +89,31 @@ func TestBackendsInCacheKey(t *testing.T) {
 	}
 	if _, err := New(Config{Workers: 1, DefaultBackends: []string{"nope"}}); err == nil {
 		t.Errorf("unknown DefaultBackends accepted at startup")
+	}
+}
+
+// TestNoSharedSpillSelectsCratLocal: no_shared_spill is resolved into the
+// backend list, so it compiles and caches exactly like naming crat-local.
+func TestNoSharedSpillSelectsCratLocal(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, DefaultBackends: []string{"crat", "regdem"}})
+	req := CompileRequest{PTX: testPTX("nss", 8), Block: 64, NoSharedSpill: true}
+	flag, err := s.normalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := s.normalize(CompileRequest{PTX: req.PTX, Block: 64, Backends: []string{"crat-local"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flag.key != named.key {
+		t.Errorf("no_shared_spill and backends [crat-local] hash to different cache keys")
+	}
+	var resp CompileResponse
+	if code := post(t, ts.URL, req, &resp); code != http.StatusOK {
+		t.Fatalf("compile = %d", code)
+	}
+	if resp.Backend != "crat-local" {
+		t.Errorf("no_shared_spill compiled with backend %q, want crat-local", resp.Backend)
 	}
 }
 

@@ -1,24 +1,22 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
-
-	"context"
 
 	"crat/internal/backend"
 	"crat/internal/checkpoint"
 	"crat/internal/core"
 	"crat/internal/gpusim"
-	"crat/internal/ptx"
 )
 
 // cacheSchema versions the compile semantics the persistent cache assumes.
 // Bump it whenever the pipeline's output for identical inputs can change
 // (new pass ordering, different TPSC model, ...): a restarted daemon then
 // discards the stale warm tier instead of replaying wrong Decisions.
-const cacheSchema = "cratd/v2"
+const cacheSchema = "cratd/v3"
 
 // maxPTXBytes bounds a request's PTX payload; beyond this the request is
 // rejected up front rather than admitted and parsed.
@@ -42,15 +40,16 @@ type CompileRequest struct {
 	// the default register budget — the daemon has no input data to
 	// profile with, mirroring cratc.
 	OptTLP int `json:"opttlp,omitempty"`
-	// NoSharedSpill disables the shared-memory spilling optimization
-	// (ModeCRATLocal semantics).
+	// NoSharedSpill disables the shared-memory spilling optimization: it
+	// selects the crat-local backend, so it cannot be combined with
+	// Backends (400).
 	NoSharedSpill bool `json:"no_shared_spill,omitempty"`
 	// Coalesce enables the copy-coalescing pre-pass.
 	Coalesce bool `json:"coalesce,omitempty"`
 	// Backends selects the optimization backends whose candidates compete
 	// under the TPSC selection. Order matters (full TPSC ties break toward
 	// the earlier-listed backend), so it is never sorted. Empty uses the
-	// daemon's configured default (itself empty = mode-implied CRAT).
+	// daemon's configured default (itself empty = crat).
 	Backends []string `json:"backends,omitempty"`
 	// Verify overrides the daemon's default for differential oracle
 	// verification of the chosen kernel (nil = daemon default). On a
@@ -99,7 +98,7 @@ type compileJob struct {
 	req      CompileRequest
 	arch     gpusim.Config
 	verify   bool
-	backends []string
+	backends []string // resolved: never empty
 	deadline time.Duration
 	key      string
 	seq      int64
@@ -123,23 +122,23 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 	if req.Grid <= 0 {
 		req.Grid = 1
 	}
-	var arch gpusim.Config
-	switch req.Arch {
-	case "", "fermi":
-		arch = gpusim.FermiConfig()
+	if req.Arch == "" {
 		req.Arch = "fermi"
-	case "kepler":
-		arch = gpusim.KeplerConfig()
-	default:
-		return nil, fmt.Errorf("unknown arch %q (want fermi or kepler)", req.Arch)
+	}
+	arch, err := gpusim.ConfigByName(req.Arch)
+	if err != nil {
+		return nil, err
 	}
 	verify := s.cfg.VerifyDefault
 	if req.Verify != nil {
 		verify = *req.Verify
 	}
 	backends := req.Backends
-	if len(backends) == 0 {
+	if len(backends) == 0 && !req.NoSharedSpill {
 		backends = s.cfg.DefaultBackends
+	}
+	if backends, err = core.BackendList(backends, req.NoSharedSpill); err != nil {
+		return nil, err
 	}
 	if _, err := backend.Resolve(backends); err != nil {
 		return nil, err
@@ -159,14 +158,13 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 		Block      int
 		Grid       int
 		OptTLP     int
-		NoShared   bool
 		Coalesce   bool
 		Backends   []string
 		Verify     bool
 		VerifyRuns int
 		VerifySeed int64
 	}{cacheSchema, req.PTX, req.Kernel, req.Arch, req.Block, req.Grid,
-		req.OptTLP, req.NoSharedSpill, req.Coalesce, backends, verify, req.VerifyRuns, req.VerifySeed})
+		req.OptTLP, req.Coalesce, backends, verify, req.VerifyRuns, req.VerifySeed})
 	if err != nil {
 		return nil, fmt.Errorf("hashing request: %w", err)
 	}
@@ -176,74 +174,38 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 // compileOnce runs the full CRAT pipeline for one job. It is the only
 // place the daemon invokes the compiler; the caller provides panic
 // isolation, caching, and admission around it. OptTLP is an input (0 =
-// MaxTLP) and Costs are supplied, so the pipeline runs no simulations
-// (oracle verification uses the functional emulator), and a compile's
-// latency is deterministic compilation work bounded by ctx.
+// MaxTLP) and the per-arch access costs are measured once per process, so
+// the pipeline runs no simulations (oracle verification uses the
+// functional emulator), and a compile's latency is deterministic
+// compilation work bounded by ctx.
 func (s *Server) compileOnce(ctx context.Context, job *compileJob) (*cacheEntry, error) {
-	module, err := ptx.ParseModule(job.req.PTX)
-	if err != nil {
-		return nil, &requestError{fmt.Errorf("parsing ptx: %w", err)}
-	}
-	kernel, err := module.Select(job.req.Kernel)
-	if err != nil {
-		return nil, &requestError{err}
-	}
-	if err := kernel.Validate(); err != nil {
-		return nil, &requestError{fmt.Errorf("invalid kernel: %w", err)}
-	}
-
-	app := core.App{Name: kernel.Name, Kernel: kernel, Block: job.req.Block, Grid: job.req.Grid}
-	a, err := core.Analyze(app, job.arch)
-	if err != nil {
-		return nil, &requestError{err}
-	}
-	costs, err := gpusim.MeasureCosts(job.arch)
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.OptimizeCtx(ctx, app, core.Options{
-		Arch:              job.arch,
-		Analysis:          a,
-		OptTLP:            job.req.OptTLP,
-		SpillShared:       !job.req.NoSharedSpill,
-		Coalesce:          job.req.Coalesce,
-		Backends:          job.backends,
-		Costs:             costs,
-		VerifyEquivalence: job.verify,
-		VerifyRuns:        job.req.VerifyRuns,
-		VerifySeed:        job.req.VerifySeed,
+	c, err := core.Compile(ctx, core.Request{
+		PTX: job.req.PTX, Kernel: job.req.Kernel, Block: job.req.Block, Grid: job.req.Grid,
+		Options: core.Options{
+			Arch:              job.arch,
+			OptTLP:            job.req.OptTLP,
+			Coalesce:          job.req.Coalesce,
+			Backends:          job.backends,
+			VerifyEquivalence: job.verify,
+			VerifyRuns:        job.req.VerifyRuns,
+			VerifySeed:        job.req.VerifySeed,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Re-emit the whole module with the chosen kernel swapped in, as cratc
-	// does, so the response is a drop-in replacement for the input.
-	for i, k := range module.Kernels {
-		if k == kernel {
-			module.Kernels[i] = d.Chosen.Kernel()
-		}
-	}
 	entry := &cacheEntry{
-		Kernel:     kernel.Name,
+		Kernel:     c.App.Name,
 		Arch:       job.arch.Name,
-		Reg:        d.Chosen.UsedRegs(),
-		TLP:        d.Chosen.TLP,
-		Candidates: len(d.Candidates),
-		Backend:    d.Backend,
-		Degraded:   d.Degraded,
-		PTX:        ptx.PrintModule(module),
+		Reg:        c.Chosen.UsedRegs(),
+		TLP:        c.Chosen.TLP,
+		Candidates: len(c.Candidates),
+		Backend:    c.Backend,
+		Degraded:   c.Degraded,
+		PTX:        c.PTX,
 	}
-	if d.Divergence != nil {
-		entry.Divergence = d.Divergence.Error()
+	if c.Divergence != nil {
+		entry.Divergence = c.Divergence.Error()
 	}
 	return entry, nil
 }
-
-// requestError marks a failure caused by the request itself (unparsable
-// PTX, missing kernel, infeasible launch): the client's fault, reported as
-// 422 rather than 500.
-type requestError struct{ err error }
-
-func (e *requestError) Error() string { return e.err.Error() }
-func (e *requestError) Unwrap() error { return e.err }

@@ -41,6 +41,7 @@ import (
 	"crat/internal/backend"
 	"crat/internal/buildinfo"
 	"crat/internal/checkpoint"
+	"crat/internal/core"
 	"crat/internal/faultinject"
 	"crat/internal/gpusim"
 	"crat/internal/pool"
@@ -468,8 +469,8 @@ func (s *Server) classifyError(r *http.Request, err error) int {
 		return http.StatusGatewayTimeout
 	default:
 		s.stats.Failed.Add(1)
-		var reqErr *requestError
-		if errors.As(err, &reqErr) {
+		var inErr *core.InputError
+		if errors.As(err, &inErr) {
 			return http.StatusUnprocessableEntity
 		}
 		return http.StatusInternalServerError

@@ -131,6 +131,8 @@ func TestBadRequests(t *testing.T) {
 		{"negative opttlp", CompileRequest{PTX: testPTX("k_b", 4), Block: 64, OptTLP: -1}, http.StatusBadRequest},
 		{"unparsable ptx", CompileRequest{PTX: "this is not ptx", Block: 64}, http.StatusUnprocessableEntity},
 		{"missing kernel", CompileRequest{PTX: testPTX("k_b", 4), Kernel: "nope", Block: 64}, http.StatusUnprocessableEntity},
+		{"block too large to launch", CompileRequest{PTX: testPTX("k_b", 4), Block: 2048}, http.StatusUnprocessableEntity},
+		{"no_shared_spill with backends", CompileRequest{PTX: testPTX("k_b", 4), Block: 64, NoSharedSpill: true, Backends: []string{"crat"}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var body map[string]any
