@@ -4,8 +4,8 @@
 # in ./bench), a short fuzz smoke over the PTX parsers, the checkpoint,
 # oracle and service smokes, the chaos matrix (the one process-level
 # fleet chaos run), and the golden diff. `make bench` runs the benchmark
-# (bench/README.md) and `make bench-cold` the cold-compile microbenchmarks;
-# their timings are advisory, so they stay out of `ci`.
+# (bench/README.md) and `make bench-cold` the cold-compile and ALU-kernel
+# microbenchmarks; their timings are advisory, so they stay out of `ci`.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -63,14 +63,17 @@ bench:
 
 # Cold-compile microbenchmarks, five samples each with allocation counts:
 # one cache-miss compile (svc_cold's and gw_mixed's tail work), the
-# oracle's check of a set of rewrite chains, and the PTX text layer a
+# oracle's check of a set of rewrite chains, the PTX text layer a
 # compile starts and ends with (printing one kernel as a module, parsing
-# one request body; both over the compile benchmark's kernels). Feed the
-# output to benchstat to compare two commits.
+# one request body; both over the compile benchmark's kernels), and the
+# ALU kernels both engines run, one warp-wide call of each (op, type) the
+# benchmark workloads execute, at a full and at a half-warp mask. Feed
+# the output to benchstat to compare two commits.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench 'CompileCold$$' -benchmem -count 5
 	$(GO) test ./internal/oracle -run '^$$' -bench 'CheckChain$$' -benchmem -count 5
 	$(GO) test ./internal/ptx -run '^$$' -bench '^(BenchmarkPrint|BenchmarkParseModule)$$' -benchmem -count 5
+	$(GO) test ./internal/vec -run '^$$' -bench 'VecKernels$$' -benchtime 200000x -count 5
 
 # Checkpoint round-trip smoke: run two experiments clean, re-run them with
 # -checkpoint and interrupt the process mid-flight (SIGINT, as a user would,

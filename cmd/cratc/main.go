@@ -23,8 +23,8 @@
 // With -verify the pipeline's oracle gate differentially validates the
 // transformed kernel against the input kernel on generated inputs: PASS or
 // DIVERGENCE is reported, and a divergence exits non-zero without writing
-// output. An unknown -arch, or -no-shared-spill together with -backend,
-// exits 2.
+// output. An unknown -arch, -no-shared-spill together with -backend, or
+// -tlp without -reg exits 2.
 package main
 
 import (
@@ -128,6 +128,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	arch, err := gpusim.ConfigByName(*archFlag)
 	if err != nil {
 		return usageError{err.Error()}
+	}
+	if *tlpFlag != 0 && *regCap <= 0 {
+		return usageError{"-tlp sets the TLP of the pinned -reg point; without -reg the search chooses the TLP"}
 	}
 	if *regCap > 0 && len(backends) > 0 {
 		return fmt.Errorf("-backend selects candidate generators for the design-space search; it cannot be combined with the fixed-budget -reg mode")

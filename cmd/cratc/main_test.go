@@ -83,6 +83,7 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-arch", "volta"}, `unknown arch "volta"`},
 		{[]string{"-arch", "Kepler"}, `unknown arch "Kepler"`},
 		{[]string{"-no-shared-spill", "-backend", "crat"}, "cannot be combined with a backend list"},
+		{[]string{"-tlp", "2"}, "without -reg"},
 	} {
 		got := invoke(c.args)
 		if !strings.Contains(got, "exit: 2\n") || !strings.Contains(got, c.want) {

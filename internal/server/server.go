@@ -401,12 +401,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
 	body := http.MaxBytesReader(w, r.Body, maxPTXBytes+1<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		s.stats.Failed.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	io.Copy(io.Discard, body)
 	job, err := s.normalize(req)
 	if err != nil {
+		s.stats.Failed.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

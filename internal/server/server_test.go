@@ -119,7 +119,7 @@ func TestCompileOKAndMemoryCache(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
 		name string
 		req  CompileRequest
@@ -151,6 +151,10 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
+	}
+	// Every rejection, 400 or 422, counts as failed.
+	if got, want := s.Stats().Failed.Load(), int64(len(cases)+1); got != want {
+		t.Errorf("Stats().Failed = %d after %d rejected requests", got, want)
 	}
 }
 

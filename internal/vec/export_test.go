@@ -16,3 +16,13 @@ func CountBuilds(n *int) (restore func()) {
 
 // Held returns the number of kernel versions the per-kernel cache holds.
 func Held() int { return kernelMemo.Len() }
+
+// LowersGeneric reports whether the ALU-class instruction in lowers to the
+// per-lane sem.ALU fallback rather than to a hand-written kernel.
+func LowersGeneric(in *ptx.Inst) bool {
+	switch in.Op {
+	case ptx.OpSetp, ptx.OpSelp, ptx.OpCvt:
+		return false
+	}
+	return specialized(in.Op, in.Type) == nil
+}

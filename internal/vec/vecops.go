@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"crat/internal/ptx"
 	"crat/internal/sem"
@@ -10,15 +11,14 @@ import (
 
 // A Fn applies one ALU-class Op to a whole warp at once: d, a, b, c
 // are 32-lane register planes (unused sources point at zeroPlane) and mask
-// selects the executing lanes. The table below hand-specializes the common
-// integer operations at their two register widths and the common f32/f64
-// operations — mirroring internal/sem's formulas bit for bit — and routes
-// everything else (setp, cvt with a float endpoint, the remaining float
-// ops, exotic widths) through sem itself, so the arithmetic has a single
-// definition. Lowering happens once per kernel in lower, so picking a
-// function here is free on the hot path. The bodies spell their lane loops
-// out rather than sharing an iterator helper: an indirect call per lane
-// would cost more than the arithmetic it wraps.
+// selects the executing lanes. The kernels below are internal/sem's
+// formulas written out over a warp, bit for bit: one integer family for
+// every width, and the f32 ops the benchmark workloads execute. Every
+// other op (the remaining float ops, f64, setp, cvt with a float endpoint)
+// calls sem itself per lane, so a formula nobody runs has exactly one
+// definition. The bodies spell their lane loops out rather than sharing an
+// iterator helper: an indirect call per lane would cost more than the
+// arithmetic it wraps.
 type Fn func(d, a, b, c *[32]uint64, mask uint64)
 
 // fullWarp is the mask of a warp whose 32 lanes all execute. The kernels
@@ -30,43 +30,94 @@ const fullWarp = 1<<32 - 1
 // formulas take for a missing operand.
 var zeroPlane [32]uint64
 
+// fnKey names one kernel: setp also reads cmp and cvt also reads from;
+// the other ops leave both zero, and selp, which ignores its type, leaves
+// t zero too.
+type fnKey struct {
+	op      ptx.Opcode
+	t, from ptx.Type
+	cmp     ptx.CmpOp
+}
+
+// fnTable holds every kernel lowering can ask for — each (op, type) sem's
+// ALU accepts, each setp comparison and each cvt pair over the type
+// lattice — built once per process on first use, so lowering a kernel
+// allocates no closures and concurrent lowerings share one read-only map.
+var fnTable = sync.OnceValue(func() map[fnKey]Fn {
+	tab := map[fnKey]Fn{{op: ptx.OpSelp}: vecSelp}
+	for t := ptx.TypeNone; t <= ptx.Pred; t++ {
+		for op := ptx.OpNop; op <= ptx.OpEx2; op++ {
+			switch op {
+			case ptx.OpSetp:
+				for cmp := ptx.CmpEq; cmp <= ptx.CmpGe; cmp++ {
+					k := fnKey{op: op, t: t, cmp: cmp}
+					tab[k] = newFn(k)
+				}
+			case ptx.OpCvt:
+				for from := ptx.TypeNone; from <= ptx.Pred; from++ {
+					k := fnKey{op: op, t: t, from: from}
+					tab[k] = newFn(k)
+				}
+			default:
+				if _, err := sem.ALU(op, t, 0, 0, 0); err == nil {
+					k := fnKey{op: op, t: t}
+					tab[k] = newFn(k)
+				}
+			}
+		}
+	}
+	return tab
+})
+
 // fnFor selects the evaluation kernel for an ALU-class instruction. The
 // instruction is statically supported (ClassBad ops never reach here), so
-// sem calls inside the returned functions cannot fail.
-func fnFor(u *ptx.Inst) Fn {
-	t := u.Type
-	switch u.Op {
+// sem calls inside the returned functions cannot fail. A key outside the
+// table (a type past the lattice) gets a kernel of its own.
+func fnFor(in *ptx.Inst) Fn {
+	k := fnKey{op: in.Op, t: in.Type}
+	switch in.Op {
 	case ptx.OpSetp:
-		return vecSetp(u.Cmp, t)
+		k.cmp = in.Cmp
+	case ptx.OpCvt:
+		k.from = in.CvtFrom
+	case ptx.OpSelp:
+		k.t = ptx.TypeNone
+	}
+	if fn, ok := fnTable()[k]; ok {
+		return fn
+	}
+	return newFn(k)
+}
+
+// newFn builds the kernel for k.
+func newFn(k fnKey) Fn {
+	switch k.op {
+	case ptx.OpSetp:
+		return vecSetp(k.cmp, k.t)
 	case ptx.OpSelp:
 		return vecSelp
 	case ptx.OpCvt:
-		if !t.IsFloat() && !u.CvtFrom.IsFloat() {
-			return vecCvtInt(t, u.CvtFrom)
+		if !k.t.IsFloat() && !k.from.IsFloat() {
+			return vecCvtInt(k.t, k.from)
 		}
-		return vecCvtSem(t, u.CvtFrom)
+		return vecCvtSem(k.t, k.from)
 	}
-	if !t.IsFloat() {
-		switch t.Bits() {
-		case 32:
-			if fn := vecInt32(u.Op, t.IsSigned()); fn != nil {
-				return fn
-			}
-		case 64:
-			if fn := vecInt64(u.Op, t.IsSigned()); fn != nil {
-				return fn
-			}
-		}
-	} else if t == ptx.F32 {
-		if fn := vecF32(u.Op); fn != nil {
-			return fn
-		}
-	} else if t == ptx.F64 {
-		if fn := vecF64(u.Op); fn != nil {
-			return fn
-		}
+	if fn := specialized(k.op, k.t); fn != nil {
+		return fn
 	}
-	return vecGeneric(u.Op, t)
+	return vecGeneric(k.op, k.t)
+}
+
+// specialized returns the hand-written kernel of op at t, or nil when op
+// runs through vecGeneric.
+func specialized(op ptx.Opcode, t ptx.Type) Fn {
+	switch {
+	case t.IsInt():
+		return vecInt(op, t)
+	case t == ptx.F32:
+		return vecF32(op)
+	}
+	return nil
 }
 
 // vecGeneric is the catch-all: per-lane sem.ALU, so the ops without a
@@ -133,238 +184,196 @@ func vecCvtSem(to, from ptx.Type) Fn {
 	}
 }
 
+// widthOf returns t's value mask w (sem.Truncate keeps v&w) and the shift
+// sh that sign-extends from it: sext(v, sh) is sem.SignExtend(v, t).
+func widthOf(t ptx.Type) (w uint64, sh uint) {
+	w = sem.Truncate(^uint64(0), t)
+	return w, uint(bits.LeadingZeros64(w))
+}
+
+// sext sign-extends the low 64-sh bits of v. sh is below 64, and saying
+// so (sh&63) spares each shift the compiler's guard for wider counts.
+func sext(v uint64, sh uint) int64 { return int64(v<<(sh&63)) >> (sh & 63) }
+
 // vecCvtInt specializes integer-to-integer conversion: sign- or zero-extend
-// at the source width, then truncate at the destination width.
+// at the source width, then truncate at the destination width (a
+// zero-extension is a truncation at both widths).
 func vecCvtInt(to, from ptx.Type) Fn {
-	if from.IsSigned() {
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			if mask == fullWarp {
-				for l := range d {
-					d[l] = sem.Truncate(uint64(sem.SignExtend(a[l], from)), to)
-				}
-				return
-			}
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.Truncate(uint64(sem.SignExtend(a[l], from)), to)
-			}
-		}
+	w, _ := widthOf(to)
+	wFrom, sh := widthOf(from)
+	if !from.IsSigned() {
+		w, sh = w&wFrom, 0
 	}
 	return func(d, a, b, c *[32]uint64, mask uint64) {
 		if mask == fullWarp {
 			for l := range d {
-				d[l] = sem.Truncate(sem.Truncate(a[l], from), to)
+				d[l] = uint64(sext(a[l], sh)) & w
 			}
 			return
 		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			d[l] = sem.Truncate(sem.Truncate(a[l], from), to)
+			d[l] = uint64(sext(a[l], sh)) & w
 		}
 	}
 }
 
-// vecInt32 hand-specializes 32-bit integer ops. Each body is sem's aluInt
-// formula with Truncate/SignExtend constant-folded at 32 bits; nil means "no
-// specialization, use the generic path".
-func vecInt32(op ptx.Opcode, signed bool) Fn {
-	const m32 = uint64(0xffffffff)
+// vecInt specializes the integer ops at every width. Each body is sem's
+// aluInt formula with Truncate as &w and SignExtend as sext(v, sh). min
+// and max order signed values as unsigned ones with the sign bit f
+// flipped, which needs no branch; div and rem test signed per lane (a
+// branch that always goes one way); abs, and shr, which runs hot, pick
+// their form here. Shift amounts clamp at the register width n as sem's
+// shiftAmount does. nil means "no specialization, use the generic path".
+func vecInt(op ptx.Opcode, t ptx.Type) Fn {
+	w, sh := widthOf(t)
+	n := uint64(64 - sh)
+	signed := t.IsSigned()
+	var f uint64 // the sign bit of a signed type
+	if signed {
+		f = 1 << (63 - sh)
+	}
 	switch op {
 	case ptx.OpAdd:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			if mask == fullWarp {
 				for l := range d {
-					d[l] = (a[l] + b[l]) & m32
+					d[l] = (a[l] + b[l]) & w
 				}
 				return
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] + b[l]) & m32
+				d[l] = (a[l] + b[l]) & w
 			}
 		}
 	case ptx.OpSub:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] - b[l]) & m32
+				d[l] = (a[l] - b[l]) & w
 			}
 		}
 	case ptx.OpMul:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			if mask == fullWarp {
 				for l := range d {
-					d[l] = (a[l] * b[l]) & m32
+					d[l] = (a[l] * b[l]) & w
 				}
 				return
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] * b[l]) & m32
+				d[l] = (a[l] * b[l]) & w
 			}
 		}
 	case ptx.OpMad:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l]*b[l] + c[l]) & m32
+				d[l] = (a[l]*b[l] + c[l]) & w
 			}
 		}
-	case ptx.OpDiv:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if b[l]&m32 == 0 {
-						d[l] = m32
-						continue
-					}
-					d[l] = uint64(int64(int32(a[l]))/int64(int32(b[l]))) & m32
-				}
-			}
-		}
+	case ptx.OpDiv, ptx.OpRem:
+		rem := op == ptx.OpRem
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				if b[l]&m32 == 0 {
-					d[l] = m32
-					continue
+				x, y := a[l]&w, b[l]&w
+				switch {
+				case y == 0:
+					d[l] = w
+				case signed && rem:
+					d[l] = uint64(sext(x, sh)%sext(y, sh)) & w
+				case signed:
+					d[l] = uint64(sext(x, sh)/sext(y, sh)) & w
+				case rem:
+					d[l] = x % y
+				default:
+					d[l] = x / y
 				}
-				d[l] = (a[l] & m32) / (b[l] & m32)
-			}
-		}
-	case ptx.OpRem:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if b[l]&m32 == 0 {
-						d[l] = m32
-						continue
-					}
-					d[l] = uint64(int64(int32(a[l]))%int64(int32(b[l]))) & m32
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				if b[l]&m32 == 0 {
-					d[l] = m32
-					continue
-				}
-				d[l] = (a[l] & m32) % (b[l] & m32)
 			}
 		}
 	case ptx.OpMin:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int32(a[l]) < int32(b[l]) {
-						d[l] = a[l] & m32
-					} else {
-						d[l] = b[l] & m32
-					}
-				}
-			}
-		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = min(a[l]&m32, b[l]&m32)
+				d[l] = min((a[l]&w)^f, (b[l]&w)^f) ^ f
 			}
 		}
 	case ptx.OpMax:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int32(a[l]) > int32(b[l]) {
-						d[l] = a[l] & m32
-					} else {
-						d[l] = b[l] & m32
-					}
-				}
-			}
-		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = max(a[l]&m32, b[l]&m32)
+				d[l] = max((a[l]&w)^f, (b[l]&w)^f) ^ f
 			}
 		}
 	case ptx.OpAbs:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int32(a[l]) < 0 {
-						d[l] = (-a[l]) & m32
-					} else {
-						d[l] = a[l] & m32
-					}
-				}
-			}
+		if !signed {
+			return vecInt(ptx.OpMov, t)
 		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = a[l] & m32
+				if sext(a[l], sh) < 0 {
+					d[l] = -a[l] & w
+				} else {
+					d[l] = a[l] & w
+				}
 			}
 		}
 	case ptx.OpNeg:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (-a[l]) & m32
+				d[l] = -a[l] & w
 			}
 		}
 	case ptx.OpAnd:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			if mask == fullWarp {
 				for l := range d {
-					d[l] = (a[l] & b[l]) & m32
+					d[l] = a[l] & b[l] & w
 				}
 				return
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] & b[l]) & m32
+				d[l] = a[l] & b[l] & w
 			}
 		}
 	case ptx.OpOr:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] | b[l]) & m32
+				d[l] = (a[l] | b[l]) & w
 			}
 		}
 	case ptx.OpXor:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] ^ b[l]) & m32
+				d[l] = (a[l] ^ b[l]) & w
 			}
 		}
 	case ptx.OpNot:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = ^a[l] & m32
+				d[l] = ^a[l] & w
 			}
 		}
 	case ptx.OpShl:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			if mask == fullWarp {
 				for l := range d {
-					d[l] = (a[l] << min(b[l]&m32, 32)) & m32
+					d[l] = (a[l] << min(b[l]&0xffffffff, n)) & w
 				}
 				return
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] << min(b[l]&m32, 32)) & m32
+				d[l] = (a[l] << min(b[l]&0xffffffff, n)) & w
 			}
 		}
 	case ptx.OpShr:
@@ -372,43 +381,44 @@ func vecInt32(op ptx.Opcode, signed bool) Fn {
 			return func(d, a, b, c *[32]uint64, mask uint64) {
 				if mask == fullWarp {
 					for l := range d {
-						d[l] = uint64(int64(int32(a[l]))>>min(b[l]&m32, 32)) & m32
+						d[l] = uint64(sext(a[l], sh)>>min(b[l]&0xffffffff, n)) & w
 					}
 					return
 				}
 				for m := mask; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
-					d[l] = uint64(int64(int32(a[l]))>>min(b[l]&m32, 32)) & m32
+					d[l] = uint64(sext(a[l], sh)>>min(b[l]&0xffffffff, n)) & w
 				}
 			}
 		}
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			if mask == fullWarp {
 				for l := range d {
-					d[l] = (a[l] & m32) >> min(b[l]&m32, 32)
+					d[l] = (a[l] & w) >> min(b[l]&0xffffffff, n)
 				}
 				return
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = (a[l] & m32) >> min(b[l]&m32, 32)
+				d[l] = (a[l] & w) >> min(b[l]&0xffffffff, n)
 			}
 		}
 	case ptx.OpMov:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				d[l] = a[l] & m32
+				d[l] = a[l] & w
 			}
 		}
 	}
 	return nil
 }
 
-// vecF32 hand-specializes f32 ops. Each body is the exact expression from
-// sem's aluFloat — same operations in the same order — so results stay
-// bit-identical with sem.ALU. min/max/abs round
-// through float64 like sem does (harmless for these ops, but kept verbatim).
+// vecF32 hand-specializes the f32 ops the benchmark workloads execute. Each
+// body is the exact expression from sem's aluFloat — same operations in
+// the same order — so results stay bit-identical with sem.ALU. min, max and
+// sqrt round through float64 like sem does (harmless for these ops, but
+// kept verbatim). nil means "no specialization, use the generic path".
 func vecF32(op ptx.Opcode) Fn {
 	switch op {
 	case ptx.OpAdd:
@@ -457,13 +467,6 @@ func vecF32(op ptx.Opcode) Fn {
 				d[l] = sem.ArithF32Bits(sem.BitsF32(a[l])*sem.BitsF32(b[l]) + sem.BitsF32(c[l]))
 			}
 		}
-	case ptx.OpDiv:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF32Bits(sem.BitsF32(a[l]) / sem.BitsF32(b[l]))
-			}
-		}
 	case ptx.OpMin:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
@@ -478,20 +481,6 @@ func vecF32(op ptx.Opcode) Fn {
 				d[l] = sem.F32Bits(float32(math.Max(float64(sem.BitsF32(a[l])), float64(sem.BitsF32(b[l])))))
 			}
 		}
-	case ptx.OpAbs:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F32Bits(float32(math.Abs(float64(sem.BitsF32(a[l])))))
-			}
-		}
-	case ptx.OpNeg:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F32Bits(-sem.BitsF32(a[l]))
-			}
-		}
 	case ptx.OpMov:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
@@ -499,319 +488,11 @@ func vecF32(op ptx.Opcode) Fn {
 				d[l] = sem.F32Bits(sem.BitsF32(a[l]))
 			}
 		}
-	case ptx.OpRcp:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F32Bits(1 / sem.BitsF32(a[l]))
-			}
-		}
 	case ptx.OpSqrt:
 		return func(d, a, b, c *[32]uint64, mask uint64) {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				d[l] = sem.F32Bits(float32(math.Sqrt(float64(sem.BitsF32(a[l])))))
-			}
-		}
-	case ptx.OpRsqrt:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F32Bits(float32(1 / math.Sqrt(float64(sem.BitsF32(a[l])))))
-			}
-		}
-	}
-	return nil
-}
-
-// vecF64 hand-specializes f64 ops, mirroring sem's aluFloat f64 arm.
-func vecF64(op ptx.Opcode) Fn {
-	switch op {
-	case ptx.OpAdd:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF64Bits(sem.BitsF64(a[l]) + sem.BitsF64(b[l]))
-			}
-		}
-	case ptx.OpSub:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF64Bits(sem.BitsF64(a[l]) - sem.BitsF64(b[l]))
-			}
-		}
-	case ptx.OpMul:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF64Bits(sem.BitsF64(a[l]) * sem.BitsF64(b[l]))
-			}
-		}
-	case ptx.OpMad:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF64Bits(sem.BitsF64(a[l])*sem.BitsF64(b[l]) + sem.BitsF64(c[l]))
-			}
-		}
-	case ptx.OpDiv:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.ArithF64Bits(sem.BitsF64(a[l]) / sem.BitsF64(b[l]))
-			}
-		}
-	case ptx.OpMin:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(math.Min(sem.BitsF64(a[l]), sem.BitsF64(b[l])))
-			}
-		}
-	case ptx.OpMax:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(math.Max(sem.BitsF64(a[l]), sem.BitsF64(b[l])))
-			}
-		}
-	case ptx.OpAbs:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(math.Abs(sem.BitsF64(a[l])))
-			}
-		}
-	case ptx.OpNeg:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(-sem.BitsF64(a[l]))
-			}
-		}
-	case ptx.OpMov:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l]
-			}
-		}
-	case ptx.OpRcp:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(1 / sem.BitsF64(a[l]))
-			}
-		}
-	case ptx.OpSqrt:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = sem.F64Bits(math.Sqrt(sem.BitsF64(a[l])))
-			}
-		}
-	}
-	return nil
-}
-
-// vecInt64 hand-specializes 64-bit integer ops (Truncate at 64 bits is the
-// identity).
-func vecInt64(op ptx.Opcode, signed bool) Fn {
-	switch op {
-	case ptx.OpAdd:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] + b[l]
-			}
-		}
-	case ptx.OpSub:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] - b[l]
-			}
-		}
-	case ptx.OpMul:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] * b[l]
-			}
-		}
-	case ptx.OpMad:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l]*b[l] + c[l]
-			}
-		}
-	case ptx.OpDiv:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if b[l] == 0 {
-						d[l] = ^uint64(0)
-						continue
-					}
-					d[l] = uint64(int64(a[l]) / int64(b[l]))
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				if b[l] == 0 {
-					d[l] = ^uint64(0)
-					continue
-				}
-				d[l] = a[l] / b[l]
-			}
-		}
-	case ptx.OpRem:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if b[l] == 0 {
-						d[l] = ^uint64(0)
-						continue
-					}
-					d[l] = uint64(int64(a[l]) % int64(b[l]))
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				if b[l] == 0 {
-					d[l] = ^uint64(0)
-					continue
-				}
-				d[l] = a[l] % b[l]
-			}
-		}
-	case ptx.OpMin:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int64(a[l]) < int64(b[l]) {
-						d[l] = a[l]
-					} else {
-						d[l] = b[l]
-					}
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = min(a[l], b[l])
-			}
-		}
-	case ptx.OpMax:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int64(a[l]) > int64(b[l]) {
-						d[l] = a[l]
-					} else {
-						d[l] = b[l]
-					}
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = max(a[l], b[l])
-			}
-		}
-	case ptx.OpAbs:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					if int64(a[l]) < 0 {
-						d[l] = -a[l]
-					} else {
-						d[l] = a[l]
-					}
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l]
-			}
-		}
-	case ptx.OpNeg:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = -a[l]
-			}
-		}
-	case ptx.OpAnd:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] & b[l]
-			}
-		}
-	case ptx.OpOr:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] | b[l]
-			}
-		}
-	case ptx.OpXor:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] ^ b[l]
-			}
-		}
-	case ptx.OpNot:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = ^a[l]
-			}
-		}
-	case ptx.OpShl:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] << min(b[l]&0xffffffff, 64)
-			}
-		}
-	case ptx.OpShr:
-		if signed {
-			return func(d, a, b, c *[32]uint64, mask uint64) {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					d[l] = uint64(int64(a[l]) >> min(b[l]&0xffffffff, 64))
-				}
-			}
-		}
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l] >> min(b[l]&0xffffffff, 64)
-			}
-		}
-	case ptx.OpMov:
-		return func(d, a, b, c *[32]uint64, mask uint64) {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				d[l] = a[l]
 			}
 		}
 	}
