@@ -62,7 +62,8 @@ bench:
 	set -e; for w in paper_suite svc_cold svc_warm gw_mixed; do $(GO) run ./bench -workload $$w; done
 
 # Cold-compile microbenchmarks, five samples each with allocation counts:
-# one cache-miss compile (svc_cold's and gw_mixed's tail work), the
+# one cache-miss compile (svc_cold's and gw_mixed's tail work) at block
+# 64, the block size of those workloads' kernels, and at block 128, the
 # oracle's check of a set of rewrite chains, the PTX text layer a
 # compile starts and ends with (printing one kernel as a module, parsing
 # one request body; both over the compile benchmark's kernels), and the

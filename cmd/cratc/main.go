@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return usageError{"-tlp sets the TLP of the pinned -reg point; without -reg the search chooses the TLP"}
 	}
 	if *regCap > 0 && len(backends) > 0 {
-		return fmt.Errorf("-backend selects candidate generators for the design-space search; it cannot be combined with the fixed-budget -reg mode")
+		return usageError{"-backend selects candidate generators for the design-space search; it cannot be combined with the fixed-budget -reg mode"}
 	}
 	if backends, err = core.BackendList(backends, *noShared); err != nil {
 		return usageError{err.Error()}

@@ -84,6 +84,7 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-arch", "Kepler"}, `unknown arch "Kepler"`},
 		{[]string{"-no-shared-spill", "-backend", "crat"}, "cannot be combined with a backend list"},
 		{[]string{"-tlp", "2"}, "without -reg"},
+		{[]string{"-reg", "8", "-backend", "crat"}, "cannot be combined with the fixed-budget -reg mode"},
 	} {
 		got := invoke(c.args)
 		if !strings.Contains(got, "exit: 2\n") || !strings.Contains(got, c.want) {

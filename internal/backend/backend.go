@@ -53,6 +53,65 @@ type Request struct {
 	Split               spillopt.Split
 	UnweightedGain      bool
 	UnweightedSpillCost bool
+	// Input is the compile's shared work on Kernel (core builds one per
+	// compile). Nil gives each Candidates call a private one.
+	Input *Input
+}
+
+// allocOptions returns the allocator options of a candidate at pt.
+func (req Request) allocOptions(pt Point) regalloc.Options {
+	return regalloc.Options{
+		Regs:                pt.Reg,
+		Coalesce:            req.Coalesce,
+		UnweightedSpillCost: req.UnweightedSpillCost,
+	}
+}
+
+// input returns req.Input, or a fresh Input for req.Kernel.
+func (req Request) input() *Input {
+	if req.Input != nil {
+		return req.Input
+	}
+	return NewInput(passes.NewAnalysisManager(req.Kernel))
+}
+
+// Input is what one compile computes once on its input kernel and shares
+// across the backends: the kernel's analysis manager, and its allocations
+// keyed by regalloc.Options. Every backend that allocates the unmodified
+// kernel (crat and crat-local at every point, regdem at a point where it
+// demotes nothing) asks Allocate, so each (point, options) is allocated
+// once per compile. A returned *regalloc.Result is shared: nothing may
+// mutate it. Backends run one after another, so Input takes no lock.
+type Input struct {
+	am     *passes.AnalysisManager
+	allocs map[regalloc.Options]allocation
+}
+
+// allocation is one memoized Allocate outcome.
+type allocation struct {
+	res *regalloc.Result
+	err error
+}
+
+// NewInput starts a compile's shared work on am's kernel, reusing
+// whatever am has already computed.
+func NewInput(am *passes.AnalysisManager) *Input {
+	return &Input{am: am, allocs: make(map[regalloc.Options]allocation)}
+}
+
+// Analyses returns the input kernel's manager. Callers read it or Fork
+// it; no transforming pass runs on it.
+func (in *Input) Analyses() *passes.AnalysisManager { return in.am }
+
+// Allocate returns the allocation of the input kernel under opts, running
+// it under pm the first time opts is asked for; an error is memoized too.
+func (in *Input) Allocate(pm *passes.Manager, opts regalloc.Options) (*regalloc.Result, error) {
+	if a, ok := in.allocs[opts]; ok {
+		return a.res, a.err
+	}
+	res, err := regalloc.AllocateWith(pm, in.am, opts)
+	in.allocs[opts] = allocation{res, err}
+	return res, err
 }
 
 // Candidate is one compiled design point produced by a backend, carrying

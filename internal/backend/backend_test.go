@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"crat/internal/backend"
+	"crat/internal/emu/ptxgen"
 	"crat/internal/gpusim"
+	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/regalloc"
 )
@@ -81,5 +83,71 @@ func TestIsPipelineFault(t *testing.T) {
 				t.Errorf("IsPipelineFault(%v) = %v, want %v", tc.err, got, tc.want)
 			}
 		})
+	}
+}
+
+// analysesOf renders every analysis am holds for its kernel, building the
+// missing ones, so that two renderings differ exactly when an analysis
+// changed.
+func analysesOf(t *testing.T, am *passes.AnalysisManager) string {
+	t.Helper()
+	g, err := am.CFG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := am.Liveness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doms, _ := am.Dominators()
+	pdoms, _ := am.PostDominators()
+	depth, _ := am.LoopDepth()
+	rc, _ := am.Reconvergence()
+	ud := am.UseDef()
+	return fmt.Sprintf("%p %v\n%v %v %v\n%v %v %v\n%v %v\n%v", g, *g, lv.BlockIn, lv.BlockOut, lv.InstOut, doms, pdoms, depth, *rc, *ud, am.Computes)
+}
+
+// TestBackendsLeaveInputAnalysesIntact pins the rule a shared Input rests
+// on: analyses are immutable once built. Every backend compiles spilling,
+// demoting and spill-free points from one Input, and afterwards the input
+// kernel and every analysis on its manager are unchanged, with nothing
+// rebuilt.
+func TestBackendsLeaveInputAnalysesIntact(t *testing.T) {
+	fermi := gpusim.FermiConfig()
+	spilled, demoted := false, false
+	for seed := int64(1); seed <= 20; seed++ {
+		k := ptxgen.Generate(ptxgen.Config{Seed: seed, Block: 128})
+		am := passes.NewAnalysisManager(k)
+		maxReg, err := regalloc.MaxRegWith(am)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, text := analysesOf(t, am), ptx.Print(k)
+		in := backend.NewInput(am)
+		req := backend.Request{
+			AppName: k.Name, Kernel: k, Arch: fermi, BlockSize: 128, OptTLP: 4,
+			Points: []backend.Point{{Reg: maxReg, TLP: 4}, {Reg: max(maxReg*2/3, 8), TLP: 2}, {Reg: max(maxReg/2, 6), TLP: 1}},
+			Input:  in,
+		}
+		for _, name := range backend.Names() {
+			bk, _ := backend.Lookup(name)
+			cands, err := bk.Candidates(&passes.Manager{VerifyEach: true}, req)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			for _, c := range cands {
+				spilled = spilled || len(c.Alloc.Spills) > 0
+				demoted = demoted || c.Demoted > 0
+			}
+		}
+		if ptx.Print(k) != text {
+			t.Fatalf("seed %d: the backends modified the input kernel", seed)
+		}
+		if after := analysesOf(t, am); after != before {
+			t.Fatalf("seed %d: the input's analyses changed:\nbefore %s\nafter  %s", seed, before, after)
+		}
+	}
+	if !spilled || !demoted {
+		t.Errorf("corpus spilled=%v demoted=%v; it no longer covers both rewriting paths", spilled, demoted)
 	}
 }

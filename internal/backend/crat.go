@@ -10,7 +10,6 @@ package backend
 
 import (
 	"crat/internal/passes"
-	"crat/internal/regalloc"
 	"crat/internal/spillopt"
 )
 
@@ -57,9 +56,10 @@ func (b cratBackend) Passes() []PassInfo {
 // budgets and failing fast on pipeline faults, exactly as the historical
 // Optimize loop did.
 func (b cratBackend) Candidates(pm *passes.Manager, req Request) ([]Candidate, error) {
+	in := req.input()
 	var out []Candidate
 	for _, pt := range req.Points {
-		c, err := b.build(pm, req, pt)
+		c, err := b.build(pm, req, in, pt)
 		if err != nil {
 			if IsPipelineFault(err) {
 				// A pass emitted unverifiable IR or diverged from the
@@ -74,13 +74,9 @@ func (b cratBackend) Candidates(pm *passes.Manager, req Request) ([]Candidate, e
 	return out, nil
 }
 
-func (b cratBackend) build(pm *passes.Manager, req Request, pt Point) (*Candidate, error) {
-	allocOpts := regalloc.Options{
-		Regs:                pt.Reg,
-		Coalesce:            req.Coalesce,
-		UnweightedSpillCost: req.UnweightedSpillCost,
-	}
-	alloc, err := regalloc.AllocateWith(pm, req.Kernel, allocOpts)
+func (b cratBackend) build(pm *passes.Manager, req Request, in *Input, pt Point) (*Candidate, error) {
+	allocOpts := req.allocOptions(pt)
+	alloc, err := in.Allocate(pm, allocOpts)
 	if err != nil {
 		return nil, err
 	}

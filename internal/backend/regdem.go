@@ -41,9 +41,10 @@ func (regdemBackend) Passes() []PassInfo {
 }
 
 func (b regdemBackend) Candidates(pm *passes.Manager, req Request) ([]Candidate, error) {
+	in := req.input()
 	var out []Candidate
 	for _, pt := range req.Points {
-		c, err := b.build(pm, req, pt)
+		c, err := b.build(pm, req, in, pt)
 		if err != nil {
 			if IsPipelineFault(err) {
 				return nil, err
@@ -55,9 +56,11 @@ func (b regdemBackend) Candidates(pm *passes.Manager, req Request) ([]Candidate,
 	return out, nil
 }
 
-func (b regdemBackend) build(pm *passes.Manager, req Request, pt Point) (*Candidate, error) {
-	k := req.Kernel.Clone()
-	am := passes.NewAnalysisManager(k)
+// build runs the victim walk on a fork of the input's manager. A point
+// where nothing is demoted allocates the unmodified input through the
+// shared memo; only a demotion clones and rewrites the kernel.
+func (b regdemBackend) build(pm *passes.Manager, req Request, in *Input, pt Point) (*Candidate, error) {
+	am := in.Analyses().Fork(req.Kernel)
 	dp := &demotePass{
 		budget:     pt.Reg,
 		spareShm:   SpareShm(req.Arch, req.ShmSize, pt.TLP),
@@ -67,11 +70,13 @@ func (b regdemBackend) build(pm *passes.Manager, req Request, pt Point) (*Candid
 	if err := pm.Run(am, dp); err != nil {
 		return nil, err
 	}
-	alloc, err := regalloc.AllocateWith(pm, am.Kernel(), regalloc.Options{
-		Regs:                pt.Reg,
-		Coalesce:            req.Coalesce,
-		UnweightedSpillCost: req.UnweightedSpillCost,
-	})
+	var alloc *regalloc.Result
+	var err error
+	if dp.demoted == 0 {
+		alloc, err = in.Allocate(pm, req.allocOptions(pt))
+	} else {
+		alloc, err = regalloc.AllocateWith(pm, am, req.allocOptions(pt))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +114,10 @@ func sharedDemoteName(t ptx.Type) string { return "RegDemShm_" + t.String() }
 // id — provided its shared slot still fits in the spare shared memory.
 // The rewrite then mirrors the allocator's spill insertion, but against
 // per-type shared arrays in the element-interleaved layout (slot j of
-// thread t at j*elem*BlockSize + t*elem).
+// thread t at j*elem*BlockSize + t*elem). It rewrites a clone and rebinds
+// the manager to it with Replace, so the input kernel, and the analyses a
+// Fork shares with the compile's manager, stay valid; the pass declares
+// no invalidations.
 type demotePass struct {
 	budget     int   // register budget in 32-bit slots (design-point Reg)
 	spareShm   int64 // spare shared memory per block at the point's TLP
@@ -126,9 +134,7 @@ func (p *demotePass) Requires() []passes.Kind {
 	return []passes.Kind{passes.KindCFG, passes.KindLiveness, passes.KindLoopDepth}
 }
 
-func (p *demotePass) Invalidates() []passes.Kind {
-	return []passes.Kind{passes.KindCFG, passes.KindUseDef}
-}
+func (p *demotePass) Invalidates() []passes.Kind { return nil }
 
 func (p *demotePass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 	if p.blockSize <= 0 || p.spareShm <= 0 {
@@ -223,7 +229,10 @@ func (p *demotePass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 	if len(demote) == 0 {
 		return nil
 	}
-	return p.rewrite(k, demote)
+	c := k.Clone()
+	p.rewrite(c, demote)
+	am.Replace(c)
+	return nil
 }
 
 // demoteSlot is one demoted register's shared-memory home.
@@ -238,7 +247,7 @@ type demoteSlot struct {
 // entry, each use reloaded into a fresh temporary and each definition
 // stored back under the instruction's guard (mirroring the allocator's
 // spill insertion, paper Listing 4).
-func (p *demotePass) rewrite(k *ptx.Kernel, demote map[ptx.Reg]bool) error {
+func (p *demotePass) rewrite(k *ptx.Kernel, demote map[ptx.Reg]bool) {
 	// Group the victims by type, registers sorted for determinism.
 	byType := make(map[ptx.Type][]ptx.Reg)
 	var types []ptx.Type
@@ -346,7 +355,6 @@ func (p *demotePass) rewrite(k *ptx.Kernel, demote map[ptx.Reg]bool) error {
 		out = append(out, stores...)
 	}
 	k.Insts = append(setup, out...)
-	return nil
 }
 
 // renameDemotedUses replaces register uses per the mapping (guard,

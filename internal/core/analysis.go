@@ -19,8 +19,8 @@ package core
 import (
 	"fmt"
 
-	"crat/internal/cfg"
 	"crat/internal/gpusim"
+	"crat/internal/passes"
 	"crat/internal/ptx"
 	"crat/internal/regalloc"
 )
@@ -63,10 +63,19 @@ type Analysis struct {
 // given architecture (paper §4.1). OptTLP is left zero; obtain it with
 // ProfileOptTLPNCtx or EstimateOptTLP.
 func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
+	return analyze(app, arch, nil)
+}
+
+// analyze is Analyze reading the kernel's analyses from am, the compile's
+// manager for app.Kernel (nil = a fresh one).
+func analyze(app App, arch gpusim.Config, am *passes.AnalysisManager) (*Analysis, error) {
 	if app.Kernel == nil || app.Block <= 0 {
 		return nil, fmt.Errorf("core: app %q incomplete", app.Name)
 	}
-	maxReg, err := regalloc.MaxReg(app.Kernel)
+	if am == nil {
+		am = passes.NewAnalysisManager(app.Kernel)
+	}
+	maxReg, err := regalloc.MaxRegWith(am)
 	if err != nil {
 		return nil, fmt.Errorf("core: MaxReg(%s): %w", app.Name, err)
 	}
@@ -85,7 +94,7 @@ func Analyze(app App, arch gpusim.Config) (*Analysis, error) {
 	if a.MaxTLP == 0 {
 		return nil, fmt.Errorf("core: %s does not fit on the SM at its default configuration", app.Name)
 	}
-	seg, err := Segments(app.Kernel)
+	seg, err := segments(am)
 	if err != nil {
 		return nil, err
 	}
@@ -205,11 +214,16 @@ type Segment struct {
 // by 10^depth, and every global/local memory instruction opens a memory
 // segment.
 func Segments(k *ptx.Kernel) ([]Segment, error) {
-	g, err := cfg.Build(k)
+	return segments(passes.NewAnalysisManager(k))
+}
+
+// segments is Segments over am's kernel and cached loop depths.
+func segments(am *passes.AnalysisManager) ([]Segment, error) {
+	k := am.Kernel()
+	depth, err := am.InstLoopDepth()
 	if err != nil {
 		return nil, err
 	}
-	depth := g.InstLoopDepth()
 	var segs []Segment
 	add := func(kind SegKind, lat float64) {
 		if n := len(segs); n > 0 && segs[n-1].Kind == kind {

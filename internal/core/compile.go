@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 
+	"crat/internal/backend"
+	"crat/internal/passes"
 	"crat/internal/ptx"
 )
 
@@ -52,10 +54,14 @@ func Compile(ctx context.Context, req Request) (*Compiled, error) {
 	}
 	app := App{Name: kernel.Name, Kernel: kernel, Block: req.Block, Grid: req.Grid, DefaultReg: max(req.Pin.Reg, 0)}
 	opts := req.Options
-	if opts.Analysis, err = Analyze(app, opts.Arch); err != nil {
+	// One manager serves the whole compile: the analysis, the prune and
+	// selection passes and every backend read the kernel's analyses from
+	// it, and the backends share its allocations.
+	in := backend.NewInput(passes.NewAnalysisManager(kernel))
+	if opts.Analysis, err = analyze(app, opts.Arch, in.Analyses()); err != nil {
 		return nil, &InputError{err}
 	}
-	d, err := optimize(ctx, app, opts)
+	d, err := optimize(ctx, app, opts, in)
 	if err != nil {
 		return nil, err
 	}

@@ -114,13 +114,14 @@ type Options struct {
 }
 
 // analyze returns a private copy of the supplied analysis (or analyzes
-// the app when none was supplied) with OptTLP resolved from the options:
-// 0 (or less) means MaxTLP, and nothing exceeds MaxTLP.
-func (o Options) analyze(app App) (*Analysis, error) {
+// the app through am, nil for a fresh manager, when none was supplied)
+// with OptTLP resolved from the options: 0 (or less) means MaxTLP, and
+// nothing exceeds MaxTLP.
+func (o Options) analyze(app App, am *passes.AnalysisManager) (*Analysis, error) {
 	a := o.Analysis
 	if a == nil {
 		var err error
-		if a, err = Analyze(app, o.Arch); err != nil {
+		if a, err = analyze(app, o.Arch, am); err != nil {
 			return nil, err
 		}
 	}
@@ -172,19 +173,26 @@ func OptimizeCtx(ctx context.Context, app App, opts Options) (*Decision, error) 
 	if err := ptx.Verify(app.Kernel, "input"); err != nil {
 		return nil, err
 	}
-	return optimize(ctx, app, opts)
+	return optimize(ctx, app, opts, nil)
 }
 
-// optimize is OptimizeCtx on an input kernel the caller has verified.
-func optimize(ctx context.Context, app App, opts Options) (*Decision, error) {
+// optimize is OptimizeCtx on an input kernel the caller has verified. in
+// is the compile's shared work on app.Kernel (nil = start it here): the
+// analysis, the prune and selection passes and every backend read its
+// one analysis manager, and the backends share its allocations.
+func optimize(ctx context.Context, app App, opts Options, in *backend.Input) (*Decision, error) {
 	// Resolve the backend set up front so a bad -backend flag fails before
 	// any work runs.
 	backends, err := backend.Resolve(opts.backendNames())
 	if err != nil {
 		return nil, err
 	}
+	if in == nil {
+		in = backend.NewInput(passes.NewAnalysisManager(app.Kernel))
+	}
+	am := in.Analyses()
 	arch := opts.Arch
-	a, err := opts.analyze(app)
+	a, err := opts.analyze(app, am)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +214,6 @@ func optimize(ctx context.Context, app App, opts Options) (*Decision, error) {
 	// selection across the union. With no hooks set the manager only
 	// records per-pass events and the process-wide timing aggregates.
 	pm := &passes.Manager{VerifyEach: opts.VerifyEachPass, DumpAfter: opts.DumpAfter}
-	am := passes.NewAnalysisManager(app.Kernel)
 
 	req := backend.Request{
 		AppName:             app.Name,
@@ -219,6 +226,7 @@ func optimize(ctx context.Context, app App, opts Options) (*Decision, error) {
 		Split:               opts.Split,
 		UnweightedGain:      opts.UnweightedGain,
 		UnweightedSpillCost: opts.UnweightedSpillCost,
+		Input:               in,
 	}
 	if pin := opts.Pin; pin.Reg > 0 {
 		if pin.TLP == 0 {
@@ -295,7 +303,7 @@ func (o Options) backendNames() []string {
 func (m Mode) Options(app App, opts Options) (Options, error) {
 	switch m {
 	case ModeMaxTLP, ModeOptTLP:
-		a, err := opts.analyze(app)
+		a, err := opts.analyze(app, nil)
 		if err != nil {
 			return opts, err
 		}

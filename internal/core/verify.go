@@ -9,10 +9,11 @@ import (
 	"crat/internal/regalloc"
 )
 
-// baselineCandidate builds the degraded-mode fallback: a spill-free
-// allocation at MaxReg with no shared-memory spilling — the most
-// conservative rewrite the pipeline can emit (a pure register rename). Its
-// TLP is the hardware occupancy at that register usage.
+// baselineCandidate builds the degraded-mode fallback: a fresh allocation
+// at MaxReg with no shared-memory spilling — the most conservative rewrite
+// the pipeline can emit (a register rename, plus local-memory spill code
+// for a kernel whose MaxReg does not hold it without, see regalloc.MaxReg).
+// Its TLP is the hardware occupancy at that register usage.
 func baselineCandidate(app App, arch gpusim.Config, a *Analysis) (*Candidate, error) {
 	alloc, err := regalloc.Allocate(app.Kernel, regalloc.Options{Regs: a.MaxReg})
 	if err != nil {

@@ -80,7 +80,9 @@ type Reconvergence struct {
 // pass pipeline. Analyses are computed lazily on first request, memoized,
 // and dropped when a transform invalidates them; the version counter
 // advances on every invalidation so instrumentation can tell whether a
-// pass changed the IR.
+// pass changed the IR. An analysis is never mutated once built: a
+// transform drops it and a later request builds a new one, so a Fork and
+// any caller holding a returned analysis keep reading a consistent value.
 type AnalysisManager struct {
 	k       *ptx.Kernel
 	version uint64
@@ -102,6 +104,26 @@ type AnalysisManager struct {
 // NewAnalysisManager binds a manager to a kernel with no analyses computed.
 func NewAnalysisManager(k *ptx.Kernel) *AnalysisManager {
 	return &AnalysisManager{k: k}
+}
+
+// Fork returns a manager bound to k that starts from am's valid analyses.
+// k must be am's kernel or an unmodified clone of it. Analyses are
+// immutable once built, so both managers read the same objects; the
+// fork's Invalidate, InvalidateAll and Replace drop only its own
+// references, and its Computes start at zero. An analysis the fork builds
+// later stays the fork's own.
+func (am *AnalysisManager) Fork(k *ptx.Kernel) *AnalysisManager {
+	return &AnalysisManager{
+		k:        k,
+		valid:    am.valid,
+		graph:    am.graph,
+		liveness: am.liveness,
+		doms:     am.doms,
+		pdoms:    am.pdoms,
+		depth:    am.depth,
+		reconv:   am.reconv,
+		usedef:   am.usedef,
+	}
 }
 
 // Kernel returns the kernel currently bound to the manager — the pipeline's

@@ -102,6 +102,70 @@ func TestAnalysisCachingAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestForkStartsFromSourceAnalyses pins clone seeding: a Fork for a clone
+// reads the source's CFG and liveness without building them, and
+// invalidating the fork, or rebinding it, leaves the source's analyses
+// valid and unbuilt again.
+func TestForkStartsFromSourceAnalyses(t *testing.T) {
+	k := buildLoopKernel()
+	am := NewAnalysisManager(k)
+	g, err := am.CFG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := am.Liveness()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := k.Clone()
+	f := am.Fork(c)
+	if f.Kernel() != c {
+		t.Fatal("fork is not bound to the clone")
+	}
+	if f.Computes[KindCFG] != 0 || f.Computes[KindLiveness] != 0 {
+		t.Fatalf("fork starts with computes cfg=%d liveness=%d, want 0 and 0", f.Computes[KindCFG], f.Computes[KindLiveness])
+	}
+	if fg, _ := f.CFG(); fg != g {
+		t.Error("fork built its own CFG instead of reading the source's")
+	}
+	if flv, _ := f.Liveness(); flv != lv {
+		t.Error("fork built its own liveness instead of reading the source's")
+	}
+	if f.Computes[KindCFG] != 0 || f.Computes[KindLiveness] != 0 {
+		t.Errorf("fork computes after reads: cfg=%d liveness=%d, want 0 and 0", f.Computes[KindCFG], f.Computes[KindLiveness])
+	}
+
+	// An analysis the fork builds stays the fork's own.
+	if _, err := f.LoopDepth(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Computes[KindLoopDepth] != 1 {
+		t.Errorf("fork loop-depth computes = %d, want 1", f.Computes[KindLoopDepth])
+	}
+
+	f.Invalidate(KindCFG)
+	f.Replace(c.Clone())
+	if fg, _ := f.CFG(); fg == g {
+		t.Error("fork still reads the source's CFG after Replace")
+	}
+	if f.Computes[KindCFG] != 1 {
+		t.Errorf("fork cfg computes = %d after Replace, want 1", f.Computes[KindCFG])
+	}
+	if ag, _ := am.CFG(); ag != g {
+		t.Error("invalidating the fork dropped the source's CFG")
+	}
+	if alv, _ := am.Liveness(); alv != lv {
+		t.Error("invalidating the fork dropped the source's liveness")
+	}
+	if _, err := am.LoopDepth(); err != nil {
+		t.Fatal(err)
+	}
+	if am.Computes[KindCFG] != 1 || am.Computes[KindLiveness] != 1 || am.Computes[KindLoopDepth] != 1 {
+		t.Errorf("source computes cfg=%d liveness=%d loop-depth=%d, want 1 each", am.Computes[KindCFG], am.Computes[KindLiveness], am.Computes[KindLoopDepth])
+	}
+}
+
 func TestAnalysesMatchDirectComputation(t *testing.T) {
 	k := buildLoopKernel()
 	am := NewAnalysisManager(k)

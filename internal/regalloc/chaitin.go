@@ -81,7 +81,8 @@ type Result struct {
 	Kernel *ptx.Kernel
 	// Virtual is the colorable kernel before the physical rewrite: spill
 	// code inserted, virtual register names retained. The shared-memory
-	// spilling optimization rewrites this form.
+	// spilling optimization rewrites a clone of this form. When nothing
+	// was coalesced or spilled it is the input kernel itself, not a copy.
 	Virtual *ptx.Kernel
 	// UsedRegs is the number of 32-bit register slots the allocation
 	// actually uses per thread (the achieved "reg").
@@ -114,7 +115,8 @@ type Result struct {
 // allocState carries state across build-color-spill iterations.
 type allocState struct {
 	opts    Options
-	k       *ptx.Kernel // working copy, virtual names
+	k       *ptx.Kernel // working kernel, virtual names: the input until own
+	owned   bool        // k is the allocation's private copy
 	noSpill map[ptx.Reg]bool
 	slots   map[ptx.Reg]SpillSlot // spilled vregs (from all rounds)
 	stack   int64                 // spill stack bytes used so far
@@ -122,30 +124,39 @@ type allocState struct {
 	res     *Result
 }
 
-// MaxReg returns the number of 32-bit register slots needed to hold all the
-// kernel's variables without any spill — the MaxReg parameter of paper
-// Table 1, obtained through dataflow analysis. Because graph coloring is a
-// heuristic, the unconstrained coloring's register count is only a starting
-// point: MaxReg is the smallest budget at which the allocator actually
-// produces a spill-free allocation.
+// MaxReg returns the MaxReg parameter of paper Table 1, obtained through
+// dataflow analysis: the 32-bit slots used by the first spill-free
+// coloring round at a budget at or above the unconstrained count (the
+// slots a round at a budget of 4096 uses). It runs color rounds only, on
+// k itself: the round at 4096, then one round per budget upward from the
+// slots it used. It builds no physical kernel; usedSlots counts exactly
+// what the physical rewrite would.
 //
-// A spill-free allocation is decided by its first coloring round, so MaxReg
-// runs color rounds only, on k itself and over one liveness: the round at a
-// budget of 4096, then one round per budget upward from the slots that round
-// used. It builds no physical kernel; usedSlots counts exactly what the
-// physical rewrite would.
+// The result is not always a spill-free budget. A spill-free round at
+// budget B can use fewer than B slots, and Allocate at that smaller count
+// can spill: 206 of the 2,000 ptxgen kernels of seeds 0-1999 at block 64
+// do, none of the Table-3 kernels does.
 func MaxReg(k *ptx.Kernel) (int, error) {
-	am := passes.NewAnalysisManager(k)
+	return MaxRegWith(passes.NewAnalysisManager(k))
+}
+
+// MaxRegWith is MaxReg over am's kernel and cached analyses. Every round
+// colors from one liveness, so the rounds share one interference graph
+// and one set of spill weights.
+func MaxRegWith(am *passes.AnalysisManager) (int, error) {
+	k := am.Kernel()
 	pm := &passes.Manager{}
+	var ifr *interference
 	// round colors k under budget and returns the slots used, or spilled
 	// when the round chose spills.
 	round := func(budget int) (used int, spilled bool, err error) {
 		st := &allocState{opts: Options{Regs: budget}, k: k}
-		cp := &colorPass{st: st}
+		cp := &colorPass{st: st, ifr: ifr}
 		if err := pm.Run(am, cp); err != nil {
 			return 0, false, err
 		}
-		return usedSlots(k, cp.assignment), len(cp.spills) > 0, nil
+		ifr = cp.ifr
+		return usedSlots(k, cp.slot), len(cp.spills) > 0, nil
 	}
 	unconstrained, _, err := round(4096)
 	if err != nil {
@@ -165,32 +176,50 @@ func MaxReg(k *ptx.Kernel) (int, error) {
 	}
 }
 
-// usedSlots returns the 32-bit slots an assignment occupies, counted as
+// usedSlots returns the 32-bit slots a coloring occupies, counted as
 // rewritePhysical counts them: one past the highest slot any colored
 // 32-bit register reaches, two for a 64-bit one. Predicates and registers
 // no instruction references are never colored, so they count nothing.
-func usedSlots(k *ptx.Kernel, assignment map[ptx.Reg]int) int {
+func usedSlots(k *ptx.Kernel, slot []int) int {
 	used := 0
-	for r, slot := range assignment {
-		used = max(used, slot+k.RegType(r).Class().Slots())
+	for r, s := range slot {
+		if s >= 0 {
+			used = max(used, s+k.RegType(ptx.Reg(r)).Class().Slots())
+		}
 	}
 	return used
 }
 
-// color runs one build-simplify-select round over the cached liveness. It
-// returns the coloring (slot assignment) and the set of registers chosen
-// for spilling (empty when the coloring succeeded).
+// interference is what a coloring round reads from one liveness: the
+// interference graph and the per-register spill weights. Both are
+// read-only once built, so rounds over the same liveness share them.
+type interference struct {
+	lv      *cfg.Liveness
+	ig      *igraph
+	weights []float64
+}
+
+// interference builds the round inputs of st's kernel over lv.
+func (st *allocState) interference(lv *cfg.Liveness) *interference {
+	ifr := &interference{lv: lv, ig: buildIGraph(st.k, lv)}
+	if st.opts.UnweightedSpillCost {
+		ifr.weights = unweightedCounts(st.k)
+	} else {
+		ifr.weights = lv.AccessWeights()
+	}
+	return ifr
+}
+
+// color runs one build-simplify-select round over ifr. It returns the
+// coloring (each register's starting slot, -1 where uncolored) and the set
+// of registers chosen for spilling (empty when the coloring succeeded).
 //
 // Simplify keeps each live node's squeeze (slots its remaining neighbours
 // can block) and degree in dense slices and updates them as nodes leave the
 // graph, so a pick costs one scan of the nodes instead of one adjacency walk
 // per node.
-func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error) {
-	ig := buildIGraph(st.k, lv)
-	weights := lv.AccessWeights()
-	if st.opts.UnweightedSpillCost {
-		weights = unweightedCounts(st.k)
-	}
+func (st *allocState) color(ifr *interference) ([]int, []ptx.Reg, error) {
+	ig, weights := ifr.ig, ifr.weights
 
 	K := st.opts.Regs
 	n := st.k.NumRegs()
@@ -256,7 +285,6 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 		slotType = make([]ptx.Type, K)
 	}
 	blocked := make([]bool, K) // findSlot scratch
-	assignment := make(map[ptx.Reg]int)
 	var spills []ptx.Reg
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
@@ -278,7 +306,6 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 			continue
 		}
 		slot[r] = s
-		assignment[r] = s
 		if slotType != nil {
 			t := st.k.RegType(r)
 			for j := 0; j < ig.slots(r); j++ {
@@ -286,7 +313,7 @@ func (st *allocState) color(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error
 			}
 		}
 	}
-	return assignment, spills, nil
+	return slot, spills, nil
 }
 
 // cheapestSpillableNeighbor picks the interference neighbor of r with the
@@ -342,15 +369,34 @@ func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, slotType []ptx
 	return -1
 }
 
+// own gives the allocation a private copy of its kernel before a pass
+// modifies it and rebinds am, the allocation's manager, to the copy, so
+// an allocation that neither coalesces nor spills copies nothing. The copy
+// is identical to the kernel am was bound to, and the modifying pass
+// invalidates the analyses it would change.
+func (st *allocState) own(am *passes.AnalysisManager) *ptx.Kernel {
+	if !st.owned {
+		st.k, st.owned = st.k.Clone(), true
+		am.Replace(st.k)
+	}
+	return st.k
+}
+
 // finish rewrites the colored kernel to physical registers and fills the
 // result.
-func (st *allocState) finish(assignment map[ptx.Reg]int) {
-	// st.k is the allocator's private clone, and rewritePhysical writes a
-	// new kernel, so the colored kernel is handed out as is.
+func (st *allocState) finish(slot []int) {
+	// st.k is the allocation's private copy or the unmodified input, and
+	// rewritePhysical writes a new kernel, so the colored kernel is handed
+	// out as is.
 	st.res.Virtual = st.k
-	st.res.Assignment = assignment
+	st.res.Assignment = make(map[ptx.Reg]int, len(slot))
+	for r, s := range slot {
+		if s >= 0 {
+			st.res.Assignment[ptx.Reg(r)] = s
+		}
+	}
 	st.res.BaseReg = st.baseReg
-	st.res.Kernel, st.res.UsedRegs, st.res.UsedPreds = rewritePhysical(st.k, assignment)
+	st.res.Kernel, st.res.UsedRegs, st.res.UsedPreds = rewritePhysical(st.k, slot)
 	for _, s := range st.slots {
 		st.res.Spills = append(st.res.Spills, s)
 	}

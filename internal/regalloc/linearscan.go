@@ -12,7 +12,7 @@ import (
 // as the independent reference allocator for the spill-volume
 // cross-validation of paper Figure 12 ("we do not attempt to implement a
 // register allocator that perfectly matches the commercial compiler").
-func (st *allocState) colorLinear(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg, error) {
+func (st *allocState) colorLinear(lv *cfg.Liveness) ([]int, []ptx.Reg, error) {
 	ranges := lv.LiveRanges()
 
 	// Intervals of referenced, non-predicate registers in start order.
@@ -35,7 +35,10 @@ func (st *allocState) colorLinear(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg,
 
 	K := st.opts.Regs
 	busy := make([]bool, K)
-	assignment := make(map[ptx.Reg]int)
+	assignment := make([]int, st.k.NumRegs()) // starting slot, -1 = uncolored
+	for i := range assignment {
+		assignment[i] = -1
+	}
 	var spills []ptx.Reg
 
 	type activeIv struct {
@@ -117,7 +120,7 @@ func (st *allocState) colorLinear(lv *cfg.Liveness) (map[ptx.Reg]int, []ptx.Reg,
 			default:
 				v := active[victim]
 				free(v)
-				delete(assignment, v.reg)
+				assignment[v.reg] = -1
 				spills = append(spills, v.reg)
 				active = append(active[:victim], active[victim+1:]...)
 				continue // retry allocation for the current interval

@@ -29,7 +29,7 @@ func (p *coalescePass) Invalidates() []passes.Kind {
 }
 
 func (p *coalescePass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
-	n, err := coalesce(k, p.st.opts.Regs)
+	n, err := coalesce(p.st.own(am), p.st.opts.Regs)
 	if err != nil {
 		return err
 	}
@@ -38,12 +38,16 @@ func (p *coalescePass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 }
 
 // colorPass runs one build-simplify-select round (Chaitin-Briggs) or one
-// linear scan, leaving the slot assignment and the spill choice on the
-// pass object for the driver loop.
+// linear scan, leaving the coloring (each register's starting slot, -1
+// where uncolored) and the spill choice on the pass object for the
+// allocation loop. ifr is the interference the round colored from: a
+// round handed the interference of the liveness it reads reuses it
+// instead of building it again.
 type colorPass struct {
-	st         *allocState
-	assignment map[ptx.Reg]int
-	spills     []ptx.Reg
+	st     *allocState
+	ifr    *interference
+	slot   []int
+	spills []ptx.Reg
 }
 
 func (p *colorPass) Name() string { return "color" }
@@ -60,10 +64,13 @@ func (p *colorPass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 		return err
 	}
 	if p.st.opts.Algorithm == AlgoLinearScan {
-		p.assignment, p.spills, err = p.st.colorLinear(lv)
-	} else {
-		p.assignment, p.spills, err = p.st.color(lv)
+		p.slot, p.spills, err = p.st.colorLinear(lv)
+		return err
 	}
+	if p.ifr == nil || p.ifr.lv != lv {
+		p.ifr = p.st.interference(lv)
+	}
+	p.slot, p.spills, err = p.st.color(p.ifr)
 	return err
 }
 
@@ -83,6 +90,7 @@ func (p *spillInsertPass) Invalidates() []passes.Kind {
 }
 
 func (p *spillInsertPass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
+	p.st.own(am)
 	return p.st.insertSpills(p.spills)
 }
 
@@ -92,8 +100,8 @@ func (p *spillInsertPass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 // not as a downstream simulator fault), and rebinds the AnalysisManager to
 // the physical kernel.
 type physRewritePass struct {
-	st         *allocState
-	assignment map[ptx.Reg]int
+	st   *allocState
+	slot []int
 }
 
 func (p *physRewritePass) Name() string { return "phys-rewrite" }
@@ -104,7 +112,7 @@ func (p *physRewritePass) Invalidates() []passes.Kind { return nil }
 
 func (p *physRewritePass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 	st := p.st
-	st.finish(p.assignment)
+	st.finish(p.slot)
 	if err := ptx.Verify(st.res.Virtual, "spill-insert"); err != nil {
 		return err
 	}
@@ -123,13 +131,17 @@ func (p *physRewritePass) AllocOptions() Options { return p.st.opts }
 // 32-bit slots per thread, spilling to a local-memory SpillStack when the
 // limit is exceeded (paper §5.1). The input kernel is not modified.
 func Allocate(k *ptx.Kernel, opts Options) (*Result, error) {
-	return AllocateWith(nil, k, opts)
+	return AllocateWith(nil, passes.NewAnalysisManager(k), opts)
 }
 
-// AllocateWith runs the allocation pipeline under pm, so callers composing
-// a larger pipeline (core, spillopt) share one instrumented manager. A nil
-// pm gets a private uninstrumented manager.
-func AllocateWith(pm *passes.Manager, k *ptx.Kernel, opts Options) (*Result, error) {
+// AllocateWith allocates src's kernel under pm, so callers composing a
+// larger pipeline (core, spillopt) share one instrumented manager; a nil pm
+// gets a private uninstrumented manager. The allocation runs on a Fork of
+// src, so its first color round reads src's CFG and liveness instead of
+// building them again, and it copies the kernel only when a pass is about
+// to modify it. Neither src's kernel nor its analyses are modified; when
+// nothing is coalesced or spilled, Result.Virtual is src's kernel itself.
+func AllocateWith(pm *passes.Manager, src *passes.AnalysisManager, opts Options) (*Result, error) {
 	if opts.Regs <= 0 {
 		return nil, fmt.Errorf("regalloc: non-positive register budget %d", opts.Regs)
 	}
@@ -138,13 +150,13 @@ func AllocateWith(pm *passes.Manager, k *ptx.Kernel, opts Options) (*Result, err
 	}
 	st := &allocState{
 		opts:    opts,
-		k:       k.Clone(),
+		k:       src.Kernel(),
 		noSpill: make(map[ptx.Reg]bool),
 		slots:   make(map[ptx.Reg]SpillSlot),
 		baseReg: ptx.NoReg,
 		res:     &Result{},
 	}
-	am := passes.NewAnalysisManager(st.k)
+	am := src.Fork(st.k)
 	if opts.Coalesce {
 		if err := pm.Run(am, &coalescePass{st: st}); err != nil {
 			return nil, err
@@ -157,7 +169,7 @@ func AllocateWith(pm *passes.Manager, k *ptx.Kernel, opts Options) (*Result, err
 			return nil, err
 		}
 		if len(cp.spills) == 0 {
-			if err := pm.Run(am, &physRewritePass{st: st, assignment: cp.assignment}); err != nil {
+			if err := pm.Run(am, &physRewritePass{st: st, slot: cp.slot}); err != nil {
 				return nil, err
 			}
 			return st.res, nil

@@ -209,63 +209,53 @@ func renameOperandUse(o *ptx.Operand, m map[ptx.Reg]ptx.Reg) {
 
 // rewritePhysical maps the colored virtual kernel onto dense physical
 // register names: one B32 register per used 32-bit slot, one B64 register
-// per used slot pair, and densely renumbered predicates. It returns the new
+// per used slot pair, and densely renumbered predicates. slot holds each
+// register's starting slot (-1 where uncolored). It returns the new
 // kernel, the number of 32-bit slots used, and the number of predicates.
-func rewritePhysical(k *ptx.Kernel, assignment map[ptx.Reg]int) (*ptx.Kernel, int, int) {
+func rewritePhysical(k *ptx.Kernel, slot []int) (*ptx.Kernel, int, int) {
 	// A copy of k whose register file starts empty: registers are created
 	// as the rewrite first meets them.
 	out := k.Clone()
 	out.RegTypes = nil
 
-	type physKey struct {
-		class ptx.RegClass
-		slot  int
+	// phys[c][s] is the physical register of class c (0: 32-bit, 1:
+	// 64-bit) at slot s, and regMap[r] the physical name of r; NoReg until
+	// the rewrite first meets them.
+	top := 1
+	for _, s := range slot {
+		top = max(top, s+1)
 	}
-	phys := make(map[physKey]ptx.Reg)
-	regMap := make(map[ptx.Reg]ptx.Reg)
+	phys := [2][]ptx.Reg{make([]ptx.Reg, top), make([]ptx.Reg, top)}
+	regMap := make([]ptx.Reg, k.NumRegs())
+	for _, m := range [][]ptx.Reg{phys[0], phys[1], regMap} {
+		for i := range m {
+			m[i] = ptx.NoReg
+		}
+	}
 	usedSlots := 0
 	nextPred := 0
 
 	mapReg := func(r ptx.Reg) ptx.Reg {
-		if m, ok := regMap[r]; ok {
+		if m := regMap[r]; m != ptx.NoReg {
 			return m
 		}
 		t := k.RegType(r)
 		var nr ptx.Reg
-		switch t.Class() {
-		case ptx.ClassPred:
+		if t.Class() == ptx.ClassPred {
 			nr = out.NewReg(ptx.Pred)
 			nextPred++
-		case ptx.Class64:
-			slot, ok := assignment[r]
-			if !ok {
-				// Unreferenced register: give it a private slot at 0.
-				slot = 0
+		} else {
+			// An uncolored (unreferenced) register gets a private slot at 0.
+			s, c, w, pt := max(slot[r], 0), 0, 1, ptx.B32
+			if t.Class() == ptx.Class64 {
+				c, w, pt = 1, 2, ptx.B64
 			}
-			key := physKey{ptx.Class64, slot}
-			if p, ok := phys[key]; ok {
-				nr = p
-			} else {
-				nr = out.NewReg(ptx.B64)
-				phys[key] = nr
+			if nr = phys[c][s]; nr == ptx.NoReg {
+				nr = out.NewReg(pt)
+				phys[c][s] = nr
 			}
-			if ok && slot+2 > usedSlots {
-				usedSlots = slot + 2
-			}
-		default:
-			slot, ok := assignment[r]
-			if !ok {
-				slot = 0
-			}
-			key := physKey{ptx.Class32, slot}
-			if p, ok := phys[key]; ok {
-				nr = p
-			} else {
-				nr = out.NewReg(ptx.B32)
-				phys[key] = nr
-			}
-			if ok && slot+1 > usedSlots {
-				usedSlots = slot + 1
+			if slot[r] >= 0 {
+				usedSlots = max(usedSlots, s+w)
 			}
 		}
 		regMap[r] = nr

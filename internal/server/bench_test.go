@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"crat/internal/emu/ptxgen"
@@ -9,22 +10,29 @@ import (
 )
 
 // BenchmarkCompileCold times the cache-miss compile behind the svc_cold
-// workload: compileOnce on ptxgen bodies at block 128, verify on, backends
-// crat+regdem, no cache directory. Each iteration parses its body afresh,
-// so no per-kernel memo carries over between compiles. A per-layer CPU
-// profile comes from
+// and gw_mixed workloads: compileOnce on ptxgen bodies, verify on,
+// backends crat+regdem, no cache directory, at block 64 (the block size
+// both workloads generate) and at block 128. Each iteration parses its
+// body afresh, so no per-kernel memo carries over between compiles. A
+// per-layer CPU profile comes from
 //
 //	go test ./internal/server -run '^$' -bench CompileCold -cpuprofile cpu.out
 func BenchmarkCompileCold(b *testing.B) {
+	for _, block := range []int{64, 128} {
+		b.Run(fmt.Sprintf("block%d", block), func(b *testing.B) { benchCompileCold(b, block) })
+	}
+}
+
+func benchCompileCold(b *testing.B, block int) {
 	s, err := New(Config{VerifyDefault: true, DefaultBackends: []string{"crat", "regdem"}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The bodies of loadgen.Corpus(64, 1, 128).
+	// The bodies of loadgen.Corpus(64, 1, block).
 	jobs := make([]*compileJob, 64)
 	for i := range jobs {
-		k := ptxgen.Generate(ptxgen.Config{Seed: 1 + int64(i), Block: 128})
-		if jobs[i], err = s.normalize(CompileRequest{PTX: ptx.Print(k), Block: 128}); err != nil {
+		k := ptxgen.Generate(ptxgen.Config{Seed: 1 + int64(i), Block: block})
+		if jobs[i], err = s.normalize(CompileRequest{PTX: ptx.Print(k), Block: block}); err != nil {
 			b.Fatal(err)
 		}
 	}

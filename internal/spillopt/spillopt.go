@@ -187,7 +187,7 @@ func (p *knapsackPass) Run(k *ptx.Kernel, am *passes.AnalysisManager) error {
 	if err := ptx.Verify(rewritten, "spillopt"); err != nil {
 		return err
 	}
-	final, err := regalloc.AllocateWith(p.pm, rewritten, p.allocOpts)
+	final, err := regalloc.AllocateWith(p.pm, passes.NewAnalysisManager(rewritten), p.allocOpts)
 	if err != nil {
 		return fmt.Errorf("spillopt: reallocation failed: %w", err)
 	}

@@ -13,10 +13,10 @@ import (
 // are 32-lane register planes (unused sources point at zeroPlane) and mask
 // selects the executing lanes. The kernels below are internal/sem's
 // formulas written out over a warp, bit for bit: one integer family for
-// every width, and the f32 ops the benchmark workloads execute. Every
-// other op (the remaining float ops, f64, setp, cvt with a float endpoint)
-// calls sem itself per lane, so a formula nobody runs has exactly one
-// definition. The bodies spell their lane loops out rather than sharing an
+// every width (integer setp included), and the f32 ops the benchmark
+// workloads execute. Every other op (the remaining float ops, f64, float
+// setp, cvt with a float endpoint) calls sem itself per lane, so a
+// formula nobody runs has exactly one definition. The bodies spell their lane loops out rather than sharing an
 // iterator helper: an indirect call per lane would cost more than the
 // arithmetic it wraps.
 type Fn func(d, a, b, c *[32]uint64, mask uint64)
@@ -132,32 +132,92 @@ func vecGeneric(op ptx.Opcode, t ptx.Type) Fn {
 	}
 }
 
-// vecSetp evaluates a predicate-producing comparison per lane through
-// sem.Compare (two small switches; the operand resolution that used to
-// dominate is already gone).
+// vecSetp evaluates a predicate-producing comparison. Integer types get a
+// typed kernel (vecSetpInt); the rest call sem.Compare per lane.
 func vecSetp(cmp ptx.CmpOp, t ptx.Type) Fn {
+	if t.IsInt() {
+		if fn := vecSetpInt(cmp, t); fn != nil {
+			return fn
+		}
+	}
 	return func(d, a, b, c *[32]uint64, mask uint64) {
 		if mask == fullWarp {
 			for l := range d {
 				ok, _ := sem.Compare(cmp, t, a[l], b[l])
-				v := uint64(0)
-				if ok {
-					v = 1
-				}
-				d[l] = v
+				d[l] = b2u(ok)
 			}
 			return
 		}
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			ok, _ := sem.Compare(cmp, t, a[l], b[l])
-			v := uint64(0)
-			if ok {
-				v = 1
-			}
-			d[l] = v
+			d[l] = b2u(ok)
 		}
 	}
+}
+
+// vecSetpInt is sem.Compare on an integer type written out over a warp:
+// both operands are truncated to the type's width w and, for a signed
+// type, have the sign bit f flipped, so that unsigned order is the type's
+// order (as vecInt's min and max). Every ordering is x < y on swapped
+// and/or negated operands: gt is y < x, le is !(y < x), ge is !(x < y);
+// ne is !(x == y). nil means a comparison sem does not define.
+func vecSetpInt(cmp ptx.CmpOp, t ptx.Type) Fn {
+	w, sh := widthOf(t)
+	var f uint64
+	if t.IsSigned() {
+		f = 1 << (63 - sh)
+	}
+	var swap bool
+	var neg uint64
+	switch cmp {
+	case ptx.CmpEq, ptx.CmpLt:
+	case ptx.CmpNe, ptx.CmpGe:
+		neg = 1
+	case ptx.CmpGt:
+		swap = true
+	case ptx.CmpLe:
+		swap, neg = true, 1
+	default:
+		return nil
+	}
+	if cmp == ptx.CmpEq || cmp == ptx.CmpNe {
+		return func(d, a, b, c *[32]uint64, mask uint64) {
+			if mask == fullWarp {
+				for l := range d {
+					d[l] = b2u(a[l]&w == b[l]&w) ^ neg
+				}
+				return
+			}
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				d[l] = b2u(a[l]&w == b[l]&w) ^ neg
+			}
+		}
+	}
+	return func(d, a, b, c *[32]uint64, mask uint64) {
+		if swap {
+			a, b = b, a
+		}
+		if mask == fullWarp {
+			for l := range d {
+				d[l] = b2u((a[l]&w)^f < (b[l]&w)^f) ^ neg
+			}
+			return
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2u((a[l]&w)^f < (b[l]&w)^f) ^ neg
+		}
+	}
+}
+
+// b2u is a predicate's register value: 1 for true, 0 for false.
+func b2u(ok bool) uint64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // vecSelp selects a or b on the predicate in c. The lane's reads complete

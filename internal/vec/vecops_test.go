@@ -124,6 +124,22 @@ func TestVecSetpMatchSem(t *testing.T) {
 	}
 }
 
+// TestVecSetpIntMatchSem covers the typed integer setp kernels at every
+// integer width and signedness, the 8- and 16-bit types included.
+func TestVecSetpIntMatchSem(t *testing.T) {
+	for _, ty := range intTypes {
+		for cmp := ptx.CmpEq; cmp <= ptx.CmpGe; cmp++ {
+			checkPairs(t, "setp."+cmp.String()+"."+ty.String(), vecSetpInt(cmp, ty), edgesOf(ty),
+				func(a, b, c uint64) uint64 {
+					if ok, _ := sem.Compare(cmp, ty, a, b); ok {
+						return 1
+					}
+					return 0
+				})
+		}
+	}
+}
+
 // TestVecCvtMatchSem covers cvt between every pair of integer types and
 // between every integer type and f32/f64 in both directions (NaN, ±Inf and
 // out-of-range values included), plus f32↔f64.
