@@ -11,7 +11,6 @@ GO ?= go
 FUZZTIME ?= 10s
 
 SMOKEDIR := /tmp/crat-checkpoint-smoke
-ORACLEDIR := /tmp/crat-oracle-smoke
 GOLDENDIR := /tmp/crat-golden-diff
 SVCDIR := /tmp/crat-service-smoke
 CHAOSDIR := /tmp/crat-chaos-smoke
@@ -127,12 +126,10 @@ fuzz-smoke:
 
 # Differential-oracle smoke: the zero-divergence sweep over every seed
 # workload at its full launch grid (the in-tree test run shrinks grids for
-# speed), plus a cratc -verify round trip on a generated kernel.
+# speed). The cratc -verify round trip on a generated kernel is the verify
+# row of cmd/cratc's TestGolden, which test and race already run.
 oracle-smoke:
 	ORACLE_FULL_GRID=1 $(GO) test ./internal/oracle/ -count=1 -run TestWorkloadsZeroDivergence
-	rm -rf $(ORACLEDIR) && mkdir -p $(ORACLEDIR)
-	$(GO) build -o $(ORACLEDIR)/cratc ./cmd/cratc
-	$(ORACLEDIR)/cratc -in cmd/cratc/testdata/example.ptx -block 64 -grid 2 -verify -out $(ORACLEDIR)/example_out.ptx
 	@echo "oracle-smoke: zero divergences"
 
 # Service smoke: the cratd daemon's full robustness loop end to end.

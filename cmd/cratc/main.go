@@ -7,24 +7,24 @@
 // Usage:
 //
 //	cratc -in kernel.ptx -block 128 [-grid 12] [-arch fermi|kepler]
-//	      [-reg N] [-tlp N] [-no-shared-spill] [-backend a,b] [-out out.ptx]
+//	      [-reg N] [-tlp N] [-backend a,b] [-out out.ptx]
 //
 // With -reg (and optionally -tlp) the design-space search is skipped and
 // the kernel is allocated at exactly that budget — the "max regcount"
-// workflow, compiled as the pipeline's pinned design point (spills still
-// go to spare shared memory unless -no-shared-spill). Without them, cratc
-// explores the pruned design space and picks
-// the TPSC winner; because OptTLP profiling needs input data the tool does
-// not have, OptTLP defaults to the static occupancy bound unless -opttlp
-// is supplied. -backend selects which optimization backends generate
-// candidates for that search (internal/backend; every registered backend
-// competes under one TPSC selection when several are listed).
+// workflow, compiled as the pipeline's pinned design point on every
+// -backend listed (spills still go to spare shared memory under the
+// default crat backend; -backend crat-local keeps them in local memory).
+// Without them, cratc explores the pruned design space and picks the TPSC
+// winner; because OptTLP profiling needs input data the tool does not
+// have, OptTLP defaults to the static occupancy bound unless -opttlp is
+// supplied. -backend selects which optimization backends generate
+// candidates (internal/backend; every registered backend competes under
+// one TPSC selection when several are listed; default crat).
 //
 // With -verify the pipeline's oracle gate differentially validates the
 // transformed kernel against the input kernel on generated inputs: PASS or
 // DIVERGENCE is reported, and a divergence exits non-zero without writing
-// output. An unknown -arch, -no-shared-spill together with -backend, or
-// -tlp without -reg exits 2.
+// output. An unknown flag or -arch, or -tlp without -reg, exits 2.
 package main
 
 import (
@@ -38,36 +38,15 @@ import (
 
 	"crat/internal/backend"
 	"crat/internal/buildinfo"
+	"crat/internal/cli"
 	"crat/internal/core"
 	"crat/internal/gpusim"
 	"crat/internal/ptx"
 )
 
 func main() {
-	os.Exit(exit(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+	os.Exit(cli.Exit("cratc", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
-
-// exit reports run's error on stderr and returns the exit status: 2 for a
-// command-line mistake, 1 for any other failure.
-func exit(err error, stderr io.Writer) int {
-	var uerr usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case !errors.As(err, &uerr):
-		fmt.Fprintln(stderr, "cratc:", err)
-		return 1
-	case uerr.msg != "":
-		fmt.Fprintln(stderr, "cratc:", err)
-	}
-	return 2
-}
-
-// usageError is a command-line mistake: main exits 2 instead of 1. An
-// empty message means the flag package already reported it.
-type usageError struct{ msg string }
-
-func (e usageError) Error() string { return e.msg }
 
 // run is cratc's body: args are the command-line arguments without the
 // program name, stdout receives the PTX when -out is unset, and stderr the
@@ -84,8 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	regCap := fs.Int("reg", 0, "allocate at exactly this register budget (skip search)")
 	tlpFlag := fs.Int("tlp", 0, "thread-block TLP limit for spill planning")
 	optTLP := fs.Int("opttlp", 0, "optimal TLP (default: occupancy at the default registers)")
-	noShared := fs.Bool("no-shared-spill", false, "disable the shared-memory spilling optimization")
-	backendsFlag := fs.String("backend", "", "comma-separated optimization backends for the design-space search (default: the CRAT strategy; see -passes); registered: "+strings.Join(backend.Names(), ","))
+	backendsFlag := fs.String("backend", "", "comma-separated optimization backends whose candidates compete (default: crat; see -passes); registered: "+strings.Join(backend.Names(), ","))
 	coalesceFlag := fs.Bool("coalesce", false, "run conservative copy coalescing before coloring (useful on SSA-style nvcc PTX)")
 	verify := fs.Bool("verify", false, "differentially validate the transformed kernel against the input on generated inputs; exit non-zero on divergence")
 	verifyRuns := fs.Int("verify-runs", 0, "input sets for -verify (0 = oracle default)")
@@ -99,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		return usageError{}
+		return cli.UsageError{}
 	}
 	if *version {
 		buildinfo.Print("cratc")
@@ -123,21 +101,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" || *block <= 0 {
 		fmt.Fprintln(stderr, "cratc: -in and -block are required")
 		fs.Usage()
-		return usageError{}
+		return cli.UsageError{}
 	}
 	arch, err := gpusim.ConfigByName(*archFlag)
 	if err != nil {
-		return usageError{err.Error()}
+		return cli.UsageError{Msg: err.Error()}
 	}
 	if *tlpFlag != 0 && *regCap <= 0 {
-		return usageError{"-tlp sets the TLP of the pinned -reg point; without -reg the search chooses the TLP"}
+		return cli.UsageError{Msg: "-tlp sets the TLP of the pinned -reg point; without -reg the search chooses the TLP"}
 	}
-	if *regCap > 0 && len(backends) > 0 {
-		return usageError{"-backend selects candidate generators for the design-space search; it cannot be combined with the fixed-budget -reg mode"}
-	}
-	if backends, err = core.BackendList(backends, *noShared); err != nil {
-		return usageError{err.Error()}
-	}
+	backends = core.BackendList(backends)
 	src, err := os.ReadFile(*in)
 	if err != nil {
 		return err

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"crat/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current cratc")
@@ -20,7 +22,7 @@ var goldenCases = []struct {
 	args []string
 }{
 	{"search", nil},
-	{"no-shared-spill", []string{"-no-shared-spill"}},
+	{"backend-crat-local", []string{"-backend", "crat-local"}},
 	{"backend-crat-regdem", []string{"-backend", "crat,regdem"}},
 	{"coalesce", []string{"-coalesce"}},
 	{"kepler", []string{"-arch", "kepler"}},
@@ -28,14 +30,14 @@ var goldenCases = []struct {
 	{"verbose-kepler-block256", []string{"-v", "-arch", "kepler", "-block", "256"}},
 	{"reg-spill", []string{"-reg", "8"}},
 	{"reg-spill-tlp", []string{"-reg", "8", "-tlp", "4"}},
-	{"reg-spill-local", []string{"-reg", "10", "-no-shared-spill"}},
+	{"reg-spill-local", []string{"-reg", "10", "-backend", "crat-local"}},
 	{"reg-spill-coalesce-kepler", []string{"-reg", "12", "-coalesce", "-arch", "kepler"}},
 	{"reg-spill-free", []string{"-reg", "25"}},
 	{"reg-above-need-block1024", []string{"-reg", "40", "-block", "1024"}}, // launches at the kernel's own register need
 	{"reg-negative", []string{"-reg", "-1", "-v"}},                         // not a budget: the ordinary search
 	{"verify", []string{"-verify"}},
 	{"reg-verify", []string{"-reg", "8", "-verify"}},
-	{"reg-backend-rejected", []string{"-reg", "8", "-backend", "crat"}},
+	{"reg-backend", []string{"-reg", "8", "-backend", "crat"}},  // the pinned point on a backend list; crat is the default
 	{"reg-no-launch", []string{"-reg", "16", "-block", "2048"}}, // no block fits the SM: Analyze rejects it
 	{"reg-infeasible", []string{"-reg", "6"}},                   // below what the allocator can honor
 	{"passes", []string{"-passes"}},
@@ -47,7 +49,7 @@ var goldenCases = []struct {
 func invoke(args []string) string {
 	full := append([]string{"-in", filepath.Join("testdata", "example.ptx"), "-block", "64", "-grid", "2"}, args...)
 	var stdout, stderr bytes.Buffer
-	code := exit(run(full, &stdout, &stderr), &stderr)
+	code := cli.Exit("cratc", run(full, &stdout, &stderr), &stderr)
 	return fmt.Sprintf("args: %s\nexit: %d\n--- stdout\n%s--- stderr\n%s", strings.Join(args, " "), code, stdout.String(), stderr.String())
 }
 
@@ -82,9 +84,8 @@ func TestFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-arch", "volta"}, `unknown arch "volta"`},
 		{[]string{"-arch", "Kepler"}, `unknown arch "Kepler"`},
-		{[]string{"-no-shared-spill", "-backend", "crat"}, "cannot be combined with a backend list"},
 		{[]string{"-tlp", "2"}, "without -reg"},
-		{[]string{"-reg", "8", "-backend", "crat"}, "cannot be combined with the fixed-budget -reg mode"},
+		{[]string{"-no-shared-spill"}, "flag provided but not defined: -no-shared-spill"}, // -backend crat-local replaced it
 	} {
 		got := invoke(c.args)
 		if !strings.Contains(got, "exit: 2\n") || !strings.Contains(got, c.want) {

@@ -48,11 +48,11 @@ type Request struct {
 	OptTLP int
 	// Points are the design points to compile, in pruning order.
 	Points []Point
-	// Knobs forwarded from core.Options.
-	Coalesce            bool
-	Split               spillopt.Split
-	UnweightedGain      bool
-	UnweightedSpillCost bool
+	// Knobs forwarded from core.Options. Unweighted drops the loop-depth
+	// weighting of spill costs and of placement and demotion gains.
+	Coalesce   bool
+	Split      spillopt.Split
+	Unweighted bool
 	// Input is the compile's shared work on Kernel (core builds one per
 	// compile). Nil gives each Candidates call a private one.
 	Input *Input
@@ -63,7 +63,7 @@ func (req Request) allocOptions(pt Point) regalloc.Options {
 	return regalloc.Options{
 		Regs:                pt.Reg,
 		Coalesce:            req.Coalesce,
-		UnweightedSpillCost: req.UnweightedSpillCost,
+		UnweightedSpillCost: req.Unweighted,
 	}
 }
 

@@ -89,7 +89,7 @@ func (b cratBackend) build(pm *passes.Manager, req Request, in *Input, pt Point)
 		SpareShmBytes:  spare,
 		BlockSize:      req.BlockSize,
 		Split:          req.Split,
-		UnweightedGain: req.UnweightedGain,
+		UnweightedGain: req.Unweighted,
 	})
 	if err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func (b regdemBackend) build(pm *passes.Manager, req Request, in *Input, pt Poin
 		budget:     pt.Reg,
 		spareShm:   SpareShm(req.Arch, req.ShmSize, pt.TLP),
 		blockSize:  req.BlockSize,
-		unweighted: req.UnweightedGain,
+		unweighted: req.Unweighted,
 	}
 	if err := pm.Run(am, dp); err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"crat/internal/backend"
@@ -74,11 +73,7 @@ func Compile(ctx context.Context, req Request) (*Compiled, error) {
 }
 
 // BackendList resolves a front end's backend choice into Options.Backends:
-// names as given, or ["crat-local"] when shared spilling is disabled, or
-// else ["crat"]. Disabling shared spilling and naming backends conflict.
-func BackendList(names []string, noSharedSpill bool) ([]string, error) {
-	if noSharedSpill && len(names) > 0 {
-		return nil, errors.New("disabling shared-memory spilling selects the crat-local backend; it cannot be combined with a backend list")
-	}
-	return Options{Backends: names, SpillShared: !noSharedSpill}.backendNames(), nil
+// the names as given, or ["crat"] when there are none.
+func BackendList(names []string) []string {
+	return Options{Backends: names, SpillShared: true}.backendNames()
 }

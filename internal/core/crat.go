@@ -71,9 +71,9 @@ type Options struct {
 	// Coalesce enables the allocator's conservative copy-coalescing
 	// pre-pass for every candidate (useful on mov-heavy external PTX).
 	Coalesce bool
-	// UnweightedGain/UnweightedSpillCost are ablation knobs.
-	UnweightedGain      bool
-	UnweightedSpillCost bool
+	// Unweighted drops the 10^loop-depth weighting (ablation): spill costs
+	// and the placement and demotion gains count static access sites.
+	Unweighted bool
 	// DisablePruning keeps design points with TLP above OptTLP (ablation:
 	// the pruned points cause cache thrashing and should never win).
 	DisablePruning bool
@@ -216,17 +216,16 @@ func optimize(ctx context.Context, app App, opts Options, in *backend.Input) (*D
 	pm := &passes.Manager{VerifyEach: opts.VerifyEachPass, DumpAfter: opts.DumpAfter}
 
 	req := backend.Request{
-		AppName:             app.Name,
-		Kernel:              app.Kernel,
-		Arch:                arch,
-		BlockSize:           a.BlockSize,
-		ShmSize:             a.ShmSize,
-		OptTLP:              a.OptTLP,
-		Coalesce:            opts.Coalesce,
-		Split:               opts.Split,
-		UnweightedGain:      opts.UnweightedGain,
-		UnweightedSpillCost: opts.UnweightedSpillCost,
-		Input:               in,
+		AppName:    app.Name,
+		Kernel:     app.Kernel,
+		Arch:       arch,
+		BlockSize:  a.BlockSize,
+		ShmSize:    a.ShmSize,
+		OptTLP:     a.OptTLP,
+		Coalesce:   opts.Coalesce,
+		Split:      opts.Split,
+		Unweighted: opts.Unweighted,
+		Input:      in,
 	}
 	if pin := opts.Pin; pin.Reg > 0 {
 		if pin.TLP == 0 {

@@ -79,7 +79,7 @@ func TestInjectedMiscompileDegrades(t *testing.T) {
 	// The ablation flag marks candidate allocations: Analyze's register
 	// sweeps and the baseline fallback allocate with default options, so
 	// the mutation below cannot touch them even at coinciding budgets.
-	opts.UnweightedSpillCost = true
+	opts.Unweighted = true
 
 	// Pass 1 (honest) learns which budget wins; TPSC selection is
 	// deterministic, so the sabotaged pass chooses the same point.

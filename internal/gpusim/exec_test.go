@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"crat/internal/ptx"
+	"crat/internal/sem"
 )
 
 func TestAluIntSemantics(t *testing.T) {
@@ -23,13 +24,13 @@ func TestAluIntSemantics(t *testing.T) {
 			{ptx.OpXor, a ^ b},
 		}
 		for _, c := range checks {
-			got, err := alu(c.op, ptx.U32, uint64(a), uint64(b), 0)
+			got, err := sem.ALU(c.op, ptx.U32, uint64(a), uint64(b), 0)
 			if err != nil || uint32(got) != c.want {
 				return false
 			}
 		}
 		// mad: a*b+c with c = a.
-		got, err := alu(ptx.OpMad, ptx.U32, uint64(a), uint64(b), uint64(a))
+		got, err := sem.ALU(ptx.OpMad, ptx.U32, uint64(a), uint64(b), uint64(a))
 		return err == nil && uint32(got) == a*b+a
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -41,22 +42,22 @@ func TestAluSignedSemantics(t *testing.T) {
 	f := func(a, b int32) bool {
 		ua, ub := uint64(uint32(a)), uint64(uint32(b))
 		if b != 0 {
-			got, err := alu(ptx.OpDiv, ptx.S32, ua, ub, 0)
+			got, err := sem.ALU(ptx.OpDiv, ptx.S32, ua, ub, 0)
 			if err != nil || int32(got) != a/b {
 				// Go traps INT_MIN/-1; hardware wraps. Skip that case.
 				if !(a == math.MinInt32 && b == -1) {
 					return false
 				}
 			}
-			got, err = alu(ptx.OpRem, ptx.S32, ua, ub, 0)
+			got, err = sem.ALU(ptx.OpRem, ptx.S32, ua, ub, 0)
 			if err != nil || int32(got) != a%b {
 				if !(a == math.MinInt32 && b == -1) {
 					return false
 				}
 			}
 		}
-		gotMin, _ := alu(ptx.OpMin, ptx.S32, ua, ub, 0)
-		gotMax, _ := alu(ptx.OpMax, ptx.S32, ua, ub, 0)
+		gotMin, _ := sem.ALU(ptx.OpMin, ptx.S32, ua, ub, 0)
+		gotMax, _ := sem.ALU(ptx.OpMax, ptx.S32, ua, ub, 0)
 		wantMin, wantMax := a, b
 		if b < a {
 			wantMin, wantMax = b, a
@@ -64,12 +65,12 @@ func TestAluSignedSemantics(t *testing.T) {
 		if int32(gotMin) != wantMin || int32(gotMax) != wantMax {
 			return false
 		}
-		gotAbs, _ := alu(ptx.OpAbs, ptx.S32, ua, 0, 0)
+		gotAbs, _ := sem.ALU(ptx.OpAbs, ptx.S32, ua, 0, 0)
 		wantAbs := a
 		if a < 0 {
 			wantAbs = -a
 		}
-		gotNeg, _ := alu(ptx.OpNeg, ptx.S32, ua, 0, 0)
+		gotNeg, _ := sem.ALU(ptx.OpNeg, ptx.S32, ua, 0, 0)
 		return int32(gotAbs) == wantAbs && int32(gotNeg) == -a
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -78,26 +79,26 @@ func TestAluSignedSemantics(t *testing.T) {
 }
 
 func TestAluDivByZero(t *testing.T) {
-	got, err := alu(ptx.OpDiv, ptx.U32, 42, 0, 0)
+	got, err := sem.ALU(ptx.OpDiv, ptx.U32, 42, 0, 0)
 	if err != nil || uint32(got) != ^uint32(0) {
 		t.Errorf("u32 div-by-zero = %x, %v; want all-ones", got, err)
 	}
-	got, err = alu(ptx.OpRem, ptx.S32, 42, 0, 0)
+	got, err = sem.ALU(ptx.OpRem, ptx.S32, 42, 0, 0)
 	if err != nil || uint32(got) != ^uint32(0) {
 		t.Errorf("s32 rem-by-zero = %x, %v; want all-ones", got, err)
 	}
 }
 
 func TestAluShifts(t *testing.T) {
-	got, _ := alu(ptx.OpShl, ptx.U32, 1, 31, 0)
+	got, _ := sem.ALU(ptx.OpShl, ptx.U32, 1, 31, 0)
 	if uint32(got) != 1<<31 {
 		t.Errorf("shl = %x", got)
 	}
-	got, _ = alu(ptx.OpShr, ptx.U32, 0x80000000, 31, 0)
+	got, _ = sem.ALU(ptx.OpShr, ptx.U32, 0x80000000, 31, 0)
 	if uint32(got) != 1 {
 		t.Errorf("u32 shr = %x", got)
 	}
-	got, _ = alu(ptx.OpShr, ptx.S32, 0x80000000, 31, 0)
+	got, _ = sem.ALU(ptx.OpShr, ptx.S32, 0x80000000, 31, 0)
 	if int32(got) != -1 {
 		t.Errorf("s32 shr (arithmetic) = %x", got)
 	}
@@ -105,7 +106,7 @@ func TestAluShifts(t *testing.T) {
 
 func TestAluFloatSemantics(t *testing.T) {
 	f := func(a, b float32) bool {
-		ua, ub := f32bits(a), f32bits(b)
+		ua, ub := sem.F32Bits(a), sem.F32Bits(b)
 		checks := []struct {
 			op   ptx.Opcode
 			want float32
@@ -116,11 +117,11 @@ func TestAluFloatSemantics(t *testing.T) {
 			{ptx.OpDiv, a / b},
 		}
 		for _, c := range checks {
-			got, err := alu(c.op, ptx.F32, ua, ub, 0)
+			got, err := sem.ALU(c.op, ptx.F32, ua, ub, 0)
 			if err != nil {
 				return false
 			}
-			g := bitsF32(got)
+			g := sem.BitsF32(got)
 			if g != c.want && !(math.IsNaN(float64(g)) && math.IsNaN(float64(c.want))) {
 				return false
 			}
@@ -134,12 +135,12 @@ func TestAluFloatSemantics(t *testing.T) {
 
 func TestAluFloat64Semantics(t *testing.T) {
 	f := func(a, b float64) bool {
-		got, err := alu(ptx.OpMad, ptx.F64, f64bits(a), f64bits(b), f64bits(1.5))
+		got, err := sem.ALU(ptx.OpMad, ptx.F64, sem.F64Bits(a), sem.F64Bits(b), sem.F64Bits(1.5))
 		if err != nil {
 			return false
 		}
 		want := a*b + 1.5
-		g := bitsF64(got)
+		g := sem.BitsF64(got)
 		return g == want || (math.IsNaN(g) && math.IsNaN(want))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -160,11 +161,11 @@ func TestSFUSemantics(t *testing.T) {
 		{ptx.OpLg2, 8, 3},
 	}
 	for _, c := range cases {
-		got, err := alu(c.op, ptx.F32, f32bits(c.in), 0, 0)
+		got, err := sem.ALU(c.op, ptx.F32, sem.F32Bits(c.in), 0, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
-		if g := bitsF32(got); math.Abs(float64(g-c.want)) > 1e-6 {
+		if g := sem.BitsF32(got); math.Abs(float64(g-c.want)) > 1e-6 {
 			t.Errorf("%v(%v) = %v, want %v", c.op, c.in, g, c.want)
 		}
 	}
@@ -181,13 +182,13 @@ func TestCompareSemantics(t *testing.T) {
 			{ptx.CmpLt, a < b}, {ptx.CmpLe, a <= b},
 			{ptx.CmpGt, a > b}, {ptx.CmpGe, a >= b},
 		} {
-			got, err := compare(c.cmp, ptx.S32, ua, ub)
+			got, err := sem.Compare(c.cmp, ptx.S32, ua, ub)
 			if err != nil || got != c.want {
 				return false
 			}
 		}
 		// Unsigned comparison differs for mixed signs.
-		got, err := compare(ptx.CmpLt, ptx.U32, ua, ub)
+		got, err := sem.Compare(ptx.CmpLt, ptx.U32, ua, ub)
 		return err == nil && got == (uint32(a) < uint32(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -196,16 +197,16 @@ func TestCompareSemantics(t *testing.T) {
 }
 
 func TestCompareFloat(t *testing.T) {
-	nan := f32bits(float32(math.NaN()))
-	one := f32bits(1)
+	nan := sem.F32Bits(float32(math.NaN()))
+	one := sem.F32Bits(1)
 	// NaN is unordered: all ordered comparisons false, Ne true.
 	for _, cmp := range []ptx.CmpOp{ptx.CmpEq, ptx.CmpLt, ptx.CmpLe, ptx.CmpGt, ptx.CmpGe} {
-		got, err := compare(cmp, ptx.F32, nan, one)
+		got, err := sem.Compare(cmp, ptx.F32, nan, one)
 		if err != nil || got {
 			t.Errorf("%v(NaN,1) = %v, want false", cmp, got)
 		}
 	}
-	if got, _ := compare(ptx.CmpNe, ptx.F32, nan, one); !got {
+	if got, _ := sem.Compare(ptx.CmpNe, ptx.F32, nan, one); !got {
 		t.Error("Ne(NaN,1) should be true")
 	}
 }
@@ -214,11 +215,11 @@ func TestConvertSemantics(t *testing.T) {
 	f := func(v int32) bool {
 		// s32 -> f32 -> s32 round trip (exact for 24-bit values).
 		small := v % (1 << 23)
-		fbits, err := convert(ptx.F32, ptx.S32, uint64(uint32(small)))
+		fbits, err := sem.Convert(ptx.F32, ptx.S32, uint64(uint32(small)))
 		if err != nil {
 			return false
 		}
-		back, err := convert(ptx.S32, ptx.F32, fbits)
+		back, err := sem.Convert(ptx.S32, ptx.F32, fbits)
 		if err != nil {
 			return false
 		}
@@ -226,12 +227,12 @@ func TestConvertSemantics(t *testing.T) {
 			return false
 		}
 		// Widening: s32 -> s64 sign extends.
-		wide, err := convert(ptx.S64, ptx.S32, uint64(uint32(v)))
+		wide, err := sem.Convert(ptx.S64, ptx.S32, uint64(uint32(v)))
 		if err != nil || int64(wide) != int64(v) {
 			return false
 		}
 		// Zero extension: u32 -> u64.
-		uw, err := convert(ptx.U64, ptx.U32, uint64(uint32(v)))
+		uw, err := sem.Convert(ptx.U64, ptx.U32, uint64(uint32(v)))
 		return err == nil && uw == uint64(uint32(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -240,51 +241,51 @@ func TestConvertSemantics(t *testing.T) {
 }
 
 func TestConvertFloatWidths(t *testing.T) {
-	b, err := convert(ptx.F64, ptx.F32, f32bits(1.5))
-	if err != nil || bitsF64(b) != 1.5 {
-		t.Errorf("f32->f64: %v %v", bitsF64(b), err)
+	b, err := sem.Convert(ptx.F64, ptx.F32, sem.F32Bits(1.5))
+	if err != nil || sem.BitsF64(b) != 1.5 {
+		t.Errorf("f32->f64: %v %v", sem.BitsF64(b), err)
 	}
-	b, err = convert(ptx.F32, ptx.F64, f64bits(2.25))
-	if err != nil || bitsF32(b) != 2.25 {
-		t.Errorf("f64->f32: %v %v", bitsF32(b), err)
+	b, err = sem.Convert(ptx.F32, ptx.F64, sem.F64Bits(2.25))
+	if err != nil || sem.BitsF32(b) != 2.25 {
+		t.Errorf("f64->f32: %v %v", sem.BitsF32(b), err)
 	}
 	// Negative float to unsigned clamps at zero.
-	b, err = convert(ptx.U32, ptx.F32, f32bits(-5))
+	b, err = sem.Convert(ptx.U32, ptx.F32, sem.F32Bits(-5))
 	if err != nil || b != 0 {
 		t.Errorf("negative f32->u32 = %d, want 0", b)
 	}
 }
 
 func TestTruncateAndSignExtend(t *testing.T) {
-	if truncate(0x1ff, ptx.U8) != 0xff {
+	if sem.Truncate(0x1ff, ptx.U8) != 0xff {
 		t.Error("truncate u8")
 	}
-	if truncate(0x12345, ptx.U16) != 0x2345 {
+	if sem.Truncate(0x12345, ptx.U16) != 0x2345 {
 		t.Error("truncate u16")
 	}
-	if signExtend(0xff, ptx.S8) != -1 {
+	if sem.SignExtend(0xff, ptx.S8) != -1 {
 		t.Error("sign extend s8")
 	}
-	if signExtend(0x8000, ptx.S16) != -32768 {
+	if sem.SignExtend(0x8000, ptx.S16) != -32768 {
 		t.Error("sign extend s16")
 	}
-	if signExtend(0x7fff, ptx.S16) != 32767 {
+	if sem.SignExtend(0x7fff, ptx.S16) != 32767 {
 		t.Error("sign extend s16 positive")
 	}
 }
 
 func TestImmBits(t *testing.T) {
-	if immBits(ptx.Imm(-1), ptx.U32) != 0xffffffff {
+	if sem.ImmBits(ptx.Imm(-1), ptx.U32) != 0xffffffff {
 		t.Error("negative imm at u32")
 	}
-	if bitsF32(immBits(ptx.FImm(1.5), ptx.F32)) != 1.5 {
+	if sem.BitsF32(sem.ImmBits(ptx.FImm(1.5), ptx.F32)) != 1.5 {
 		t.Error("f32 imm")
 	}
-	if bitsF64(immBits(ptx.FImm(1.5), ptx.F64)) != 1.5 {
+	if sem.BitsF64(sem.ImmBits(ptx.FImm(1.5), ptx.F64)) != 1.5 {
 		t.Error("f64 imm")
 	}
 	// Integer immediates feeding float ops convert to float.
-	if bitsF32(immBits(ptx.Imm(3), ptx.F32)) != 3.0 {
+	if sem.BitsF32(sem.ImmBits(ptx.Imm(3), ptx.F32)) != 3.0 {
 		t.Error("int imm at f32")
 	}
 }

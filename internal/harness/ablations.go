@@ -76,7 +76,7 @@ func (s *Session) AblationSpillCost() (*Table, error) {
 		}
 		stU, _, err := s.runMode(s.App(p), core.ModeCRAT, core.Options{
 			Arch: s.Arch, Analysis: a, OptTLP: a.OptTLP, Costs: s.Costs,
-			UnweightedSpillCost: true, UnweightedGain: true,
+			Unweighted: true,
 		})
 		if err != nil {
 			return nil, err

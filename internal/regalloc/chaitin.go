@@ -50,11 +50,6 @@ type Options struct {
 	// eliminated when the merge provably stays colorable. Off by default;
 	// most useful on externally supplied SSA-style PTX.
 	Coalesce bool
-	// TypeStrict forbids two virtual registers of different PTX types from
-	// sharing a physical register even when their live ranges do not
-	// overlap. This models the type-sensitivity of the commercial
-	// assembler described in paper §5.2 and wastes registers.
-	TypeStrict bool
 	// UnweightedSpillCost disables the 10^loop-depth weighting of spill
 	// costs (ablation knob).
 	UnweightedSpillCost bool
@@ -280,15 +275,11 @@ func (st *allocState) color(ifr *interference) ([]int, []ptx.Reg, error) {
 	for i := range slot {
 		slot[i] = -1
 	}
-	var slotType []ptx.Type // TypeStrict: the type pinned to each slot (TypeNone = free)
-	if st.opts.TypeStrict {
-		slotType = make([]ptx.Type, K)
-	}
 	blocked := make([]bool, K) // findSlot scratch
 	var spills []ptx.Reg
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
-		s := st.findSlot(ig, r, slot, slotType, blocked)
+		s := st.findSlot(ig, r, slot, blocked)
 		if s < 0 {
 			if noSpill[r] {
 				// An unspillable node (spill temporary or addressing
@@ -306,12 +297,6 @@ func (st *allocState) color(ifr *interference) ([]int, []ptx.Reg, error) {
 			continue
 		}
 		slot[r] = s
-		if slotType != nil {
-			t := st.k.RegType(r)
-			for j := 0; j < ig.slots(r); j++ {
-				slotType[s+j] = t
-			}
-		}
 	}
 	return slot, spills, nil
 }
@@ -340,7 +325,7 @@ func (st *allocState) cheapestSpillableNeighbor(ig *igraph, r ptx.Reg, weights [
 // colored interference neighbors (slot[n] >= 0), or -1 if none exists within
 // the budget. blocked is all-false scratch of the budget's length and is
 // left that way.
-func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, slotType []ptx.Type, blocked []bool) int {
+func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, blocked []bool) int {
 	K := st.opts.Regs
 	hi := 0 // blocked[:hi] holds every mark
 	for _, n := range ig.adj[r] {
@@ -353,11 +338,11 @@ func (st *allocState) findSlot(ig *igraph, r ptx.Reg, slot []int, slotType []ptx
 		}
 	}
 	defer clear(blocked[:hi])
-	w, t := ig.slots(r), st.k.RegType(r)
+	w := ig.slots(r)
 	for s := 0; s+w <= K; s++ {
 		ok := true
 		for i := s; i < s+w; i++ {
-			if blocked[i] || (slotType != nil && slotType[i] != ptx.TypeNone && slotType[i] != t) {
+			if blocked[i] {
 				ok = false
 				break
 			}

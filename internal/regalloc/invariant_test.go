@@ -99,56 +99,6 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// TestTypeStrictInvariant additionally checks that TypeStrict never assigns
-// two different PTX types to the same slot anywhere in the kernel.
-func TestTypeStrictInvariant(t *testing.T) {
-	b := ptx.NewBuilder("mixedtypes")
-	b.Param("out", ptx.U64)
-	out := b.Reg(ptx.U64)
-	b.LdParam(ptx.U64, out, "out")
-	us := b.Regs(ptx.U32, 6)
-	fs := b.Regs(ptx.F32, 6)
-	for i, r := range us {
-		b.Mov(ptx.U32, r, ptx.Imm(int64(i)))
-	}
-	for i, r := range fs {
-		b.Mov(ptx.F32, r, ptx.FImm(float64(i)))
-	}
-	usum := b.Reg(ptx.U32)
-	b.Mov(ptx.U32, usum, ptx.Imm(0))
-	for _, r := range us {
-		b.Add(ptx.U32, usum, ptx.R(usum), ptx.R(r))
-	}
-	fsum := b.Reg(ptx.F32)
-	b.Mov(ptx.F32, fsum, ptx.FImm(0))
-	for _, r := range fs {
-		b.Add(ptx.F32, fsum, ptx.R(fsum), ptx.R(r))
-	}
-	b.St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(out, 0), ptx.R(usum))
-	b.St(ptx.SpaceGlobal, ptx.F32, ptx.MemReg(out, 4), ptx.R(fsum))
-	b.Exit()
-	k := b.Kernel()
-
-	res, err := Allocate(k, Options{Regs: 32, TypeStrict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkColoring(t, res)
-	slotType := map[int]ptx.Type{}
-	for r, slot := range res.Assignment {
-		ty := res.Virtual.RegType(r)
-		if ty.Class() == ptx.ClassPred {
-			continue
-		}
-		for s := 0; s < ty.Class().Slots(); s++ {
-			if prev, ok := slotType[slot+s]; ok && prev != ty {
-				t.Fatalf("slot %d holds both %v and %v under TypeStrict", slot+s, prev, ty)
-			}
-			slotType[slot+s] = ty
-		}
-	}
-}
-
 // TestUsedPredsCounted verifies predicate accounting.
 func TestUsedPredsCounted(t *testing.T) {
 	b := ptx.NewBuilder("preds")

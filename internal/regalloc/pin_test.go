@@ -20,15 +20,14 @@ const pinFile = "testdata/pin.txt"
 
 // pinVariants are the option sets the pin table covers. The default run is
 // what every CRAT candidate uses; the others exercise the coalescing
-// pre-pass, the type-strict select rule and the unweighted spill metric,
-// which read the interference graph differently.
+// pre-pass and the unweighted spill metric, which read the interference
+// graph differently.
 var pinVariants = []struct {
 	name string
 	opts Options
 }{
 	{"default", Options{}},
 	{"coalesce", Options{Coalesce: true}},
-	{"typestrict", Options{TypeStrict: true}},
 	{"unweighted", Options{UnweightedSpillCost: true}},
 }
 
@@ -42,9 +41,8 @@ func pinDigest(res *Result) string {
 }
 
 // pinTable allocates every ptxgen kernel of the corpus at every budget from
-// its feasible floor to a few slots past its MaxReg (type-strict allocation
-// needs more than MaxReg) under every variant, and returns one line per
-// allocation.
+// its feasible floor to a few slots past its MaxReg under every variant,
+// and returns one line per allocation.
 func pinTable(t *testing.T) []string {
 	var lines []string
 	for _, corpus := range []struct {

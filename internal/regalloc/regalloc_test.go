@@ -203,36 +203,6 @@ func TestInfeasibleBudget(t *testing.T) {
 	}
 }
 
-func TestTypeStrictWastesRegisters(t *testing.T) {
-	// Mixed f32/u32 values with disjoint live ranges: width-based sharing
-	// reuses registers across types, TypeStrict cannot (paper §5.2).
-	b := ptx.NewBuilder("mixed")
-	b.Param("out", ptx.U64)
-	out := b.Reg(ptx.U64)
-	b.LdParam(ptx.U64, out, "out")
-	u := b.Reg(ptx.U32)
-	b.Mov(ptx.U32, u, ptx.Imm(3))
-	b.St(ptx.SpaceGlobal, ptx.U32, ptx.MemReg(out, 0), ptx.R(u))
-	// u now dead; f can reuse its slot only in width mode.
-	f := b.Reg(ptx.F32)
-	b.Mov(ptx.F32, f, ptx.FImm(1.5))
-	b.St(ptx.SpaceGlobal, ptx.F32, ptx.MemReg(out, 4), ptx.R(f))
-	b.Exit()
-	k := b.Kernel()
-
-	loose, err := Allocate(k, Options{Regs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := Allocate(k, Options{Regs: 16, TypeStrict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(strict.UsedRegs > loose.UsedRegs) {
-		t.Errorf("TypeStrict used %d regs, loose used %d; want strictly more", strict.UsedRegs, loose.UsedRegs)
-	}
-}
-
 func TestLinearScanAllocates(t *testing.T) {
 	k := pressureKernel(12)
 	max, _ := MaxReg(k)

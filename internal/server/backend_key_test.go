@@ -92,31 +92,6 @@ func TestBackendsInCacheKey(t *testing.T) {
 	}
 }
 
-// TestNoSharedSpillSelectsCratLocal: no_shared_spill is resolved into the
-// backend list, so it compiles and caches exactly like naming crat-local.
-func TestNoSharedSpillSelectsCratLocal(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DefaultBackends: []string{"crat", "regdem"}})
-	req := CompileRequest{PTX: testPTX("nss", 8), Block: 64, NoSharedSpill: true}
-	flag, err := s.normalize(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	named, err := s.normalize(CompileRequest{PTX: req.PTX, Block: 64, Backends: []string{"crat-local"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flag.key != named.key {
-		t.Errorf("no_shared_spill and backends [crat-local] hash to different cache keys")
-	}
-	var resp CompileResponse
-	if code := post(t, ts.URL, req, &resp); code != http.StatusOK {
-		t.Fatalf("compile = %d", code)
-	}
-	if resp.Backend != "crat-local" {
-		t.Errorf("no_shared_spill compiled with backend %q, want crat-local", resp.Backend)
-	}
-}
-
 // TestCompileBackendAttribution compiles with an explicit backend and
 // checks the response names it, and that /statsz counts the serve in
 // backend_wins.

@@ -40,16 +40,13 @@ type CompileRequest struct {
 	// the default register budget — the daemon has no input data to
 	// profile with, mirroring cratc.
 	OptTLP int `json:"opttlp,omitempty"`
-	// NoSharedSpill disables the shared-memory spilling optimization: it
-	// selects the crat-local backend, so it cannot be combined with
-	// Backends (400).
-	NoSharedSpill bool `json:"no_shared_spill,omitempty"`
 	// Coalesce enables the copy-coalescing pre-pass.
 	Coalesce bool `json:"coalesce,omitempty"`
 	// Backends selects the optimization backends whose candidates compete
 	// under the TPSC selection. Order matters (full TPSC ties break toward
 	// the earlier-listed backend), so it is never sorted. Empty uses the
-	// daemon's configured default (itself empty = crat).
+	// daemon's configured default (itself empty = crat). ["crat-local"] is
+	// CRAT without the shared-memory spilling optimization.
 	Backends []string `json:"backends,omitempty"`
 	// Verify overrides the daemon's default for differential oracle
 	// verification of the chosen kernel (nil = daemon default). On a
@@ -134,12 +131,10 @@ func (s *Server) normalize(req CompileRequest) (*compileJob, error) {
 		verify = *req.Verify
 	}
 	backends := req.Backends
-	if len(backends) == 0 && !req.NoSharedSpill {
+	if len(backends) == 0 {
 		backends = s.cfg.DefaultBackends
 	}
-	if backends, err = core.BackendList(backends, req.NoSharedSpill); err != nil {
-		return nil, err
-	}
+	backends = core.BackendList(backends)
 	if _, err := backend.Resolve(backends); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // Changing routeSchema reshuffles which replica owns which key (a cold
 // restart of the fleet's cache affinity), nothing more — correctness
 // never depends on placement.
-const routeSchema = "cratgw-route/v2"
+const routeSchema = "cratgw-route/v3"
 
 // RouteKey returns the stable content-address the cratgw gateway hashes
 // onto its replica ring. It covers the request's semantic fields exactly
@@ -38,14 +38,13 @@ func RouteKey(req CompileRequest) (string, error) {
 		Block      int
 		Grid       int
 		OptTLP     int
-		NoShared   bool
 		Coalesce   bool
 		Backends   []string
 		Verify     int
 		VerifyRuns int
 		VerifySeed int64
 	}{routeSchema, req.PTX, req.Kernel, req.Arch, req.Block, req.Grid,
-		req.OptTLP, req.NoSharedSpill, req.Coalesce, req.Backends, verify, req.VerifyRuns, req.VerifySeed})
+		req.OptTLP, req.Coalesce, req.Backends, verify, req.VerifyRuns, req.VerifySeed})
 	if err != nil {
 		return "", fmt.Errorf("hashing route key: %w", err)
 	}

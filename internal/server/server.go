@@ -388,7 +388,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 //
 //	queue full        → 429 + Retry-After (shed, never buffered)
 //	draining          → 503
-//	bad request       → 400 (malformed JSON) / 422 (bad PTX or launch)
+//	bad request       → 400 (malformed JSON, unknown field) / 422 (bad PTX or launch)
 //	deadline exceeded → 504 (whether it expired waiting or compiling)
 //	client hung up    → connection dropped, counted as 499
 //	compile panic     → 500 for this request only
@@ -400,7 +400,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CompileRequest
 	body := http.MaxBytesReader(w, r.Body, maxPTXBytes+1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(body)
+	// A field the request type does not have is a client mistake (a typo
+	// such as "backend", or a retired option), not something to ignore.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.stats.Failed.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return

@@ -60,7 +60,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // post sends a compile request and decodes the response body into out
 // (which may be a *CompileResponse or a *map for error bodies).
-func post(t *testing.T, url string, req CompileRequest, out any) int {
+func post(t *testing.T, url string, req any, out any) int {
 	t.Helper()
 	buf, err := json.Marshal(req)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
 		name string
-		req  CompileRequest
+		req  any
 		want int
 	}{
 		{"missing ptx", CompileRequest{Block: 64}, http.StatusBadRequest},
@@ -132,7 +132,9 @@ func TestBadRequests(t *testing.T) {
 		{"unparsable ptx", CompileRequest{PTX: "this is not ptx", Block: 64}, http.StatusUnprocessableEntity},
 		{"missing kernel", CompileRequest{PTX: testPTX("k_b", 4), Kernel: "nope", Block: 64}, http.StatusUnprocessableEntity},
 		{"block too large to launch", CompileRequest{PTX: testPTX("k_b", 4), Block: 2048}, http.StatusUnprocessableEntity},
-		{"no_shared_spill with backends", CompileRequest{PTX: testPTX("k_b", 4), Block: 64, NoSharedSpill: true, Backends: []string{"crat"}}, http.StatusBadRequest},
+		// Unknown fields would otherwise compile with the defaults.
+		{"misspelled backends", map[string]any{"ptx": testPTX("k_b", 4), "block": 64, "backend": []string{"regdem"}}, http.StatusBadRequest},
+		{"retired no_shared_spill", map[string]any{"ptx": testPTX("k_b", 4), "block": 64, "no_shared_spill": true}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var body map[string]any

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,6 +448,38 @@ func TestGatewayShedRetrySameReplica(t *testing.T) {
 	}
 	if got := g.Stats().Retries.Load(); got != 1 {
 		t.Errorf("retries = %d, want 1", got)
+	}
+}
+
+// TestGatewayRelaysBadRequestOnce: a replica's 400 is final. A body with
+// a field cratd does not know (here the retired "no_shared_spill") reaches
+// one replica once, and the client gets that replica's 400: no retry, no
+// failover to the other replica.
+func TestGatewayRelaysBadRequestOnce(t *testing.T) {
+	r1, r2 := startReplica(t, server.Config{Workers: 1}), startReplica(t, server.Config{Workers: 1})
+	g, ts := startGateway(t, GatewayConfig{
+		Replicas: []string{r1.url(), r2.url()},
+		Health:   HealthConfig{Period: time.Hour},
+		Retry:    retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+	})
+	buf, _ := json.Marshal(map[string]any{"ptx": ".visible .entry k()", "block": 32, "no_shared_spill": true})
+	resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `unknown field "no_shared_spill"`) {
+		t.Fatalf("status = %d, error %q; want the replica's 400 naming the unknown field", resp.StatusCode, body.Error)
+	}
+	if got := r1.s.Stats().Failed.Load() + r2.s.Stats().Failed.Load(); got != 1 {
+		t.Errorf("replicas rejected %d requests, want 1 (the 400 is final)", got)
+	}
+	st := g.Stats()
+	if st.Relayed4xx.Load() != 1 || st.Retries.Load() != 0 || st.Failovers.Load() != 0 {
+		t.Errorf("gateway relayed_4xx=%d retries=%d failovers=%d, want 1, 0, 0",
+			st.Relayed4xx.Load(), st.Retries.Load(), st.Failovers.Load())
 	}
 }
 
